@@ -11,10 +11,7 @@
 // position in the benchmark list, never by completion order, and
 // cached_comparison's once-per-key guard keeps concurrent requests for one
 // key down to one computation.  Only the stderr progress interleaving and
-// the wall-clock timing fields depend on jobs.  --sim-jobs additionally
-// shards the SMs *inside* each launch simulation (serial-exact replay; see
-// DESIGN.md "Intra-launch parallel simulation") with the same bit-identity
-// guarantee.
+// the wall-clock timing fields depend on jobs.
 #pragma once
 
 #include <cstdio>
@@ -30,8 +27,6 @@
 #include "harness/table.hpp"
 #include "obs/export.hpp"
 #include "obs/report.hpp"
-#include "prof/prof.hpp"
-#include "prof/sidecar.hpp"
 #include "sim/config.hpp"
 #include "support/parallel.hpp"
 #include "support/walltime.hpp"
@@ -70,34 +65,6 @@ inline void write_observation_outputs(const harness::CommonFlags& flags,
     } else {
       std::fprintf(stderr, "[bench] %s\n", status.to_string().c_str());
     }
-  }
-}
-
-/// Self-profiling session for the --prof flag; null when the flag is absent
-/// or profiling is compiled out (TBP_PROF=OFF), in which case a stderr
-/// notice mirrors the --metrics/TBP_OBS behaviour.  The session is a pure
-/// observer: attaching it never changes simulated results or manifests.
-inline std::unique_ptr<prof::ProfSession> make_prof_session(
-    const harness::CommonFlags& flags) {
-  if (flags.prof_path.empty()) return nullptr;
-  if constexpr (prof::kEnabled) {
-    return std::make_unique<prof::ProfSession>();
-  } else {
-    std::fprintf(stderr,
-                 "[bench] --prof ignored: self-profiling compiled out "
-                 "(TBP_PROF=OFF)\n");
-    return nullptr;
-  }
-}
-
-/// Writes the --prof sidecar (sealed tbp-prof-v1; atomic write).
-inline void write_prof_output(const harness::CommonFlags& flags,
-                              const prof::ProfSession& session) {
-  const Status status = prof::write_prof_sidecar(session, flags.prof_path);
-  if (status.ok()) {
-    std::fprintf(stderr, "[bench] wrote %s\n", flags.prof_path.c_str());
-  } else {
-    std::fprintf(stderr, "[bench] %s\n", status.to_string().c_str());
   }
 }
 
@@ -246,15 +213,7 @@ inline std::vector<harness::ExperimentRow> collect_rows(
   const timing::WallTimer timer;
   par::set_global_jobs(flags.jobs);
   options.jobs = flags.jobs;
-  // Like --jobs, --sim-jobs is bit-identity-preserving and so deliberately
-  // absent from flags_config_value (the manifest config key).
-  options.sim_jobs = flags.sim_jobs;
   const std::unique_ptr<obs::Observation> observe = make_observation(flags);
-  // ProfSession is thread-safe, so every parallel row shares this one
-  // session (skew from all sharded launches lands in one histogram).
-  const std::unique_ptr<prof::ProfSession> prof_session =
-      make_prof_session(flags);
-  options.prof = prof_session.get();
   const std::vector<std::string>& names = flags.benchmark_list();
   std::vector<harness::ExperimentRow> rows(names.size());
   par::parallel_for(names.size(), flags.jobs, [&](std::size_t i) {
@@ -280,14 +239,7 @@ inline std::vector<harness::ExperimentRow> collect_rows(
       }
     }
   });
-  if (prof_session != nullptr && observe != nullptr && observe->trace_on()) {
-    // The '~' prefix sorts the wall-clock buffer after every simulator key,
-    // so the prof track lands at the end of the merged trace.
-    prof::append_wall_clock_track(*prof_session,
-                                  observe->trace_buffer("~prof"));
-  }
   if (observe != nullptr) write_observation_outputs(flags, *observe);
-  if (prof_session != nullptr) write_prof_output(flags, *prof_session);
   if (!flags.manifest_path.empty()) {
     write_bench_manifest(flags, config, rows, observe.get(), tool);
   }

@@ -100,29 +100,6 @@ void BM_LaunchSimulationMemoryBound(benchmark::State& state) {
 BENCHMARK(BM_LaunchSimulationMemoryBound)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
-// The intra-launch sharded engine on the same launches: args are
-// {n_blocks, sim_jobs}, with sim_jobs=1 re-measuring the serial engine for
-// an in-run baseline.  Results are byte-identical across sim_jobs (pinned
-// by tests/sim/sharded_engine_test); only the wall-clock rate moves, and
-// only on hosts with enough cores to back the shard crew.
-void BM_LaunchSimulationSharded(benchmark::State& state) {
-  const trace::SyntheticLaunch launch =
-      make_micro_launch(static_cast<std::uint32_t>(state.range(0)), true);
-  sim::GpuSimulator simulator(sim::fermi_config());
-  sim::RunOptions options;
-  options.sim_jobs = static_cast<std::uint32_t>(state.range(1));
-  std::uint64_t insts = 0;
-  for (auto _ : state) {
-    const sim::LaunchResult result = simulator.run_launch(launch, options);
-    insts += result.sim_warp_insts;
-    benchmark::DoNotOptimize(result.cycles);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(insts));
-}
-BENCHMARK(BM_LaunchSimulationSharded)
-    ->Args({512, 1})->Args({512, 2})->Args({512, 4})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_FunctionalProfiling(benchmark::State& state) {
   const trace::SyntheticLaunch launch = make_micro_launch(256, true);
   std::uint64_t insts = 0;

@@ -69,7 +69,6 @@ TBPointRun run_tbpoint(std::span<const trace::LaunchTraceSource* const> launches
         RegionSampler sampler(launch_profile, rep.regions.table, sampler_options);
         sim::RunOptions run_options;
         run_options.controller = &sampler;
-        run_options.sim_jobs = options.sim_jobs;
         if constexpr (obs::kEnabled) {
           if (options.observe != nullptr) {
             // One shard/buffer per representative, keyed by rep index, so

@@ -40,10 +40,6 @@ struct TBPointOptions {
   /// bit-identical for every jobs value; jobs is therefore excluded from
   /// the experiment cache key.
   std::size_t jobs = 1;
-  /// Worker threads sharding SMs inside each representative's simulation
-  /// (1 = the serial engine).  Bit-identity-preserving like `jobs`, and
-  /// likewise excluded from the experiment cache key.
-  std::uint32_t sim_jobs = 1;
   /// Optional observability session (null = off).  Each representative
   /// records into its own shard/buffer keyed
   /// "<observe_key_prefix>tbp/rep/<r>", so parallel runs merge

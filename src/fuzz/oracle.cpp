@@ -123,8 +123,7 @@ void check_parallel(const harness::ExperimentRow& serial,
   }
   out.push_back(OracleViolation{
       OracleStage::kParallel,
-      "serial and parallel (jobs>1 and/or sim_jobs>1) manifest rows diverge "
-      "at byte " +
+      "serial and parallel (jobs>1) manifest rows diverge at byte " +
           std::to_string(diverge) + " (serial " +
           std::to_string(serial_bytes.size()) + " bytes, parallel " +
           std::to_string(parallel_bytes.size()) + " bytes)",
@@ -203,7 +202,6 @@ OracleReport check_workload(const workloads::WorkloadSpec& spec,
     if (bounds.run_parallel) {
       harness::ComparisonOptions parallel_options;
       parallel_options.jobs = bounds.parallel_jobs;
-      parallel_options.sim_jobs = bounds.parallel_sim_jobs;
       const harness::ExperimentRow parallel_row =
           harness::run_comparison(workload, config, parallel_options);
       check_parallel(report.row, parallel_row, report.violations);

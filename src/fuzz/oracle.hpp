@@ -16,12 +16,9 @@
 //   kCounts    the functional profiler and the timing simulator walk the
 //              same traces, so profiled warp instructions must equal
 //              retired warp instructions exactly.
-//   kParallel  run_comparison(jobs=1, sim_jobs=1) and
-//              run_comparison(jobs=N, sim_jobs=M) must produce
-//              byte-identical manifest rows (the determinism contract
-//              tbp-lint guards statically, checked dynamically).  The one
-//              parallel row exercises both knobs at once: row-level
-//              parallelism *and* the intra-launch SM-sharded engine.
+//   kParallel  run_comparison(jobs=1) and run_comparison(jobs=N) must
+//              produce byte-identical manifest rows (the determinism
+//              contract tbp-lint guards statically, checked dynamically).
 //   kFaults    a corrupted profile artifact must quarantine — fail with a
 //              structured error — or load back byte-identical; it must
 //              never silently alter results.
@@ -65,10 +62,6 @@ struct OracleBounds {
   double max_tbpoint_err_pct = 15.0;
   /// Jobs value the parallel-determinism oracle compares against jobs=1.
   std::size_t parallel_jobs = 4;
-  /// sim_jobs value for the same parallel row: every launch simulation in
-  /// it runs on the SM-sharded engine, so one extra comparison checks both
-  /// determinism contracts.  1 disables the sharded leg.
-  std::uint32_t parallel_sim_jobs = 4;
 
   bool run_trace = true;
   bool run_accuracy = true;

@@ -145,16 +145,6 @@ CommonFlags parse_common_flags(int argc, char** argv,
         std::exit(2);
       }
       flags.jobs = *jobs;
-    } else if (arg == "--sim-jobs") {
-      const Result<std::uint32_t> sim_jobs = parse_u32(take_value());
-      if (!sim_jobs.has_value() || *sim_jobs == 0) {
-        std::fprintf(stderr, "%s: invalid value for --sim-jobs: %s\n", argv[0],
-                     sim_jobs.has_value()
-                         ? "must be >= 1"
-                         : sim_jobs.status().message().c_str());
-        std::exit(2);
-      }
-      flags.sim_jobs = *sim_jobs;
     } else if (arg == "--metrics") {
       flags.metrics_path = take_value();
     } else if (arg == "--trace") {
@@ -163,8 +153,6 @@ CommonFlags parse_common_flags(int argc, char** argv,
       flags.manifest_path = take_value();
     } else if (arg == "--perf-json") {
       flags.perf_json_path = take_value();
-    } else if (arg == "--prof") {
-      flags.prof_path = take_value();
     } else {
       const bool allowed =
           std::any_of(extra_allowed.begin(), extra_allowed.end(),
@@ -180,9 +168,9 @@ CommonFlags parse_common_flags(int argc, char** argv,
       }
       std::fprintf(stderr,
                    "usage: %s [--scale N] [--seed S] [--benchmarks a,b,...] "
-                   "[--no-cache] [--cache-dir PATH] [--jobs N] [--sim-jobs N] "
+                   "[--no-cache] [--cache-dir PATH] [--jobs N] "
                    "[--metrics PATH] [--trace PATH] [--manifest PATH] "
-                   "[--perf-json PATH] [--prof PATH]\n",
+                   "[--perf-json PATH]\n",
                    argv[0]);
       std::exit(2);
     }

@@ -10,10 +10,6 @@
 //                      (default: hardware concurrency; 1 = fully serial).
 //                      Results are bit-identical for every value; only
 //                      wall-clock changes.
-//   --sim-jobs N       worker threads sharding SMs *inside* each launch
-//                      simulation (default 1 = the serial engine).  Same
-//                      bit-identity contract as --jobs; composes with it
-//                      (each concurrent launch gets its own shard crew).
 //   --metrics PATH     write merged simulator/sampler counters + histograms
 //                      as JSON (see DESIGN.md "Observability")
 //   --trace PATH       write a chrome://tracing timeline JSON
@@ -22,9 +18,6 @@
 //   --perf-json PATH   write a sealed tbp-bench-perf-v1 wall-time/throughput
 //                      document (BENCH_PERF.json; wall-clock, so NOT
 //                      byte-identical across runs)
-//   --prof PATH        write a sealed tbp-prof-v1 self-profiling sidecar
-//                      (shard load skew + latency spans; wall-clock, so NOT
-//                      byte-identical — and never part of the manifest)
 //
 // Every flag also accepts the --name=value spelling.
 #pragma once
@@ -60,12 +53,10 @@ struct CommonFlags {
   std::vector<std::string> benchmarks;  ///< empty = all 12
   std::string cache_dir = "tbpoint_cache";
   std::size_t jobs = par::default_jobs();  ///< strict-parsed --jobs, >= 1
-  std::uint32_t sim_jobs = 1;  ///< strict-parsed --sim-jobs, >= 1
   std::string metrics_path;  ///< --metrics output file; empty = off
   std::string trace_path;    ///< --trace output file; empty = off
   std::string manifest_path;  ///< --manifest output file; empty = off
   std::string perf_json_path; ///< --perf-json output file; empty = off
-  std::string prof_path;      ///< --prof sidecar output file; empty = off
 
   [[nodiscard]] const std::vector<std::string>& benchmark_list() const {
     return benchmarks.empty() ? workloads::workload_names() : benchmarks;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <vector>
 
-#include "prof/prof.hpp"
 #include "profile/profiler.hpp"
 #include "sim/gpu.hpp"
 #include "stats/error.hpp"
@@ -64,8 +63,6 @@ ExperimentRow run_comparison(const workloads::Workload& workload,
   par::parallel_for(sources.size(), options.jobs, [&](std::size_t i) {
     sim::GpuSimulator launch_sim(full_config);
     sim::RunOptions run_options;
-    run_options.sim_jobs = options.sim_jobs;
-    if constexpr (prof::kEnabled) run_options.prof = options.prof;
     if constexpr (obs::kEnabled) {
       if (options.observe != nullptr) {
         // Per-launch shard/buffer keyed by launch index: the merge order is
@@ -136,7 +133,6 @@ ExperimentRow run_comparison(const workloads::Workload& workload,
   const timing::WallTimer tbp_sim_timer;
   core::TBPointOptions tbp_options = options.tbpoint;
   tbp_options.jobs = options.jobs;
-  tbp_options.sim_jobs = options.sim_jobs;
   if constexpr (obs::kEnabled) {
     if (options.observe != nullptr) {
       tbp_options.observe = options.observe;

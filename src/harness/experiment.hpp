@@ -16,10 +16,6 @@
 #include "sim/config.hpp"
 #include "workloads/workload.hpp"
 
-namespace tbp::prof {
-class ProfSession;
-}  // namespace tbp::prof
-
 namespace tbp::harness {
 
 struct ComparisonOptions {
@@ -42,11 +38,7 @@ struct ComparisonOptions {
   /// collected by launch index, never by completion order) — only the
   /// wall-clock timing fields vary.
   std::size_t jobs = 1;
-  /// Worker threads sharding SMs inside each launch simulation (1 = the
-  /// serial engine).  The sharded engine replays every cross-SM interaction
-  /// in the serial order, so like `jobs` this is bit-identity-preserving
-  /// and excluded from the experiment cache key.
-  std::uint32_t sim_jobs = 1;
+  std::uint32_t sim_jobs = 1;  ///< unused: nothing in the pipeline reads it
   /// Optional observability session shared by every simulation this
   /// comparison runs (null = off).  Shard/buffer keys are prefixed with the
   /// workload name, so one session can span many rows; pure observers, so
@@ -55,12 +47,6 @@ struct ComparisonOptions {
   /// Base added to every trace pid this comparison emits, so rows sharing
   /// one session keep distinct process groups in the trace viewer.
   std::uint32_t observe_pid_base = 0;
-  /// Optional wall-clock self-profiling session (src/prof) attached to
-  /// every launch simulation this comparison runs.  The sharded engine
-  /// (sim_jobs > 1) absorbs per-SM/per-worker load-skew into it; like
-  /// `observe`, a pure observer excluded from the cache key — results and
-  /// manifests are byte-identical with or without it.
-  prof::ProfSession* prof = nullptr;
 };
 
 struct MethodResult {

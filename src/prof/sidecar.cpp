@@ -1,20 +1,10 @@
 #include "prof/sidecar.hpp"
 
-#include <algorithm>
-#include <cstddef>
-#include <map>
+#include <cstdint>
 #include <utility>
-#include <vector>
 
 namespace tbp::prof {
 namespace {
-
-obs::JsonValue doubles_to_value(const std::vector<double>& values) {
-  obs::JsonValue::Array array;
-  array.reserve(values.size());
-  for (const double v : values) array.emplace_back(v);
-  return obs::JsonValue(std::move(array));
-}
 
 obs::JsonValue histogram_to_value(const obs::Histogram& hist) {
   obs::JsonValue value = obs::JsonValue::object();
@@ -31,22 +21,6 @@ obs::JsonValue histogram_to_value(const obs::Histogram& hist) {
 
 double percentile_seconds(const obs::Histogram& hist, double q) {
   return static_cast<double>(percentile_upper_bound(hist, q)) / 1e6;
-}
-
-obs::JsonValue skew_to_value(const ShardSkew& skew) {
-  obs::JsonValue value = obs::JsonValue::object();
-  value.set("rounds", obs::JsonValue(skew.rounds));
-  value.set("n_workers", obs::JsonValue(std::uint64_t{skew.n_workers}));
-  value.set("n_sms", obs::JsonValue(std::uint64_t{skew.n_sms}));
-  value.set("wall_seconds", obs::JsonValue(skew.wall_seconds));
-  value.set("sm_busy_seconds", doubles_to_value(skew.sm_busy_seconds));
-  value.set("worker_busy_seconds", doubles_to_value(skew.worker_busy_seconds));
-  value.set("worker_wait_seconds", doubles_to_value(skew.worker_wait_seconds));
-  value.set("max_imbalance_ratio", obs::JsonValue(skew.max_imbalance_ratio));
-  value.set("mean_imbalance_ratio",
-            obs::JsonValue(skew.mean_imbalance_ratio()));
-  value.set("imbalance_milli", histogram_to_value(skew.imbalance_milli));
-  return value;
 }
 
 }  // namespace
@@ -71,7 +45,6 @@ obs::JsonValue spans_to_value(const ProfSession& session) {
 
 obs::JsonValue prof_body(const ProfSession& session) {
   obs::JsonValue body = obs::JsonValue::object();
-  body.set("skew", skew_to_value(session.skew_snapshot()));
   body.set("spans", spans_to_value(session));
   return body;
 }
@@ -79,41 +52,6 @@ obs::JsonValue prof_body(const ProfSession& session) {
 Status write_prof_sidecar(const ProfSession& session, const std::string& path) {
   return obs::write_json_file(obs::seal_json(kProfSchema, prof_body(session)),
                               path);
-}
-
-void append_wall_clock_track(const ProfSession& session,
-                             obs::TraceBuffer* buffer) {
-  if (buffer == nullptr) return;
-  const std::vector<ProfSession::RawSpan> raw = session.raw_spans();
-  const ShardSkew skew = session.skew_snapshot();
-  if (raw.empty() && skew.empty()) return;
-
-  buffer->process_name(kWallClockTracePid, "wall clock (tbp-prof)");
-
-  // One tid per distinct span name, assigned in sorted-name order so the
-  // track layout is deterministic regardless of recording order.
-  std::map<std::string, std::uint32_t> tids;
-  for (const ProfSession::RawSpan& span : raw) tids.emplace(span.name, 0);
-  std::uint32_t next_tid = 0;
-  for (auto& [name, tid] : tids) {
-    tid = next_tid++;
-    buffer->thread_name(kWallClockTracePid, tid, name);
-  }
-  for (const ProfSession::RawSpan& span : raw) {
-    buffer->complete(span.name, "prof", kWallClockTracePid,
-                     tids.at(span.name), span.ts_us, span.dur_us);
-  }
-
-  if (!skew.empty()) {
-    const std::uint32_t skew_tid = next_tid;
-    buffer->thread_name(kWallClockTracePid, skew_tid, "shard-skew");
-    buffer->instant(
-        "shard-skew", "prof", kWallClockTracePid, skew_tid, 0,
-        {{"rounds", obs::json_number(skew.rounds)},
-         {"max_imbalance_ratio", obs::json_number(skew.max_imbalance_ratio)},
-         {"mean_imbalance_ratio",
-          obs::json_number(skew.mean_imbalance_ratio())}});
-  }
 }
 
 }  // namespace tbp::prof

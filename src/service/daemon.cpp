@@ -146,18 +146,15 @@ Result<std::size_t> Daemon::drain_once() {
     if (missing.size() == 1) {
       prof::ScopedSpan span(prof_sink, "service.simulate");
       const Group& group = *missing.front();
-      computed[0] = spec_manifest_bytes(
-          group.spec,
-          run_spec(group.spec, jobs, options_.sim_jobs, options_.prof));
+      computed[0] =
+          spec_manifest_bytes(group.spec, run_spec(group.spec, jobs));
     } else {
-      // tbp-lint: shard(worker)
       auto simulate_group = [&](std::size_t i) {
         // ProfSession is thread-safe and a cold path (one span per group).
         prof::ScopedSpan span(prof_sink, "service.simulate");
         const Group& group = *missing[i];
-        computed[i] = spec_manifest_bytes(
-            group.spec, run_spec(group.spec, /*jobs=*/1, options_.sim_jobs,
-                                 options_.prof));
+        computed[i] =
+            spec_manifest_bytes(group.spec, run_spec(group.spec, /*jobs=*/1));
       };
       par::parallel_for(missing.size(), jobs, simulate_group);
     }
@@ -217,7 +214,7 @@ Status Daemon::serve(const std::atomic<bool>& stop) {
     Result<std::size_t> drained = drain_once();
     if (!drained.has_value()) return drained.status();
     if (prof_sink != nullptr && *drained > 0 && idle_start >= 0.0) {
-      prof_sink->record_span("service.spool_wait", idle_start,
+      prof_sink->record_span("service.spool_wait",
                              timing::monotonic_seconds() - idle_start);
       idle_start = -1.0;
     }

@@ -21,7 +21,7 @@
 //      the dedup proof the service tests pin.
 //
 // Responses are byte-identical to `tbpoint_cli compare ... --manifest` for
-// the same spec, independent of jobs/sim-jobs and of how requests were
+// the same spec, independent of jobs and of how requests were
 // batched or deduplicated.
 #pragma once
 
@@ -50,8 +50,6 @@ struct DaemonOptions {
   /// Worker budget for a drain pass (across request groups, or inside a
   /// lone group's comparison).  Results are jobs-independent.
   std::size_t jobs = 1;
-  /// SM-sharding inside each launch simulation (1 = serial engine).
-  std::uint32_t sim_jobs = 1;
   /// serve() idle poll interval.
   std::uint32_t poll_ms = 50;
   /// serve() exits after answering this many requests (0 = no limit).

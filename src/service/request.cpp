@@ -154,13 +154,9 @@ obs::JsonValue spec_config_value(const RequestSpec& spec) {
   return out;
 }
 
-harness::ExperimentRow run_spec(const RequestSpec& spec, std::size_t jobs,
-                                std::uint32_t sim_jobs,
-                                prof::ProfSession* prof) {
+harness::ExperimentRow run_spec(const RequestSpec& spec, std::size_t jobs) {
   harness::ComparisonOptions options;
   options.jobs = jobs == 0 ? 1 : jobs;
-  options.sim_jobs = sim_jobs == 0 ? 1 : sim_jobs;
-  options.prof = prof;
   const workloads::Workload workload =
       workloads::make_workload(spec.workload, spec.scale);
   return harness::run_comparison(workload, spec_gpu_config(spec), options);

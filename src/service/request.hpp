@@ -71,15 +71,10 @@ struct RequestSpec {
 /// (workload, scale_divisor, seed, gpu geometry; never jobs).
 [[nodiscard]] obs::JsonValue spec_config_value(const RequestSpec& spec);
 
-/// Runs the spec's comparison (the simulation).  jobs/sim_jobs bound the
-/// worker crew; the row is bit-identical for every value of either.
-/// Constructs and owns a private engine per call, so worker-phase callers
-/// may invoke it without reaching any cross-shard state.
-// tbp-lint: shard(isolate)
+/// Runs the spec's comparison (the simulation).  `jobs` bounds the worker
+/// crew; the row is bit-identical for every value.
 [[nodiscard]] harness::ExperimentRow run_spec(const RequestSpec& spec,
-                                              std::size_t jobs,
-                                              std::uint32_t sim_jobs,
-                                              prof::ProfSession* prof = nullptr);
+                                              std::size_t jobs);
 
 /// The sealed response document for a computed row: exactly the bytes
 /// `tbpoint_cli compare <spec flags> --manifest PATH` writes (pretty-

@@ -6,7 +6,7 @@
 namespace tbp::sim {
 
 DramChannel::DramChannel(const GpuConfig& config, std::uint32_t channel_id)
-    : config_(&config),
+    : timing_(config.dram),
       n_channels_(config.n_channels),
       lines_per_page_(config.lines_per_dram_page()),
       banks_(config.banks_per_channel) {
@@ -50,7 +50,7 @@ void DramChannel::tick(std::uint64_t cycle, std::vector<DramReply>& replies) {
     std::size_t cand_pos = 0;
     bool cand_hit = false;
     const std::size_t window = std::min<std::size_t>(
-        bank.queue.size(), config_->dram.scheduler_window);
+        bank.queue.size(), timing_.scheduler_window);
     for (std::size_t i = 0; i < window; ++i) {
       const DramRequest& req = bank.queue[i];
       if (req.arrival > cycle) break;
@@ -79,11 +79,11 @@ void DramChannel::tick(std::uint64_t cycle, std::vector<DramReply>& replies) {
                            static_cast<std::ptrdiff_t>(chosen_pos));
   --queued_;
 
-  const std::uint32_t service = chosen_is_hit ? config_->dram.row_hit_cycles
-                                              : config_->dram.row_miss_cycles;
+  const std::uint32_t service = chosen_is_hit ? timing_.row_hit_cycles
+                                              : timing_.row_miss_cycles;
   // Data transfer serializes on the channel bus.
   const std::uint64_t data_start = std::max(cycle + service, bus_free_at_);
-  const std::uint64_t done = data_start + config_->dram.burst_cycles;
+  const std::uint64_t done = data_start + timing_.burst_cycles;
   bus_free_at_ = done;
   chosen_bank->busy_until = done;
   chosen_bank->open_row = row_of(req.line);

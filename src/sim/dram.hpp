@@ -89,7 +89,7 @@ class DramChannel {
   [[nodiscard]] std::uint32_t bank_of(std::uint64_t line) const noexcept;
   [[nodiscard]] std::uint64_t row_of(std::uint64_t line) const noexcept;
 
-  const GpuConfig* config_;
+  DramTiming timing_;  ///< a copy: callers may pass a temporary config
   std::uint32_t n_channels_;
   std::uint32_t lines_per_page_;
   std::vector<Bank> banks_;

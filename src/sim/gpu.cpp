@@ -1,12 +1,13 @@
 #include "sim/gpu.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <utility>
 
-#include "sim/launch_engine.hpp"
 #include "trace/occupancy.hpp"
 
 namespace tbp::sim {
@@ -55,7 +56,178 @@ std::string WatchdogDiagnostic::to_string() const {
   return out.str();
 }
 
-namespace detail {
+namespace {
+
+/// Tracks the designated block for thread-block-delimited sampling units
+/// (paper Section IV-B2): the unit is the interval between the start and
+/// the end of a *specified* thread block.  The first specified block is the
+/// very first dispatched block; when the specified block retires, the unit
+/// closes and the next dispatched block becomes the new specified block.
+/// Because the specified block executes the whole kernel code, each unit
+/// spans a full block lifetime — long enough for its machine-wide IPC to be
+/// a stable sample (tens of concurrent blocks' throughput averaged over
+/// thousands of cycles), which is what the warming comparison relies on.
+class UnitTracker {
+ public:
+  void on_dispatch(std::uint32_t block_id, std::uint64_t cycle,
+                   const GlobalMeter& meter) {
+    if (unit_open_) return;
+    unit_open_ = true;
+    designated_ = block_id;
+    start_cycle_ = cycle;
+    start_insts_ = meter.warp_insts;
+  }
+
+  /// Returns true (and fills `unit`) when this retirement closes a unit.
+  bool on_retire(std::uint32_t block_id, std::uint64_t cycle,
+                 const GlobalMeter& meter, SamplingUnit& unit) {
+    if (!unit_open_ || block_id != designated_) return false;
+    unit = SamplingUnit{
+        .start_cycle = start_cycle_,
+        .end_cycle = cycle,
+        .warp_insts = meter.warp_insts - start_insts_,
+        .end_block_id = block_id,
+    };
+    unit_open_ = false;  // the next dispatch re-opens
+    return true;
+  }
+
+  /// Closes the trailing partial unit (the drain after the last designated
+  /// block, or a launch whose designated block never retired) so units tile
+  /// the whole simulation.  Returns false if nothing is open or the tail is
+  /// empty.
+  bool close_tail(std::uint64_t cycle, const GlobalMeter& meter,
+                  SamplingUnit& unit) {
+    if (!unit_open_ && meter.warp_insts == last_tail_insts_) return false;
+    const std::uint64_t start =
+        unit_open_ ? start_cycle_ : last_tail_cycle_;
+    const std::uint64_t start_insts =
+        unit_open_ ? start_insts_ : last_tail_insts_;
+    if (meter.warp_insts == start_insts) return false;
+    unit = SamplingUnit{
+        .start_cycle = start,
+        .end_cycle = cycle,
+        .warp_insts = meter.warp_insts - start_insts,
+        .end_block_id = kTailUnit,
+    };
+    unit_open_ = false;
+    return true;
+  }
+
+  /// Records where the last closed unit ended so close_tail can account for
+  /// drain instructions issued after it.
+  void note_close(std::uint64_t cycle, const GlobalMeter& meter) {
+    last_tail_cycle_ = cycle;
+    last_tail_insts_ = meter.warp_insts;
+  }
+
+  static constexpr std::uint32_t kTailUnit = 0xffffffffu;
+
+ private:
+  bool unit_open_ = false;
+  std::uint32_t designated_ = 0;
+  std::uint64_t start_cycle_ = 0;
+  std::uint64_t start_insts_ = 0;
+  std::uint64_t last_tail_cycle_ = 0;
+  std::uint64_t last_tail_insts_ = 0;
+};
+
+/// One kernel launch mid-simulation: the machine, the dispatcher, the
+/// metering, and the watchdog.
+struct LaunchEngine {
+  LaunchEngine(const GpuConfig& cfg, const trace::LaunchTraceSource& src,
+               const RunOptions& opts, WatchdogDiagnostic* diag)
+      : config(cfg),
+        launch(src),
+        options(opts),
+        diagnostic(diag),
+        memory(cfg) {}
+
+  const GpuConfig& config;
+  const trace::LaunchTraceSource& launch;
+  const RunOptions& options;
+  WatchdogDiagnostic* diagnostic = nullptr;
+
+  MemorySystem memory;
+  GlobalMeter meter;
+  std::vector<SmCore> sms;
+  UnitTracker units;
+  SimController default_controller;
+  SimController* controller = nullptr;
+  std::uint32_t occupancy = 0;
+
+  std::uint32_t n_blocks = 0;
+  std::uint32_t next_block = 0;
+  std::uint64_t cycle = 0;
+  std::uint64_t retired_blocks = 0;
+  std::optional<BlockAction> pending_action;
+
+  std::uint64_t fixed_unit_start_cycle = 0;
+  std::uint64_t fixed_unit_start_insts = 0;
+  std::uint64_t fixed_unit_start_threads = 0;
+
+  // Forward-progress watchdog: progress is an issued instruction, a
+  // dispatched block, or a retired block.
+  std::uint64_t last_progress_cycle = 0;
+  std::uint64_t seen_warp_insts = 0;
+  std::uint32_t seen_next_block = 0;
+  std::uint64_t seen_retired_blocks = 0;
+
+  // Observability (pure observers: nothing here feeds back into a timing
+  // decision, so attaching it never changes the simulation).
+  obs::MetricsShard* shard = nullptr;
+  obs::TraceBuffer* timeline = nullptr;
+  std::uint32_t trace_pid = 0;
+  std::vector<SmStallStats> stall_stats;
+  struct TbDispatch {
+    std::uint64_t cycle = 0;
+    std::uint32_t sm = 0;
+  };
+  std::vector<TbDispatch> tb_dispatch;  ///< by block id, trace capture only
+
+  LaunchResult result;
+
+  /// Occupancy check plus machine/observability setup.  Must be called
+  /// (and succeed) before run().
+  [[nodiscard]] Status init();
+
+  /// Greedy dispatch: fills every free slot in SM-id order while simulated
+  /// blocks remain.  The controller is consulted exactly once per block and
+  /// its decision is cached across cycles while all slots are busy; kSkip
+  /// blocks are consumed instantly (a whole fast-forwarded region costs
+  /// zero cycles).
+  void dispatch();
+
+  /// One block retirement at cycle `now`: controller callback, timeline
+  /// span, sampling-unit close.
+  void process_retirement(std::uint32_t block_id, std::uint64_t now);
+
+  /// Closes the current fixed-size unit at `now` if the instruction budget
+  /// was reached (no-op when fixed units are disabled).
+  void check_fixed_unit(std::uint64_t now);
+  void close_fixed_unit(std::uint64_t now);
+
+  /// Watchdog bookkeeping after all of cycle `now`'s events committed.
+  /// Returns a kDeadlock Status when the stall limit is hit.
+  [[nodiscard]] Status watchdog_after_cycle(std::uint64_t now);
+
+  /// The kTimeout failure, with diagnostics, for a launch that reached
+  /// options.max_cycles (call with cycle already advanced past the last
+  /// executed cycle).
+  [[nodiscard]] Status timeout_status();
+
+  [[nodiscard]] bool all_sms_idle() const;
+
+  WatchdogDiagnostic fill_diagnostic(std::uint64_t at, std::uint64_t stalled);
+
+  /// The cycle loop.
+  [[nodiscard]] Status run();
+
+  /// Tail units, result fields, and the metrics flush.  Call after a
+  /// successful run().
+  [[nodiscard]] Result<LaunchResult> collect_result();
+};
+
 
 Status LaunchEngine::init() {
   const trace::KernelInfo& kernel = launch.kernel();
@@ -106,35 +278,19 @@ Status LaunchEngine::init() {
   return Status();
 }
 
-bool LaunchEngine::next_simulated_block(std::uint64_t now) {
+void LaunchEngine::dispatch() {
+  const std::uint32_t n_sms = static_cast<std::uint32_t>(sms.size());
   while (next_block < n_blocks) {
     if (!pending_action.has_value()) {
-      pending_action = controller->on_block_dispatch(next_block, now);
+      pending_action = controller->on_block_dispatch(next_block, cycle);
     }
-    if (*pending_action != BlockAction::kSkip) return true;
-    pending_action.reset();
-    result.skipped_blocks.push_back(next_block);
-    controller->on_block_retire(next_block, now, /*was_skipped=*/true);
-    ++next_block;
-  }
-  return false;
-}
-
-void LaunchEngine::dispatch_pending_into(std::uint32_t sm_id, std::uint64_t now) {
-  pending_action.reset();
-  sms[sm_id].dispatch_block(next_block, launch.block_trace(next_block), now);
-  units.on_dispatch(next_block, now, meter);
-  if constexpr (obs::kEnabled) {
-    if (timeline != nullptr) {
-      tb_dispatch[next_block] = TbDispatch{.cycle = now, .sm = sm_id};
+    if (*pending_action == BlockAction::kSkip) {
+      pending_action.reset();
+      result.skipped_blocks.push_back(next_block);
+      controller->on_block_retire(next_block, cycle, /*was_skipped=*/true);
+      ++next_block;
+      continue;
     }
-  }
-  ++next_block;
-}
-
-void LaunchEngine::dispatch_serial() {
-  while (next_simulated_block(cycle)) {
-    const std::uint32_t n_sms = static_cast<std::uint32_t>(sms.size());
     std::uint32_t target = n_sms;
     for (std::uint32_t s = 0; s < n_sms; ++s) {
       if (sms[s].has_free_slot()) {
@@ -142,8 +298,17 @@ void LaunchEngine::dispatch_serial() {
         break;
       }
     }
-    if (target == n_sms) break;  // all slots busy; the cached action waits
-    dispatch_pending_into(target, cycle);
+    if (target == n_sms) return;  // all slots busy; the cached action waits
+    pending_action.reset();
+    sms[target].dispatch_block(next_block, launch.block_trace(next_block),
+                               cycle);
+    units.on_dispatch(next_block, cycle, meter);
+    if constexpr (obs::kEnabled) {
+      if (timeline != nullptr) {
+        tb_dispatch[next_block] = TbDispatch{.cycle = cycle, .sm = target};
+      }
+    }
+    ++next_block;
   }
 }
 
@@ -246,10 +411,10 @@ WatchdogDiagnostic LaunchEngine::fill_diagnostic(std::uint64_t at,
   return diag;
 }
 
-Status LaunchEngine::run_serial() {
+Status LaunchEngine::run() {
   std::vector<MemCompletion> completions;
   while (next_block < n_blocks || !all_sms_idle()) {
-    dispatch_serial();
+    dispatch();
 
     for (SmCore& sm : sms) sm.issue(cycle);
 
@@ -346,7 +511,7 @@ Result<LaunchResult> LaunchEngine::collect_result() {
   return std::move(result);
 }
 
-}  // namespace detail
+}  // namespace
 
 GpuSimulator::GpuSimulator(const GpuConfig& config) : config_(config) {}
 
@@ -363,16 +528,10 @@ LaunchResult GpuSimulator::run_launch(const trace::LaunchTraceSource& launch,
 Result<LaunchResult> GpuSimulator::run_launch_checked(
     const trace::LaunchTraceSource& launch, const RunOptions& options,
     WatchdogDiagnostic* diagnostic) {
-  detail::LaunchEngine engine(config_, launch, options, diagnostic);
+  LaunchEngine engine(config_, launch, options, diagnostic);
   Status setup = engine.init();
   if (!setup.ok()) return setup;
-
-  // The sharded engine's epoch scheme needs >= 1 cycle of interconnect
-  // latency (the epoch quantum) and more than one SM to shard; everything
-  // else — including empty launches — runs the serial loop.
-  const bool sharded = options.sim_jobs > 1 && config_.n_sms > 1 &&
-                       config_.lat.interconnect > 0 && engine.n_blocks > 0;
-  Status run = sharded ? detail::run_sharded(engine) : engine.run_serial();
+  Status run = engine.run();
   if (!run.ok()) return run;
   return engine.collect_result();
 }

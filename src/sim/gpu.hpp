@@ -18,10 +18,6 @@
 #include "support/status.hpp"
 #include "trace/kernel.hpp"
 
-namespace tbp::prof {
-class ProfSession;
-}  // namespace tbp::prof
-
 namespace tbp::sim {
 
 /// A fixed-size sampling unit (the Random / Ideal-SimPoint granularity):
@@ -110,23 +106,9 @@ struct RunOptions {
   /// deadlocked.  Real memory-bound stalls are thousands of cycles at worst,
   /// so the default leaves three orders of magnitude of headroom.
   std::uint64_t stall_cycle_limit = 1ull << 22;
-  /// Worker threads sharding SMs *inside* this launch (DESIGN.md
-  /// "Intra-launch parallel simulation").  The sharded engine buffers every
-  /// cross-SM interaction and replays it in the serial engine's exact
-  /// order, so cycle counts, metrics, sampling units and manifests are
-  /// byte-identical for every value.  <= 1 — or a config the epoch scheme
-  /// cannot cover (single SM, zero interconnect latency) — runs the classic
-  /// serial loop.
-  std::uint32_t sim_jobs = 1;
+  std::uint32_t sim_jobs = 1;  ///< unused: the simulator never reads it
   /// Metrics/timeline capture; ignored entirely in a TBP_OBS-off build.
   LaunchObservation observe;
-  /// Wall-clock self-profiling sink (src/prof).  A pure observer like
-  /// `observe`: the sharded engine absorbs per-SM busy and per-round worker
-  /// busy/wait times into the session, and nothing flows back into
-  /// simulated state — results stay byte-identical with the session
-  /// attached, detached, or compiled out (TBP_PROF=OFF).  Thread-safe, so
-  /// parallel launches may share one session.
-  prof::ProfSession* prof = nullptr;
 };
 
 class GpuSimulator {

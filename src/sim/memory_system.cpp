@@ -37,7 +37,7 @@ bool MemorySystem::load(std::uint32_t sm_id, std::uint64_t line, WarpToken token
     return false;
   }
   port.mshr.emplace(line, L1Mshr{.waiters = {token}});
-  emit_request(port, line, sm_id, /*is_store=*/false, kPhaseIssue, cycle);
+  emit_request(line, sm_id, /*is_store=*/false, cycle);
   return false;
 }
 
@@ -46,17 +46,11 @@ void MemorySystem::store(std::uint32_t sm_id, std::uint64_t line,
   SmPort& port = ports_[sm_id];
   // Write-through no-allocate: refresh LRU if present, always forward.
   if (port.l1.contains(line)) (void)port.l1.access(line);
-  emit_request(port, line, sm_id, /*is_store=*/true, kPhaseIssue, cycle);
+  emit_request(line, sm_id, /*is_store=*/true, cycle);
 }
 
-void MemorySystem::emit_request(SmPort& port, std::uint64_t line,
-                                std::uint32_t sm_id, bool is_store,
-                                std::uint8_t phase, std::uint64_t cycle) {
-  if (shard_mode_) {
-    port.outbox.push_back(OutboxRequest{
-        .cycle = cycle, .line = line, .phase = phase, .is_store = is_store});
-    return;
-  }
+void MemorySystem::emit_request(std::uint64_t line, std::uint32_t sm_id,
+                                bool is_store, std::uint64_t cycle) {
   l2_queue_.push_back(TimedRequest{
       .ready = cycle + config_.lat.interconnect,
       .line = line,
@@ -170,8 +164,7 @@ void MemorySystem::retry_overflow(SmPort& port, std::uint64_t cycle) {
       continue;
     }
     port.mshr.emplace(req.line, L1Mshr{.waiters = {req.token}});
-    emit_request(port, req.line, req.sm_id, /*is_store=*/false, kPhaseRetry,
-                 cycle);
+    emit_request(req.line, req.sm_id, /*is_store=*/false, cycle);
   }
 }
 
@@ -197,74 +190,12 @@ void MemorySystem::tick(std::uint64_t cycle, std::vector<MemCompletion>& complet
   }
 }
 
-void MemorySystem::shared_tick(std::uint64_t cycle) {
-  process_l2(cycle);
-  process_dram_replies(cycle);
-}
-
-void MemorySystem::route_fills(std::uint64_t limit,
-                               std::vector<std::vector<TimedFill>>& inboxes) {
-  assert(inboxes.size() == ports_.size());
-  // Heap pops arrive in (ready, seq) order, so each SM's inbox slice is the
-  // exact subsequence the serial deliver_l1_fills would hand it.
-  while (!l1_fills_.empty() && l1_fills_.top().ready < limit) {
-    const TimedFill fill = l1_fills_.top();
-    l1_fills_.pop();
-    inboxes[fill.sm_id].push_back(fill);
-  }
-}
-
-void MemorySystem::sm_local_tick(std::uint32_t sm_id, std::uint64_t cycle,
-                                 const std::vector<TimedFill>& inbox,
-                                 std::size_t& cursor,
-                                 std::vector<MemCompletion>& completions) {
-  SmPort& port = ports_[sm_id];
-  if (!port.overflow.empty()) retry_overflow(port, cycle);
-  while (cursor < inbox.size() && inbox[cursor].ready <= cycle) {
-    apply_fill(port, sm_id, inbox[cursor].line, completions);
-    ++cursor;
-  }
-  drain_hit_waits(port, sm_id, cycle, completions);
-}
-
-void MemorySystem::drain_outboxes(std::uint64_t first, std::uint64_t limit) {
-  const std::uint32_t n_sms = static_cast<std::uint32_t>(ports_.size());
-  // Per-SM outboxes are (cycle, phase)-ordered already (each SM buffers its
-  // own cycles in order, issue before retry); the merge walks (cycle,
-  // phase, sm) so the shared queue receives requests in the serial engine's
-  // push order: per cycle, every SM's issue-phase sends in SM-id order,
-  // then every SM's retry sends in SM-id order.
-  std::vector<std::size_t> cursor(n_sms, 0);
-  for (std::uint64_t c = first; c < limit; ++c) {
-    for (std::uint8_t phase = kPhaseIssue; phase <= kPhaseRetry; ++phase) {
-      for (std::uint32_t s = 0; s < n_sms; ++s) {
-        const std::vector<OutboxRequest>& outbox = ports_[s].outbox;
-        std::size_t& i = cursor[s];
-        while (i < outbox.size() && outbox[i].cycle == c &&
-               outbox[i].phase == phase) {
-          l2_queue_.push_back(TimedRequest{
-              .ready = outbox[i].cycle + config_.lat.interconnect,
-              .line = outbox[i].line,
-              .sm_id = s,
-              .is_store = outbox[i].is_store,
-          });
-          ++i;
-        }
-      }
-    }
-  }
-  for (std::uint32_t s = 0; s < n_sms; ++s) {
-    assert(cursor[s] == ports_[s].outbox.size());
-    ports_[s].outbox.clear();
-  }
-}
-
 bool MemorySystem::busy() const noexcept {
   if (!l2_queue_.empty() || !l1_fills_.empty()) return true;
   if (!l2_mshr_.empty()) return true;
   for (const SmPort& port : ports_) {
     if (!port.mshr.empty() || !port.overflow.empty() ||
-        !port.hit_wait.empty() || !port.outbox.empty()) {
+        !port.hit_wait.empty()) {
       return true;
     }
   }
@@ -293,7 +224,6 @@ void MemorySystem::reset() {
     port.mshr.clear();
     port.overflow.clear();
     port.hit_wait.clear();
-    port.outbox.clear();
     port.mshr_merges = 0;
     port.mshr_stalls = 0;
   }
@@ -305,7 +235,6 @@ void MemorySystem::reset() {
   fill_seq_ = 0;
   l2_mshr_merges_ = 0;
   l2_mshr_overflows_ = 0;
-  shard_mode_ = false;
 }
 
 }  // namespace tbp::sim

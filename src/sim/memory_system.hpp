@@ -10,18 +10,9 @@
 // Stores: write-through, no-allocate at both levels; they consume L2 port
 // and DRAM bandwidth but never produce completions (the warp does not wait).
 //
-// State is split along the SM-shard boundary (DESIGN.md "Intra-launch
-// parallel simulation"): everything an SM touches on its own — L1, L1
-// MSHRs, the overflow retry queue, hit-after-wait wakeups — lives in a
-// per-SM port; the L2 input queue, L2, L2 MSHRs, DRAM and the fill heap are
-// shared.  In serial mode (`tick`) the two halves advance together exactly
-// as they always have.  In shard mode the sharded engine drives them
-// separately: `shared_tick` advances the shared half, `route_fills` hands
-// each SM its epoch's fills, `sm_local_tick` advances one port (safe to
-// call concurrently for distinct SMs — ports never touch shared state in
-// shard mode; requests buffer in a per-SM outbox), and `drain_outboxes`
-// re-serializes the buffered requests into the L2 queue in exactly the
-// order the serial engine would have pushed them.
+// Everything one SM touches on its own — L1, L1 MSHRs, the overflow retry
+// queue, hit-after-wait wakeups — lives in a per-SM port; the L2 input
+// queue, L2, L2 MSHRs, DRAM and the fill heap are shared.
 #pragma once
 
 #include <cstdint>
@@ -58,15 +49,6 @@ struct MemoryStats {
   std::uint64_t l2_mshr_overflows = 0;
 };
 
-/// One fill scheduled for delivery into an SM's L1.  Ordered by (ready,
-/// seq): seq is the FIFO tie-break that keeps delivery deterministic.
-struct TimedFill {
-  std::uint64_t ready = 0;
-  std::uint64_t line = 0;
-  std::uint32_t sm_id = 0;
-  std::uint64_t seq = 0;
-};
-
 class MemorySystem {
  public:
   explicit MemorySystem(const GpuConfig& config);
@@ -74,59 +56,28 @@ class MemorySystem {
   /// Issues one line-sized load.  Returns true on an L1 hit (the SM applies
   /// its fixed hit latency); on a miss the `token` is woken through
   /// `tick`'s completion list once the fill returns.
-  // tbp-lint: shard(worker)
   [[nodiscard]] bool load(std::uint32_t sm_id, std::uint64_t line, WarpToken token,
                           std::uint64_t cycle);
 
   /// Issues one line-sized write-through store (fire and forget).
-  void store(std::uint32_t sm_id, std::uint64_t line, std::uint64_t cycle);  // tbp-lint: shard(worker)
+  void store(std::uint32_t sm_id, std::uint64_t line, std::uint64_t cycle);
 
   /// Advances one cycle; appends warp wakeups to `completions`.
-  void tick(std::uint64_t cycle, std::vector<MemCompletion>& completions);  // tbp-lint: shard(commit)
+  void tick(std::uint64_t cycle, std::vector<MemCompletion>& completions);
 
   /// True while any request is in flight anywhere in the hierarchy.
-  [[nodiscard]] bool busy() const noexcept;  // tbp-lint: shard(commit)
+  [[nodiscard]] bool busy() const noexcept;
 
-  [[nodiscard]] MemoryStats stats() const;  // tbp-lint: shard(commit)
+  [[nodiscard]] MemoryStats stats() const;
 
   /// Clears caches, MSHRs and queues (between independently simulated
   /// launches).
-  void reset();  // tbp-lint: shard(commit)
+  void reset();
 
   /// Attaches the DRAM FR-FCFS queue-depth histogram (see DramChannel).
   void set_queue_depth_histogram(obs::Histogram* hist) noexcept {
     dram_.set_queue_depth_histogram(hist);
   }
-
-  // --- Shard-mode interface (the sharded launch engine only). -----------
-
-  /// Switches request routing: in shard mode, load/store/retry requests
-  /// buffer in the issuing SM's outbox instead of entering the shared L2
-  /// queue, so per-SM code never touches shared state.
-  void set_shard_mode(bool on) noexcept { shard_mode_ = on; }
-
-  /// Advances the shared half (L2 input queue, L2, L2 MSHRs, DRAM) one
-  /// cycle.  Coordinator thread only.
-  void shared_tick(std::uint64_t cycle);  // tbp-lint: shard(commit)
-
-  /// Pops every fill with ready < `limit` into per-SM inboxes, preserving
-  /// the (ready, seq) delivery order within each SM.  `inboxes` must have
-  /// one slot per SM; routed fills are appended.  Coordinator thread only.
-  void route_fills(std::uint64_t limit, std::vector<std::vector<TimedFill>>& inboxes);  // tbp-lint: shard(commit)
-
-  /// Advances SM `sm_id`'s port one cycle: overflow retry, then delivery of
-  /// the pre-routed fills whose ready == cycle (`inbox` from route_fills,
-  /// `cursor` advanced in place), then hit-after-wait wakeups.  Touches
-  /// only per-SM state, so distinct SMs may tick concurrently.
-  // tbp-lint: shard(worker)
-  void sm_local_tick(std::uint32_t sm_id, std::uint64_t cycle,
-                     const std::vector<TimedFill>& inbox, std::size_t& cursor,
-                     std::vector<MemCompletion>& completions);
-
-  /// Appends the outboxed requests of cycles [first, limit) to the shared
-  /// L2 queue in exactly the serial push order — (cycle, issue-before-
-  /// retry, SM id) — then clears the outboxes.  Coordinator thread only.
-  void drain_outboxes(std::uint64_t first, std::uint64_t limit);  // tbp-lint: shard(commit)
 
  private:
   struct L1Mshr {
@@ -147,29 +98,24 @@ class MemorySystem {
     std::uint64_t ready = 0;
     WarpToken token = 0;
   };
-  /// A request buffered in shard mode, replayed by drain_outboxes.  `phase`
-  /// orders requests within one cycle: issue-phase sends precede
-  /// overflow-retry sends, matching the serial engine (SM issue loop first,
-  /// memory tick second).
-  struct OutboxRequest {
-    std::uint64_t cycle = 0;
+  /// One fill scheduled for delivery into an SM's L1.  Ordered by (ready,
+  /// seq): seq is the FIFO tie-break that keeps delivery deterministic.
+  struct TimedFill {
+    std::uint64_t ready = 0;
     std::uint64_t line = 0;
-    std::uint8_t phase = 0;  ///< kPhaseIssue or kPhaseRetry
-    bool is_store = false;
+    std::uint32_t sm_id = 0;
+    std::uint64_t seq = 0;
   };
-  static constexpr std::uint8_t kPhaseIssue = 0;
-  static constexpr std::uint8_t kPhaseRetry = 1;
 
-  /// Everything one SM touches without coordination: its L1, its MSHRs,
-  /// its overflow retry queue, its hit-after-wait wakeups, its shard-mode
-  /// outbox, and its slice of the MSHR counters.
+  /// Everything one SM touches on its own: its L1, its MSHRs, its overflow
+  /// retry queue, its hit-after-wait wakeups, and its slice of the MSHR
+  /// counters.
   struct SmPort {
     explicit SmPort(const CacheGeometry& l1_geometry) : l1(l1_geometry) {}
     SetAssocCache l1;
     std::unordered_map<std::uint64_t, L1Mshr> mshr;
     std::deque<TimedRequest> overflow;
     std::deque<TimedWakeup> hit_wait;
-    std::vector<OutboxRequest> outbox;
     std::uint64_t mshr_merges = 0;
     std::uint64_t mshr_stalls = 0;
   };
@@ -180,37 +126,30 @@ class MemorySystem {
     }
   };
 
-  // tbp-lint: shard(route)
-  void emit_request(SmPort& port, std::uint64_t line, std::uint32_t sm_id,
-                    bool is_store, std::uint8_t phase, std::uint64_t cycle);
-  void process_l2(std::uint64_t cycle);  // tbp-lint: shard(commit)
-  void process_dram_replies(std::uint64_t cycle);  // tbp-lint: shard(commit)
-  void deliver_l1_fills(std::uint64_t cycle, std::vector<MemCompletion>& completions);  // tbp-lint: shard(commit)
-  // tbp-lint: shard(worker)
+  void emit_request(std::uint64_t line, std::uint32_t sm_id, bool is_store,
+                    std::uint64_t cycle);
+  void process_l2(std::uint64_t cycle);
+  void process_dram_replies(std::uint64_t cycle);
+  void deliver_l1_fills(std::uint64_t cycle, std::vector<MemCompletion>& completions);
   void apply_fill(SmPort& port, std::uint32_t sm_id, std::uint64_t line,
                   std::vector<MemCompletion>& completions);
-  void retry_overflow(SmPort& port, std::uint64_t cycle);  // tbp-lint: shard(worker)
-  // tbp-lint: shard(worker)
+  void retry_overflow(SmPort& port, std::uint64_t cycle);
   void drain_hit_waits(SmPort& port, std::uint32_t sm_id, std::uint64_t cycle,
                        std::vector<MemCompletion>& completions);
 
   const GpuConfig config_;
   std::vector<SmPort> ports_;  ///< one per SM
-  SetAssocCache l2_;  // tbp-lint: shard(shared)
-  DramSystem dram_;   // tbp-lint: shard(shared)
-  bool shard_mode_ = false;
+  SetAssocCache l2_;
+  DramSystem dram_;
 
-  // tbp-lint: shard(shared) -- arrival-ordered (uniform latency)
-  std::deque<TimedRequest> l2_queue_;
-  // tbp-lint: shard(shared)
+  std::deque<TimedRequest> l2_queue_;  ///< arrival-ordered (uniform latency)
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> l2_mshr_;
 
-  // tbp-lint: shard(shared)
   std::priority_queue<TimedFill, std::vector<TimedFill>, LaterFill> l1_fills_;
-  std::vector<DramReply> dram_replies_scratch_;  // tbp-lint: shard(shared)
-  std::uint64_t fill_seq_ = 0;           // tbp-lint: shard(shared)
-  std::uint64_t l2_mshr_merges_ = 0;     // tbp-lint: shard(shared)
-  std::uint64_t l2_mshr_overflows_ = 0;  // tbp-lint: shard(shared)
+  std::vector<DramReply> dram_replies_scratch_;
+  std::uint64_t fill_seq_ = 0;
+  std::uint64_t l2_mshr_merges_ = 0;
+  std::uint64_t l2_mshr_overflows_ = 0;
 };
 
 }  // namespace tbp::sim

@@ -174,7 +174,7 @@ void SmCore::issue_impl(std::uint64_t cycle) {
   ++ctx.pc;
   ++warp_insts_;
   thread_insts_ += inst.active_threads;
-  record_issue(inst, cycle);
+  meter_->record(inst);
   // Advance the cursors *before* execute: a kExit that retires the block
   // invalidates gto_current_ inside retire_block, and assigning it here
   // afterwards would resurrect the stale cursor it just killed.
@@ -245,7 +245,7 @@ void SmCore::execute(std::uint32_t slot_idx, std::uint32_t warp_idx,
       assert(slot.live_warps > 0);
       --slot.live_warps;
       if (slot.live_warps == 0) {
-        retire_block(slot_idx, cycle);
+        retire_block(slot_idx);
       } else {
         release_barrier_if_ready(slot, slot_idx, cycle);
       }
@@ -267,32 +267,9 @@ void SmCore::release_barrier_if_ready(BlockSlot& slot, std::uint32_t slot_idx,
   earliest_ready_ = std::min(earliest_ready_, cycle + 1);
 }
 
-// Shard mode: the meter is shared across SMs, so log the issue for the
-// serial commit replay instead of touching it from a worker thread.
-// tbp-lint: shard(route)
-void SmCore::record_issue(const trace::WarpInst& inst, std::uint64_t cycle) {
-  if (issue_log_ != nullptr) {
-    issue_log_->push_back(SmIssueEvent{
-        .cycle = cycle, .bb_id = inst.bb_id, .active_threads = inst.active_threads});
-  } else {
-    meter_->record(inst);
-  }
-}
-
-// Shard mode: retirements drive cross-SM dispatch decisions, so log them
-// for the commit replay instead of pushing the shared drain list.
-// tbp-lint: shard(route)
-void SmCore::record_retire(std::uint32_t block_id, std::uint64_t cycle) {
-  if (retire_log_ != nullptr) {
-    retire_log_->push_back(SmRetireEvent{.cycle = cycle, .block_id = block_id});
-  } else {
-    retired_.push_back(block_id);
-  }
-}
-
-void SmCore::retire_block(std::uint32_t slot_idx, std::uint64_t cycle) {
+void SmCore::retire_block(std::uint32_t slot_idx) {
   BlockSlot& slot = slots_[slot_idx];
-  record_retire(slot.block_id, cycle);
+  retired_.push_back(slot.block_id);
   slot.active = false;
   slot.trace = trace::BlockTrace{};  // release the trace's memory
   ++free_slots_;

@@ -63,38 +63,11 @@ struct GlobalMeter {
   /// units are disabled).
   std::vector<std::uint32_t> fixed_unit_bbv;
 
-  // tbp-lint: shard(commit)
   void record(const trace::WarpInst& inst) noexcept {
-    record_raw(inst.bb_id, inst.active_threads);
-  }
-
-  /// The same update from a logged SmIssueEvent (the sharded engine's
-  /// commit replay, which no longer has the WarpInst in hand).
-  // tbp-lint: shard(commit)
-  void record_raw(std::uint16_t bb_id, std::uint8_t active_threads) noexcept {
     ++warp_insts;
-    thread_insts += active_threads;
-    if (!fixed_unit_bbv.empty()) ++fixed_unit_bbv[bb_id];
+    thread_insts += inst.active_threads;
+    if (!fixed_unit_bbv.empty()) ++fixed_unit_bbv[inst.bb_id];
   }
-};
-
-/// One issued warp instruction, logged by an SM running inside the sharded
-/// launch engine instead of updating the shared GlobalMeter directly.  The
-/// commit replay applies these in cycle-major, SM-id-minor order, which is
-/// exactly the serial issue-loop interleaving (each SM issues at most one
-/// instruction per cycle).
-struct SmIssueEvent {
-  std::uint64_t cycle = 0;
-  std::uint16_t bb_id = 0;
-  std::uint8_t active_threads = 0;
-};
-
-/// One block retirement, logged in shard mode instead of being pushed onto
-/// the retired() drain list (the commit replay fires the controller /
-/// sampling-unit callbacks at the exact serial point).
-struct SmRetireEvent {
-  std::uint64_t cycle = 0;
-  std::uint32_t block_id = 0;
 };
 
 class SmCore {
@@ -126,17 +99,6 @@ class SmCore {
   }
 
   void on_mem_complete(WarpToken token, std::uint64_t cycle);
-
-  /// Switches issue/retire recording from the shared GlobalMeter and the
-  /// retired() drain list to the given per-SM logs (both non-null), so the
-  /// SM touches no cross-SM state while a worker thread runs it; the
-  /// sharded engine replays the logs serially.  Both null restores the
-  /// direct (serial) path.
-  void set_shard_logs(std::vector<SmIssueEvent>* issues,
-                      std::vector<SmRetireEvent>* retires) noexcept {
-    issue_log_ = issues;
-    retire_log_ = retires;
-  }
 
   /// Blocks that retired since the last drain (in retirement order).
   [[nodiscard]] std::vector<std::uint32_t>& retired() noexcept { return retired_; }
@@ -197,22 +159,16 @@ class SmCore {
   void issue_impl(std::uint64_t cycle);
   void account_cycle(bool issued) noexcept;
 
-  /// Issue/retire recording shims: in shard mode they append to the per-SM
-  /// logs, otherwise they drive the shared meter / drain list directly.
-  /// Every cross-SM side effect of the issue path funnels through them.
-  void record_issue(const trace::WarpInst& inst, std::uint64_t cycle);  // tbp-lint: shard(route)
-  void record_retire(std::uint32_t block_id, std::uint64_t cycle);  // tbp-lint: shard(route)
-
   void execute(std::uint32_t slot_idx, std::uint32_t warp_idx,
                const trace::WarpInst& inst, std::uint64_t cycle);
   void release_barrier_if_ready(BlockSlot& slot, std::uint32_t slot_idx,
                                 std::uint64_t cycle);
-  void retire_block(std::uint32_t slot_idx, std::uint64_t cycle);
+  void retire_block(std::uint32_t slot_idx);
 
   std::uint32_t sm_id_;
   const GpuConfig* config_;
   MemorySystem* memory_;
-  GlobalMeter* meter_;  // tbp-lint: shard(shared)
+  GlobalMeter* meter_;
 
   std::uint32_t warps_per_block_ = 0;
   std::uint32_t free_slots_ = 0;
@@ -227,8 +183,6 @@ class SmCore {
   std::uint32_t gto_current_ = ~0u; ///< last-issued warp for GTO
   std::uint64_t dispatch_counter_ = 0;
   std::vector<std::uint32_t> retired_;
-  std::vector<SmIssueEvent>* issue_log_ = nullptr;    ///< shard mode only
-  std::vector<SmRetireEvent>* retire_log_ = nullptr;  ///< shard mode only
 
   std::uint64_t warp_insts_ = 0;
   std::uint64_t thread_insts_ = 0;

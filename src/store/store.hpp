@@ -96,31 +96,31 @@ class ContentStore {
   /// Loads the index (rebuilding it from an object scan when missing or
   /// corrupt) and creates the directory layout when allowed.  Must be
   /// called, successfully, before any other member.
-  [[nodiscard]] Status open();  // tbp-lint: shard(commit)
+  [[nodiscard]] Status open();
 
   /// Payload bytes for `key`.  kNotFound on a plain miss; kCorrupt when the
   /// entry failed validation (it is quarantined — deleted and dropped from
   /// the index — so the next get is a clean miss).  A hit refreshes the
   /// entry's LRU tick.
-  [[nodiscard]] Result<std::string> get(const StoreKey& key);  // tbp-lint: shard(commit)
+  [[nodiscard]] Result<std::string> get(const StoreKey& key);
 
   /// Atomically writes the sealed entry, updates the index journal and
   /// enforces the byte budget by evicting LRU entries.  Re-putting an
   /// existing key overwrites its payload.
-  [[nodiscard]] Status put(const StoreKey& key, std::string_view payload);  // tbp-lint: shard(commit)
+  [[nodiscard]] Status put(const StoreKey& key, std::string_view payload);
 
   /// Drops one entry (file + index row).  kNotFound when absent.
-  [[nodiscard]] Status remove(const StoreKey& key);  // tbp-lint: shard(commit)
+  [[nodiscard]] Status remove(const StoreKey& key);
 
   /// Index-only membership probe (no payload I/O, no LRU update).
   [[nodiscard]] bool contains(const StoreKey& key) const;
 
   /// Persists the in-memory index (get-side LRU ticks are journaled lazily;
   /// puts and evictions persist eagerly).
-  [[nodiscard]] Status flush_index();  // tbp-lint: shard(commit)
+  [[nodiscard]] Status flush_index();
 
   /// Forces a rebuild from the object scan (see the header comment).
-  [[nodiscard]] Status rebuild_index();  // tbp-lint: shard(commit)
+  [[nodiscard]] Status rebuild_index();
 
   [[nodiscard]] StoreStats stats() const;
   [[nodiscard]] std::size_t entry_count() const;

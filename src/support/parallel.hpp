@@ -32,7 +32,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <future>
@@ -103,55 +102,6 @@ void set_global_jobs(std::size_t jobs);
 /// (min 1).  Prefer parallel_for; use the pool directly only for
 /// fire-and-forget task shapes.
 [[nodiscard]] ThreadPool& global_pool();
-
-/// Generation-counted spin barrier for tightly-coupled worker crews whose
-/// rounds are far shorter than a mutex/condvar wakeup (the intra-launch SM
-/// shard engine synchronizes every few hundred nanoseconds of work).
-/// Spins briefly, then yields, so an oversubscribed host degrades to
-/// polite scheduling instead of burning a core.  All participants must
-/// call arrive_and_wait the same number of times; the barrier is reusable
-/// round after round.
-class SpinBarrier {
- public:
-  explicit SpinBarrier(std::size_t n_threads) noexcept
-      : n_(n_threads),
-        // With more participants than hardware threads, a waiter's spinning
-        // steals the core the last arriver needs; yield almost immediately
-        // so the OS can run it.  Spin behavior never affects results, only
-        // wall-clock, so this adaptivity is determinism-safe.
-        spin_limit_(n_threads <= default_jobs() ? kSpinLimit : 1) {}
-
-  SpinBarrier(const SpinBarrier&) = delete;
-  SpinBarrier& operator=(const SpinBarrier&) = delete;
-
-  void arrive_and_wait() noexcept {
-    const std::uint64_t gen = generation_.load(std::memory_order_acquire);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
-      // Last arriver: reset the count for the next round, then open the
-      // gate.  The release on generation_ publishes the reset (and all
-      // pre-barrier writes) to every waiter's acquire load.
-      arrived_.store(0, std::memory_order_relaxed);
-      generation_.fetch_add(1, std::memory_order_acq_rel);
-      return;
-    }
-    std::size_t spins = 0;
-    // A waiter two rounds behind still exits: it compares against its own
-    // snapshot, not for a specific successor value.
-    while (generation_.load(std::memory_order_acquire) == gen) {
-      if (++spins >= spin_limit_) {
-        spins = 0;
-        std::this_thread::yield();
-      }
-    }
-  }
-
- private:
-  static constexpr std::size_t kSpinLimit = 1 << 14;
-  const std::size_t n_;
-  const std::size_t spin_limit_;
-  std::atomic<std::size_t> arrived_{0};
-  std::atomic<std::uint64_t> generation_{0};
-};
 
 namespace detail {
 

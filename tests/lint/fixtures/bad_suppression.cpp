@@ -6,3 +6,5 @@
 int unjustified() {
   return std::rand();  // tbp-lint: allow(determinism-rand)
 }
+
+int stray_marker();  // tbp-lint: shard(worker)

@@ -39,12 +39,10 @@ std::string read_file(const std::string& path) {
 }
 
 /// Fixture-directory policy: no allowlists, fixtures are order-sensitive
-/// and in scope for the shard/lock/layering passes with a tiny rank table.
+/// and in scope for the lock/layering passes with a tiny rank table.
 LintConfig fixture_config() {
   LintConfig config;
   config.order_sensitive = {"tests/lint/fixtures/"};
-  config.shard_scope = {"tests/lint/fixtures/"};
-  config.shard_guard_tokens = {"shard_mode_"};
   config.layer_ranks = {{"support", 0}, {"store", 5}};
   config.prof_include_allowlist = {
       "tests/lint/fixtures/prof_quarantine_clean.cpp"};
@@ -133,40 +131,11 @@ TEST(LintFixtures, UnjustifiedSuppressionIsItselfAFinding) {
   const auto diags = lint_fixture("bad_suppression.cpp");
   const std::vector<std::pair<std::string, int>> expected = {
       {"lint-suppression", 7},
+      {"lint-suppression", 10},
   };
   EXPECT_EQ(rule_lines(diags), expected)
-      << "the allow is honored once, but the missing justification reports";
-}
-
-// --- shard-safety ---------------------------------------------------------
-
-TEST(LintFixtures, ShardSafetyFlagsWorkerReachAndDishonestRoute) {
-  const auto diags = lint_fixture("shard_safety_violation.cpp");
-  const std::vector<std::pair<std::string, int>> expected = {
-      {"shard-safety", 21},  // helper (worker-reachable) writes shared state
-      {"shard-safety", 22},  // helper calls a commit-phase API
-      {"shard-safety", 26},  // route shim never touches the shard plumbing
-  };
-  ASSERT_EQ(rule_lines(diags), expected);
-  EXPECT_NE(diags[0].message.find("shared_counter_"), std::string::npos);
-  EXPECT_NE(diags[1].message.find("commit_tick"), std::string::npos);
-  EXPECT_NE(diags[2].message.find("bad_route"), std::string::npos);
-  for (const Diagnostic& d : diags) {
-    EXPECT_EQ(d.severity, Severity::kError);
-    EXPECT_EQ(d.file, "tests/lint/fixtures/shard_safety_violation.cpp");
-  }
-}
-
-TEST(LintFixtures, ShardSafetyJustifiedAllowsSilenceBothForms) {
-  const auto diags = lint_fixture("shard_safety_suppressed.cpp");
-  EXPECT_TRUE(diags.empty()) << tbp_lint::format_diagnostic(
-      diags.front(), OutputFormat::kText);
-}
-
-TEST(LintFixtures, ShardSafetyHonestRouteAndLocalStateAreClean) {
-  const auto diags = lint_fixture("shard_safety_clean.cpp");
-  EXPECT_TRUE(diags.empty()) << tbp_lint::format_diagnostic(
-      diags.front(), OutputFormat::kText);
+      << "the allow is honored once, but the missing justification reports; "
+         "a leftover shard(...) marker names no rule and reports too";
 }
 
 // --- guarded-by -----------------------------------------------------------
@@ -234,7 +203,7 @@ TEST(LintFixtures, ProfQuarantineFlagsIncludeAndSinkSites) {
       {"prof-isolation", 4},    // prof/ include outside the allowlist
       {"prof-quarantine", 16},  // timer.seconds() -> "predicted_ipc"
       {"prof-quarantine", 17},  // timer.busy_seconds() -> "cycles"
-      {"prof-quarantine", 18},  // imbalance_ratio() -> "skew"
+      {"prof-quarantine", 18},  // timer.seconds() -> "imbalance_ratio"
   };
   ASSERT_EQ(rule_lines(diags), expected);
   EXPECT_NE(diags[0].message.find("prof/prof.hpp"), std::string::npos);
@@ -389,8 +358,7 @@ TEST(LintOutput, RuleRegistryHasUniqueIdsCoveringEmittedRules) {
        {"determinism-rand", "determinism-clock", "determinism-time",
         "determinism-getenv", "unordered-iter", "nodiscard-status",
         "discarded-status", "pragma-once", "naked-new", "lint-suppression",
-        "shard-safety", "guarded-by", "layering", "prof-isolation",
-        "prof-quarantine"}) {
+        "guarded-by", "layering", "prof-isolation", "prof-quarantine"}) {
     EXPECT_EQ(ids.count(emitted), 1u) << emitted;
   }
 }

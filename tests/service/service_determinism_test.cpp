@@ -1,8 +1,11 @@
 // Service determinism: the daemon's responses are byte-identical no matter
-// how its work is parallelized — across request groups (--jobs) and inside
-// each launch simulation (--sim-jobs).  Two daemons with different worker
-// budgets drain the same batch into separate spools; every response file
-// must match byte for byte.  `parallel` ctest label (see tests/CMakeLists).
+// how its work is parallelized across request groups (--jobs) and whether
+// a wall-clock ProfSession is attached.  Two daemons drain the same batch
+// into separate spools — one serial and profiler-free, one threaded with a
+// profiler — and every response file must match byte for byte.  The
+// threaded drain is also the profiling quarantine check: the session fills
+// with spans while no wall-clock field reaches a response.  `parallel`
+// ctest label (see tests/CMakeLists).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "prof/prof.hpp"
 #include "service/daemon.hpp"
 #include "service/request.hpp"
 #include "service/spool.hpp"
@@ -42,12 +46,12 @@ TEST(ServiceDeterminismTest, ResponsesAreJobsIndependent) {
   };
 
   const auto drain = [&](const std::string& spool_name, std::size_t jobs,
-                         std::uint32_t sim_jobs) {
+                         prof::ProfSession* prof) {
     const fs::path spool = fresh_dir(spool_name);
     DaemonOptions options;
     options.spool_dir = spool;
     options.jobs = jobs;
-    options.sim_jobs = sim_jobs;
+    options.prof = prof;
     Daemon daemon(options);
     EXPECT_TRUE(daemon.open().ok());
     for (const auto& [id, line] : batch) {
@@ -64,17 +68,31 @@ TEST(ServiceDeterminismTest, ResponsesAreJobsIndependent) {
     return responses;
   };
 
-  const std::vector<std::string> serial = drain("tbp_sdet_serial", 1, 1);
-  const std::vector<std::string> threaded = drain("tbp_sdet_threaded", 4, 2);
+  prof::ProfSession session;
+  const std::vector<std::string> serial = drain("tbp_sdet_serial", 1, nullptr);
+  const std::vector<std::string> threaded =
+      drain("tbp_sdet_threaded", 4, &session);
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(response_error(serial[i]).ok()) << batch[i].first;
     EXPECT_EQ(serial[i], threaded[i])
         << "response for " << batch[i].first
-        << " differs between jobs=1/sim_jobs=1 and jobs=4/sim_jobs=2";
+        << " differs between jobs=1 without profiling and jobs=4 with a "
+           "ProfSession attached";
+    EXPECT_EQ(threaded[i].find("seconds"), std::string::npos)
+        << "wall-clock fields belong in the tbp-prof-v1 sidecar, not in "
+        << batch[i].first << "'s response";
   }
   // The duplicate collapsed to its twin's bytes in both drains.
   EXPECT_EQ(serial[0], serial[1]);
+
+  if constexpr (prof::kEnabled) {
+    const auto spans = session.span_snapshot();
+    const auto simulate = spans.find("service.simulate");
+    ASSERT_NE(simulate, spans.end()) << "the profiled drain recorded no "
+                                        "service.simulate span";
+    EXPECT_GT(simulate->second.count, 0u);
+  }
 }
 
 }  // namespace

@@ -245,7 +245,7 @@ TEST(ServiceTest, ColdDuplicateBatchCostsOneSimulation) {
     ASSERT_TRUE(other.has_value());
     EXPECT_EQ(*other, *first) << id;
   }
-  const harness::ExperimentRow row = run_spec(dup, 1, 1);
+  const harness::ExperimentRow row = run_spec(dup, 1);
   EXPECT_EQ(*first, spec_manifest_bytes(dup, row));
   const auto distinct_response = try_read_response(spool, "distinct-1");
   ASSERT_TRUE(distinct_response.has_value());

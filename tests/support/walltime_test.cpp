@@ -1,7 +1,7 @@
 // The wall-clock doorway's contract: monotonic_seconds never runs
 // backwards, WallTimer's elapsed reading is non-negative and monotone, and
 // restart() rewinds the stopwatch.  These are the only properties the
-// profiling layer relies on — everything downstream (spans, skew, latency
+// profiling layer relies on — everything downstream (spans, latency
 // histograms) is differences of these readings.
 #include <gtest/gtest.h>
 

@@ -264,75 +264,30 @@ TEST(ReportCliTest, ShowRendersServiceStatsLedgerGoldenOutput) {
   EXPECT_EQ(capture_run({"show", path}, kExitOk), expected);
 }
 
-/// A tbp-prof-v1 body with fixed skew numbers; `max_ratio` is the knob the
-/// compare-gating test turns.
-[[nodiscard]] JsonValue prof_sidecar_body(double max_ratio) {
-  JsonValue skew = JsonValue::object();
-  skew.set("rounds", std::uint64_t{4});
-  skew.set("n_workers", std::uint64_t{2});
-  skew.set("n_sms", std::uint64_t{4});
-  skew.set("wall_seconds", 2.0);
-  JsonValue::Array sm_busy;
-  for (const double v : {0.9, 0.3, 0.2, 0.1}) sm_busy.emplace_back(v);
-  skew.set("sm_busy_seconds", JsonValue(std::move(sm_busy)));
-  JsonValue::Array worker_busy;
-  for (const double v : {1.2, 0.3}) worker_busy.emplace_back(v);
-  skew.set("worker_busy_seconds", JsonValue(std::move(worker_busy)));
-  JsonValue::Array worker_wait;
-  for (const double v : {0.1, 1.0}) worker_wait.emplace_back(v);
-  skew.set("worker_wait_seconds", JsonValue(std::move(worker_wait)));
-  skew.set("max_imbalance_ratio", max_ratio);
-  skew.set("mean_imbalance_ratio", 1.3);
-  JsonValue hist = JsonValue::object();
-  JsonValue::Array bounds;
-  bounds.emplace_back(std::uint64_t{1000});
-  bounds.emplace_back(std::uint64_t{2000});
-  hist.set("bounds", JsonValue(std::move(bounds)));
-  JsonValue::Array hist_counts;
-  for (const std::uint64_t c : {std::uint64_t{3}, std::uint64_t{1},
-                                std::uint64_t{0}}) {
-    hist_counts.emplace_back(c);
-  }
-  hist.set("counts", JsonValue(std::move(hist_counts)));
-  skew.set("imbalance_milli", std::move(hist));
+// Golden output: `tbp-report prof` renders a tbp-prof-v1 sidecar as the
+// wall-clock span table, and `show` routes the same document to the same
+// renderer.
+TEST(ReportCliTest, ProfViewRendersSpanPercentilesGoldenOutput) {
+  const std::string dir = temp_dir("tbp_report_prof");
   JsonValue spans = JsonValue::object();
   spans.set("service.simulate", span_value(3, 0.6, 0.1, 0.25, 0.25));
   JsonValue body = JsonValue::object();
-  body.set("skew", std::move(skew));
   body.set("spans", std::move(spans));
-  return body;
-}
+  const std::string path = dir + "/prof.json";
+  ASSERT_TRUE(obs::write_json_file(obs::seal_json(prof::kProfSchema, body),
+                                   path)
+                  .ok());
 
-[[nodiscard]] std::string write_prof_doc(const std::string& path,
-                                         double max_ratio) {
-  const Status s = obs::write_json_file(
-      obs::seal_json(prof::kProfSchema, prof_sidecar_body(max_ratio)), path);
-  EXPECT_TRUE(s.ok()) << s.to_string();
-  return path;
-}
-
-TEST(ReportCliTest, ProfViewRendersSkewTablesAndPercentiles) {
-  const std::string dir = temp_dir("tbp_report_prof");
-  const std::string path = write_prof_doc(dir + "/prof.json", 1.6);
-  const std::string output = capture_run({"prof", path}, kExitOk);
-  EXPECT_NE(output.find("shard skew: 4 rounds, 2 worker(s) over 4 SMs, "
-                        "wall 2.000s"),
-            std::string::npos)
-      << output;
-  EXPECT_NE(output.find("max 1.600, mean 1.300"), std::string::npos);
-  // Worker 1 sits in barrier wait ~77% of its round time.
-  EXPECT_NE(output.find("76.9"), std::string::npos) << output;
-  // SM 0 holds 60% of all SM busy time — the work-stealing signal.
-  EXPECT_NE(output.find("60.0"), std::string::npos) << output;
-  EXPECT_NE(output.find("imbalance histogram (ratio x1000): <=1000:3 "
-                        "<=2000:1"),
-            std::string::npos)
-      << output;
-  EXPECT_NE(output.find("service.simulate"), std::string::npos);
-
-  // `show` routes the same document to the same renderer.
-  EXPECT_NE(capture_run({"show", path}, kExitOk).find("shard skew:"),
-            std::string::npos);
+  const std::string table =
+      "\n"
+      "wall-clock spans:\n"
+      "span              count  total s  p50 ms   p95 ms   p99 ms \n"
+      "-----------------------------------------------------------\n"
+      "service.simulate  3      0.600    100.000  250.000  250.000\n";
+  const std::string header =
+      path + " (" + std::string(prof::kProfSchema) + ")\n";
+  EXPECT_EQ(capture_run({"prof", path}, kExitOk), header + table);
+  EXPECT_EQ(capture_run({"show", path}, kExitOk), header + table);
 }
 
 TEST(ReportCliTest, ProfCommandRejectsOtherSchemas) {
@@ -340,21 +295,6 @@ TEST(ReportCliTest, ProfCommandRejectsOtherSchemas) {
   const std::string perf = write_perf(dir + "/perf.json", 2.0, 5e6, 1.0);
   EXPECT_EQ(run({"prof", perf}), kExitUnreadable);
   EXPECT_EQ(run({"prof", dir + "/missing.json"}), kExitUnreadable);
-}
-
-TEST(ReportCliTest, CompareGatesSkewRatioRegressions) {
-  const std::string dir = temp_dir("tbp_report_prof_gate");
-  const std::string balanced = write_prof_doc(dir + "/balanced.json", 1.2);
-  const std::string skewed = write_prof_doc(dir + "/skewed.json", 2.4);
-  // max_imbalance_ratio doubled: a 100% regression on a lower-is-better
-  // field fails the 10% gate but passes a generous one.
-  EXPECT_EQ(run({"compare", balanced, skewed, "--max-regress", "10"}),
-            kExitRegressed);
-  EXPECT_EQ(run({"compare", balanced, skewed, "--max-regress", "150"}),
-            kExitOk);
-  // Getting more balanced is never a regression.
-  EXPECT_EQ(run({"compare", skewed, balanced, "--max-regress", "10"}),
-            kExitOk);
 }
 
 TEST(ReportCliTest, SchemaMismatchBetweenFilesIsUnreadable) {

@@ -100,9 +100,6 @@ void finish_lint(const std::vector<FileSummary>& summaries,
     run_status_rules(summary, index, &diags);
     run_layering(summary, config, &diags);
   }
-  std::vector<Diagnostic> shard;
-  run_shard_safety(summaries, config, &shard);
-  for (Diagnostic& d : shard) by_file[d.file].push_back(std::move(d));
 
   for (const FileSummary& summary : summaries) {
     std::vector<Diagnostic>& diags = by_file[summary.path];

@@ -3,8 +3,8 @@
 //
 // Pipeline: pass one builds (or loads from the ContentStore cache) a
 // FileSummary per file — local rules plus the symbol facts; pass two runs
-// the cross-file passes (error discipline, layering, shard safety) over
-// the summary set every invocation.  The cache key is a content hash over
+// the cross-file passes (error discipline, layering) over the summary set
+// every invocation.  The cache key is a content hash over
 // (config fingerprint, file bytes, paired-header bytes), so a warm run
 // re-analyzes only changed files and still produces byte-identical
 // diagnostics.

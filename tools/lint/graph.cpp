@@ -1,11 +1,6 @@
 #include "lint/graph.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <map>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace tbp_lint {
 namespace {
@@ -127,163 +122,6 @@ void run_layering(const FileSummary& summary, const LintConfig& config,
              " ('" + target + "') must be strictly below rank " +
              std::to_string(source_rank) + " ('" + source +
              "'); see DESIGN.md \"Static invariants\"");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Shard safety
-
-namespace {
-
-struct DefRef {
-  const FileSummary* file = nullptr;
-  const FunctionSymbol* fn = nullptr;
-  ShardPhase phase = ShardPhase::kNone;
-};
-
-[[nodiscard]] bool traversal_stopper(ShardPhase phase) noexcept {
-  return phase == ShardPhase::kCommit || phase == ShardPhase::kRoute ||
-         phase == ShardPhase::kIsolate;
-}
-
-}  // namespace
-
-void run_shard_safety(const std::vector<FileSummary>& summaries,
-                      const LintConfig& config,
-                      std::vector<Diagnostic>* out) {
-  if (config.shard_scope.empty()) return;
-
-  // Index the in-scope world: definitions by name (with decl-phase
-  // inheritance through the paired header), declared phases by name, and
-  // the shard(shared) field set.
-  std::unordered_map<std::string, const FileSummary*> by_path;
-  for (const FileSummary& s : summaries) by_path[s.path] = &s;
-
-  std::unordered_map<std::string, std::vector<DefRef>> defs;
-  std::unordered_map<std::string, std::set<ShardPhase>> phases;
-  std::unordered_set<std::string> shared_fields;
-  std::vector<DefRef> route_fns;
-  std::vector<DefRef> roots;
-
-  for (const FileSummary& s : summaries) {
-    if (!path_matches(s.path, config.shard_scope)) continue;
-
-    const FileSummary* companion = nullptr;
-    if (s.path.ends_with(".cpp")) {
-      const auto it =
-          by_path.find(s.path.substr(0, s.path.size() - 4) + ".hpp");
-      if (it != by_path.end()) companion = it->second;
-    }
-
-    for (const DeclPhase& d : s.decl_phases) {
-      if (d.phase != ShardPhase::kNone && d.phase != ShardPhase::kShared) {
-        phases[d.name].insert(d.phase);
-      }
-    }
-    for (const FieldSymbol& f : s.fields) {
-      if (f.shared) shared_fields.insert(f.name);
-    }
-    for (const FunctionSymbol& fn : s.functions) {
-      ShardPhase phase = fn.phase;
-      if (phase == ShardPhase::kNone && companion != nullptr) {
-        // Header-declared phase carries to the .cpp definition.
-        for (const DeclPhase& d : companion->decl_phases) {
-          if (d.name == fn.name && d.phase != ShardPhase::kShared) {
-            phase = d.phase;
-            break;
-          }
-        }
-      }
-      const DefRef ref{&s, &fn, phase};
-      defs[fn.name].push_back(ref);
-      if (phase != ShardPhase::kNone) phases[fn.name].insert(phase);
-      if (phase == ShardPhase::kWorker) roots.push_back(ref);
-      if (phase == ShardPhase::kRoute) route_fns.push_back(ref);
-    }
-  }
-
-  std::vector<Diagnostic> found;
-
-  // Route honesty: a routing shim must actually touch the shard plumbing,
-  // otherwise the annotation is just muting the analysis.
-  for (const DefRef& ref : route_fns) {
-    if (ref.fn->mentions_guard || config.shard_guard_tokens.empty()) continue;
-    emit(&found, ref.file->path, ref.fn->line, "shard-safety",
-         "shard(route) function '" + ref.fn->name +
-             "' never references a shard guard token; a route shim must "
-             "branch on the shard plumbing, not just stop the analysis");
-  }
-
-  // BFS from worker roots over the call graph.
-  std::deque<DefRef> queue(roots.begin(), roots.end());
-  std::unordered_set<const FunctionSymbol*> visited;
-  while (!queue.empty()) {
-    const DefRef ref = queue.front();
-    queue.pop_front();
-    if (!visited.insert(ref.fn).second) continue;
-
-    for (const CodeRef& access : ref.fn->accesses) {
-      if (shared_fields.count(access.name) == 0) continue;
-      emit(&found, ref.file->path, access.line, "shard-safety",
-           "worker-phase code ('" + ref.fn->name +
-               "' is reachable from a shard(worker) root) touches "
-               "shard(shared) state '" +
-               access.name + "'");
-    }
-
-    for (const CallRef& call : ref.fn->calls) {
-      const auto phase_it = phases.find(call.name);
-      const std::set<ShardPhase>* call_phases =
-          phase_it == phases.end() ? nullptr : &phase_it->second;
-      if (call_phases != nullptr &&
-          (call_phases->count(ShardPhase::kRoute) != 0 ||
-           call_phases->count(ShardPhase::kIsolate) != 0)) {
-        continue;  // annotated boundary: traversal stops here
-      }
-
-      const auto def_it = defs.find(call.name);
-      const std::vector<DefRef>* candidates =
-          def_it == defs.end() ? nullptr : &def_it->second;
-
-      // `x.get()`-style zero-argument calls share too many names with the
-      // std vocabulary to convict by name alone; they are traversed (their
-      // bodies still matter) but never flagged directly.
-      if (call.has_args) {
-        const bool all_defs_commit =
-            candidates != nullptr && !candidates->empty() &&
-            std::all_of(candidates->begin(), candidates->end(),
-                        [](const DefRef& d) {
-                          return d.phase == ShardPhase::kCommit;
-                        });
-        const bool all_decls_commit =
-            candidates == nullptr && call_phases != nullptr &&
-            !call_phases->empty() &&
-            call_phases->count(ShardPhase::kCommit) ==
-                call_phases->size();
-        if (all_defs_commit || all_decls_commit) {
-          emit(&found, ref.file->path, call.line, "shard-safety",
-               "worker-phase code ('" + ref.fn->name +
-                   "' is reachable from a shard(worker) root) calls "
-                   "commit-phase API '" +
-                   call.name + "'");
-          continue;
-        }
-      }
-      if (candidates == nullptr) continue;
-      for (const DefRef& next : *candidates) {
-        if (traversal_stopper(next.phase)) continue;
-        if (visited.count(next.fn) != 0) continue;
-        queue.push_back(next);
-      }
-    }
-  }
-
-  // One finding per site: the same line can be reached from several roots.
-  std::set<std::pair<std::pair<std::string, int>, std::string>> seen;
-  for (Diagnostic& d : found) {
-    if (seen.insert({{d.file, d.line}, d.message}).second) {
-      out->push_back(std::move(d));
-    }
   }
 }
 

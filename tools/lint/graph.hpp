@@ -7,10 +7,6 @@
 //    nodiscard-status inheritance check and discarded-status call check.
 //  - Layering: the include graph against the module rank table; an edge is
 //    legal within a module or from a higher rank to a strictly lower one.
-//  - Shard safety: BFS over the call graph from worker-phase roots;
-//    reaching a commit-phase API or shard(shared) field is a violation,
-//    route/isolate functions stop traversal (route must prove itself by
-//    referencing a shard guard token).
 #pragma once
 
 #include <string>
@@ -42,11 +38,5 @@ void run_status_rules(const FileSummary& summary, const StatusIndex& index,
 /// layering over one file's includes.
 void run_layering(const FileSummary& summary, const LintConfig& config,
                   std::vector<Diagnostic>* out);
-
-/// shard-safety over the whole tree; diagnostics are attributed to the
-/// file containing the offending call/access site.
-void run_shard_safety(const std::vector<FileSummary>& summaries,
-                      const LintConfig& config,
-                      std::vector<Diagnostic>* out);
 
 }  // namespace tbp_lint

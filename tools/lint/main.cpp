@@ -18,7 +18,7 @@ void print_usage(std::ostream& out) {
          "                [--werror] [--cache DIR] [--list-rules]\n"
          "                [subdir...]\n"
          "\n"
-         "Static determinism / error-discipline / shard-safety checks for\n"
+         "Static determinism / error-discipline / lock / layering checks for\n"
          "the tbpoint tree.  Default subdirs: src tools bench tests\n"
          "(relative to --root).  --cache keeps per-file summaries in a\n"
          "ContentStore so unchanged files are not re-analyzed.  Suppress a\n"

@@ -278,10 +278,10 @@ void for_each_status_function(const Tokens& toks, Fn&& fn) {
 ///  - prof-quarantine: at a sealed-artifact emission site
 ///    `.set("key", <args>)`, a wall-clock getter inside the args — a
 ///    member call named exactly `seconds`, or any call whose name ends in
-///    `_seconds`/`_ratio` — requires the key to also end in `_seconds` or
-///    `_ratio`.  Those suffixes are exactly what `tbp-report compare`
-///    classifies as wall-clock reporting fields, so timing can never flow
-///    into a field the manifests promise to keep byte-identical.
+///    `_seconds` — requires the key to also end in `_seconds`.  That suffix
+///    is exactly what `tbp-report compare` classifies as a wall-clock
+///    reporting field, so timing can never flow into a field the manifests
+///    promise to keep byte-identical.
 void check_prof_quarantine(const std::string& path, const LexedFile& lexed,
                            const LintConfig& config,
                            std::vector<Diagnostic>* out) {
@@ -310,7 +310,7 @@ void check_prof_quarantine(const std::string& path, const LexedFile& lexed,
   }
 
   const auto is_wallclock_name = [](const std::string& name) {
-    return name.ends_with("_seconds") || name.ends_with("_ratio");
+    return name.ends_with("_seconds");
   };
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (!is_ident(toks[i], "set") || !member_access_before(toks, i)) continue;
@@ -331,7 +331,7 @@ void check_prof_quarantine(const std::string& path, const LexedFile& lexed,
       emit(out, path, t.line, "prof-quarantine",
            "wall-clock value '" + t.text + "()' flows into artifact field '" +
                key->text +
-               "'; prof/walltime readings may only reach *_seconds/*_ratio "
+               "'; prof/walltime readings may only reach *_seconds "
                "reporting fields (DESIGN.md \"Self-profiling\")");
     }
   }
@@ -393,8 +393,6 @@ const std::vector<RuleInfo>& rule_registry() {
        "Status/Result-returning declaration without [[nodiscard]]"},
       {"discarded-status", Severity::kError,
        "call site that discards a Status/Result return value"},
-      {"shard-safety", Severity::kError,
-       "worker-phase code reaching commit-phase APIs or shard(shared) state"},
       {"guarded-by", Severity::kError,
        "TBP_GUARDED_BY field access outside a scope holding its mutex"},
       {"layering", Severity::kError,
@@ -402,7 +400,7 @@ const std::vector<RuleInfo>& rule_registry() {
       {"prof-isolation", Severity::kError,
        "prof/ include outside the profiling allowlist"},
       {"prof-quarantine", Severity::kError,
-       "wall-clock value flowing into a non-*_seconds/*_ratio artifact field"},
+       "wall-clock value flowing into a non-*_seconds artifact field"},
       {"pragma-once", Severity::kError, "header missing #pragma once"},
       {"naked-new", Severity::kWarning,
        "naked new/delete outside the low-level allowlist"},
@@ -447,25 +445,12 @@ LintConfig default_config() {
       "src/service/",  // batching order reaches response/store writes
       "tools/report/",  // manifest rendering + compare gate output
   };
-  // Shard-safety scope: the sharded SM engine and everything a worker
-  // thread could plausibly reach from it — the store (whose index is
-  // process-shared) and the daemon (whose parallel region must stay
-  // store-free).
-  config.shard_scope = {
-      "src/sim/",
-      "src/store/",
-      "src/service/",
-      "src/support/parallel",
-  };
-  config.shard_entry_files = {"src/sim/gpu_sharded.cpp"};
-  config.shard_guard_tokens = {"shard_mode_", "issue_log_", "retire_log_"};
   // Who may see the self-profiling layer: the instrumented subsystems
-  // (sharded engine, store, service, harness plumbing), the emitting
-  // binaries, and tests.  Everything else — trace, cluster, core, stats,
-  // the deterministic heart of the simulator — cannot even include it.
+  // (store, service), the tools that emit or render sidecars, and tests.
+  // Everything else — sim, core, harness, the deterministic heart of the
+  // pipeline — cannot even include it.
   config.prof_include_allowlist = {
-      "src/sim/",     "src/store/", "src/service/", "src/harness/",
-      "tools/",       "bench/",     "tests/",
+      "src/store/", "src/service/", "tools/", "tests/",
   };
   // The measured module DAG (DESIGN.md "Static invariants"): an include is
   // legal within one module or from a higher rank to a strictly lower one.

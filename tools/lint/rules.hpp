@@ -4,9 +4,9 @@
 // determinism rules keep the bit-identical `--jobs`/`TBP_OBS` guarantees
 // enforceable at review time instead of only by the runtime property tests;
 // the error-discipline rules keep the Status/Result contract from PR 1
-// un-droppable; the shard-safety / lock-discipline / layering families keep
-// the PR-7/8 concurrency and module contracts honest; hygiene rules are
-// cheap tripwires.  Rules are token-pattern heuristics, tuned to this
+// un-droppable; the lock-discipline / layering families keep the
+// concurrency and module contracts honest; hygiene rules are cheap
+// tripwires.  Rules are token-pattern heuristics, tuned to this
 // codebase — false positives are handled by the inline suppression syntax
 // (see driver.hpp), which requires a written justification.
 //
@@ -61,17 +61,6 @@ struct LintConfig {
   /// Translation units whose iteration order can reach an artifact, metric
   /// snapshot or trace: serialization, export, metrics translation.
   std::vector<std::string> order_sensitive;
-
-  /// Files whose functions join the shard-safety call/member-access graph
-  /// (the sharded SM engine, the store it must not touch worker-side, the
-  /// daemon's parallel region).  Empty disables the pass.
-  std::vector<std::string> shard_scope;
-  /// Files whose `ShardCrew crew(n, task)` task lambdas are auto-classified
-  /// as worker-phase roots without an annotation.
-  std::vector<std::string> shard_entry_files;
-  /// Identifiers whose presence legitimizes a `shard(route)` function: a
-  /// route API must actually branch on (or write to) the shard plumbing.
-  std::vector<std::string> shard_guard_tokens;
 
   /// Files allowed to `#include "prof/..."` (prof-isolation): the
   /// instrumented layers and the tools that render sidecars.  src/prof

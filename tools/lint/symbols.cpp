@@ -197,24 +197,6 @@ const std::unordered_set<std::string>& not_a_function() {
   return spans;
 }
 
-/// Calls `fn(token_index)` for every index in `span`'s body that does not
-/// belong to a nested named span.  `spans` must be in detection order
-/// (ascending body_begin); nesting is proper.
-template <typename Fn>
-void for_own_tokens(const std::vector<Span>& spans, std::size_t span_index,
-                    Fn&& fn) {
-  const Span& s = spans[span_index];
-  std::size_t pos = s.body_begin;
-  for (std::size_t t = span_index + 1; t < spans.size(); ++t) {
-    const Span& child = spans[t];
-    if (child.body_begin >= s.body_end) break;
-    if (child.body_begin < pos || child.body_end > s.body_end) continue;
-    for (std::size_t i = pos; i < child.body_begin; ++i) fn(i);
-    pos = child.body_end;
-  }
-  for (std::size_t i = pos; i < s.body_end; ++i) fn(i);
-}
-
 /// Innermost span containing token index `idx`, or -1.
 [[nodiscard]] int innermost_span(const std::vector<Span>& spans,
                                  std::size_t idx) {
@@ -226,27 +208,8 @@ void for_own_tokens(const std::vector<Span>& spans, std::size_t span_index,
   return best;
 }
 
-[[nodiscard]] bool std_qualified(const Tokens& toks, std::size_t i) {
-  // Walk back over `a::b::` qualification and test the chain root.
-  while (i >= 2 && is_punct(toks[i - 1], "::") &&
-         toks[i - 2].kind == TokKind::kIdentifier) {
-    i -= 2;
-  }
-  return toks[i].text == "std";
-}
-
 // ---------------------------------------------------------------------------
 // Annotation parsing
-
-[[nodiscard]] bool phase_from_name(const std::string& name, ShardPhase* out) {
-  if (name == "worker") *out = ShardPhase::kWorker;
-  else if (name == "commit") *out = ShardPhase::kCommit;
-  else if (name == "route") *out = ShardPhase::kRoute;
-  else if (name == "isolate") *out = ShardPhase::kIsolate;
-  else if (name == "shared") *out = ShardPhase::kShared;
-  else return false;
-  return true;
-}
 
 /// First and last token index on `line` (tokens are line-sorted).
 [[nodiscard]] std::pair<std::size_t, std::size_t> line_token_range(
@@ -274,28 +237,6 @@ void for_own_tokens(const std::vector<Span>& spans, std::size_t span_index,
     if (toks[i].kind == TokKind::kIdentifier) name = toks[i].text;
   }
   return name;
-}
-
-/// The annotated function on `line`: for `name = [...]` lambdas the name
-/// before '='; otherwise the identifier immediately before the first '('.
-[[nodiscard]] std::string function_target(const Tokens& toks, int line) {
-  const auto [lo, hi] = line_token_range(toks, line);
-  if (hi - lo >= 3) {
-    for (std::size_t i = lo; i + 2 < hi; ++i) {
-      if (toks[i].kind == TokKind::kIdentifier &&
-          is_punct(toks[i + 1], "=") && is_punct(toks[i + 2], "[")) {
-        return toks[i].text;
-      }
-    }
-  }
-  for (std::size_t i = lo; i < hi; ++i) {
-    if (is_punct(toks[i], "(") && i > lo &&
-        toks[i - 1].kind == TokKind::kIdentifier &&
-        not_a_function().count(toks[i - 1].text) == 0) {
-      return toks[i - 1].text;
-    }
-  }
-  return {};
 }
 
 // ---------------------------------------------------------------------------
@@ -342,37 +283,18 @@ constexpr int kSummaryVersion = 1;
 
 }  // namespace
 
-const char* shard_phase_name(ShardPhase phase) noexcept {
-  switch (phase) {
-    case ShardPhase::kWorker: return "worker";
-    case ShardPhase::kCommit: return "commit";
-    case ShardPhase::kRoute: return "route";
-    case ShardPhase::kIsolate: return "isolate";
-    case ShardPhase::kShared: return "shared";
-    case ShardPhase::kNone: break;
-  }
-  return "none";
-}
-
 bool parse_suppression(const Comment& comment, Suppression* out) {
   // The marker must open the comment: prose that merely *mentions* the
   // syntax (docs, this linter's own sources) stays inert.
   const std::string text = trim(comment.text);
   constexpr std::string_view kMarker = "tbp-lint:";
   if (text.rfind(kMarker, 0) != 0) return false;
-  const std::size_t marker = 0;
-  // `tbp-lint: shard(...)` is an annotation, not a suppression — unless an
-  // allow clause rides along.
-  if (text.find("shard(", marker) != std::string::npos &&
-      text.find("allow(", marker) == std::string::npos) {
-    return false;
-  }
   out->line = comment.line;
   out->next_line = comment.own_line;
   out->rules.clear();
   out->justified = false;
 
-  const std::size_t allow = text.find("allow(", marker);
+  const std::size_t allow = text.find("allow(");
   if (allow == std::string::npos) return true;  // malformed, still a marker
   const std::size_t open = allow + 5;
   const std::size_t close = text.find(')', open);
@@ -417,146 +339,32 @@ FileSummary build_file_summary(const std::string& path, const LexedFile& lexed,
         IncludeRef{t.text.substr(open + 1, close - open - 1), t.line});
   }
 
-  // Spans, and what each span's own tokens do.
-  const std::vector<Span> spans = detect_spans(toks);
-  summary.functions.reserve(spans.size());
-  static const std::unordered_set<std::string> kNotACall = {
-      "if",     "for",    "while",    "switch",      "catch",
-      "return", "sizeof", "alignof",  "decltype",    "static_assert",
-      "assert", "throw",  "co_return", "co_await",   "co_yield",
-      "constexpr", "consteval", "constinit", "noexcept", "requires",
-  };
-  for (std::size_t s = 0; s < spans.size(); ++s) {
-    FunctionSymbol fn;
-    fn.name = spans[s].name;
-    fn.line = spans[s].name_line;
-    for_own_tokens(spans, s, [&](std::size_t i) {
-      const Token& t = toks[i];
-      if (t.kind != TokKind::kIdentifier) return;
-      if (std::find(config.shard_guard_tokens.begin(),
-                    config.shard_guard_tokens.end(),
-                    t.text) != config.shard_guard_tokens.end()) {
-        fn.mentions_guard = true;
-      }
-      if (punct_at(toks, i + 1, "(")) {
-        if (kNotACall.count(t.text) != 0) return;
-        if (std_qualified(toks, i)) return;
-        fn.calls.push_back(CallRef{t.text, t.line, !punct_at(toks, i + 2, ")")});
-        return;
-      }
-      const bool member = i > 0 && (is_punct(toks[i - 1], ".") ||
-                                    is_punct(toks[i - 1], "->"));
-      if (member || t.text.ends_with("_")) {
-        fn.accesses.push_back(CodeRef{t.text, t.line});
-      }
-    });
-    summary.functions.push_back(std::move(fn));
-  }
-
-  // Shard annotations and TBP_GUARDED_BY comment-attributes.
+  // TBP_GUARDED_BY comment-attributes.
   std::map<std::string, FieldSymbol> fields;
   for (const Comment& comment : lexed.comments) {
     const int target = comment.own_line ? comment.line + 1 : comment.line;
     // Annotations must open the comment (same anchoring as suppressions),
     // so documentation can spell the grammar without tripping it.
     const std::string text = trim(comment.text);
-
-    if (text.rfind("TBP_GUARDED_BY(", 0) == 0) {
-      const std::size_t open = 14;
-      const std::size_t close = text.find(')', open);
-      const std::string mutex =
-          close == std::string::npos
-              ? std::string()
-              : trim(text.substr(open + 1, close - open - 1));
-      const std::string name = field_target(toks, target);
-      if (mutex.empty() || name.empty()) {
-        emit(&summary.local, path, comment.line, "guarded-by",
-             mutex.empty()
-                 ? "malformed TBP_GUARDED_BY: write 'TBP_GUARDED_BY(mutex)'"
-                 : "TBP_GUARDED_BY annotation has no field declaration on "
-                   "its target line");
-      } else {
-        FieldSymbol& f = fields[name];
-        f.name = name;
-        f.line = target;
-        f.guarded_by = mutex;
-      }
-    }
-
-    if (text.rfind("tbp-lint:", 0) != 0) continue;
-    const std::size_t shard = text.find("shard(");
-    if (shard == std::string::npos ||
-        text.find("allow(") != std::string::npos) {
-      continue;
-    }
-    const std::size_t close = text.find(')', shard + 6);
-    const std::string phase_name =
+    if (text.rfind("TBP_GUARDED_BY(", 0) != 0) continue;
+    const std::size_t open = 14;
+    const std::size_t close = text.find(')', open);
+    const std::string mutex =
         close == std::string::npos
             ? std::string()
-            : trim(text.substr(shard + 6, close - shard - 6));
-    ShardPhase phase = ShardPhase::kNone;
-    if (!phase_from_name(phase_name, &phase)) {
-      emit(&summary.local, path, comment.line, "shard-safety",
-           "unknown shard phase '" + phase_name +
-               "'; expected worker, commit, route, isolate or shared");
-      continue;
-    }
-    if (phase == ShardPhase::kShared) {
-      const std::string name = field_target(toks, target);
-      if (name.empty()) {
-        emit(&summary.local, path, comment.line, "shard-safety",
-             "shard(shared) annotation has no field declaration on its "
-             "target line");
-        continue;
-      }
+            : trim(text.substr(open + 1, close - open - 1));
+    const std::string name = field_target(toks, target);
+    if (mutex.empty() || name.empty()) {
+      emit(&summary.local, path, comment.line, "guarded-by",
+           mutex.empty()
+               ? "malformed TBP_GUARDED_BY: write 'TBP_GUARDED_BY(mutex)'"
+               : "TBP_GUARDED_BY annotation has no field declaration on "
+                 "its target line");
+    } else {
       FieldSymbol& f = fields[name];
       f.name = name;
       f.line = target;
-      f.shared = true;
-      continue;
-    }
-    const std::string name = function_target(toks, target);
-    if (name.empty()) {
-      emit(&summary.local, path, comment.line, "shard-safety",
-           "shard(" + phase_name +
-               ") annotation has no function on its target line");
-      continue;
-    }
-    summary.decl_phases.push_back(DeclPhase{name, phase, target});
-    for (FunctionSymbol& fn : summary.functions) {
-      if (fn.name == name && fn.line == target) fn.phase = phase;
-    }
-  }
-
-  // Auto-classification: in shard entry files, the task passed to
-  // `ShardCrew crew(n, task);` is a worker root without an annotation.
-  if (path_matches(path, config.shard_entry_files)) {
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (toks[i].kind != TokKind::kIdentifier || toks[i].text != "ShardCrew")
-        continue;
-      std::size_t j = i + 1;
-      if (at(toks, j) != nullptr && toks[j].kind == TokKind::kIdentifier) ++j;
-      if (!punct_at(toks, j, "(") && !punct_at(toks, j, "{")) continue;
-      const char* opener = punct_at(toks, j, "(") ? "(" : "{";
-      const char* closer = *opener == '(' ? ")" : "}";
-      const std::size_t end = skip_balanced(toks, j, opener, closer);
-      // Trailing identifier of the last top-level argument is the task.
-      std::string task;
-      std::size_t depth = 0;
-      for (std::size_t k = j; k + 1 < end; ++k) {
-        if (is_punct(toks[k], "(") || is_punct(toks[k], "{")) ++depth;
-        if (is_punct(toks[k], ")") || is_punct(toks[k], "}")) --depth;
-        if (depth == 1 && is_punct(toks[k], ",")) task.clear();
-        if (depth == 1 && toks[k].kind == TokKind::kIdentifier)
-          task = toks[k].text;
-      }
-      if (task.empty()) continue;
-      summary.decl_phases.push_back(
-          DeclPhase{task, ShardPhase::kWorker, toks[i].line});
-      for (FunctionSymbol& fn : summary.functions) {
-        if (fn.name == task && fn.phase == ShardPhase::kNone)
-          fn.phase = ShardPhase::kWorker;
-      }
+      f.guarded_by = mutex;
     }
   }
 
@@ -715,16 +523,14 @@ void run_pair_rules(const std::string& path, const LexedFile& lexed,
   std::unordered_set<std::string> sorted(summary->sorted_names.begin(),
                                          summary->sorted_names.end());
   std::map<std::string, std::string> guarded;
-  for (const FieldSymbol& f : summary->fields) {
-    if (!f.guarded_by.empty()) guarded[f.name] = f.guarded_by;
-  }
+  for (const FieldSymbol& f : summary->fields) guarded[f.name] = f.guarded_by;
   if (companion != nullptr) {
     unordered.insert(companion->unordered_names.begin(),
                      companion->unordered_names.end());
     sorted.insert(companion->sorted_names.begin(),
                   companion->sorted_names.end());
     for (const FieldSymbol& f : companion->fields) {
-      if (!f.guarded_by.empty()) guarded[f.name] = f.guarded_by;
+      guarded[f.name] = f.guarded_by;
     }
   }
   check_unordered_iteration(path, lexed, config, unordered, sorted,
@@ -757,50 +563,11 @@ std::string serialize_summary(const FileSummary& summary) {
   }
   doc.set("suppressions", std::move(sups));
 
-  obs::JsonValue fns = obs::JsonValue::array();
-  for (const FunctionSymbol& f : summary.functions) {
-    obs::JsonValue o = obs::JsonValue::object();
-    o.set("name", f.name);
-    o.set("line", f.line);
-    o.set("phase", shard_phase_name(f.phase));
-    o.set("guard", f.mentions_guard);
-    obs::JsonValue calls = obs::JsonValue::array();
-    for (const CallRef& c : f.calls) {
-      obs::JsonValue co = obs::JsonValue::object();
-      co.set("n", c.name);
-      co.set("l", c.line);
-      co.set("a", c.has_args);
-      calls.items().push_back(std::move(co));
-    }
-    o.set("calls", std::move(calls));
-    obs::JsonValue accs = obs::JsonValue::array();
-    for (const CodeRef& a : f.accesses) {
-      obs::JsonValue ao = obs::JsonValue::object();
-      ao.set("n", a.name);
-      ao.set("l", a.line);
-      accs.items().push_back(std::move(ao));
-    }
-    o.set("accesses", std::move(accs));
-    fns.items().push_back(std::move(o));
-  }
-  doc.set("functions", std::move(fns));
-
-  obs::JsonValue decls = obs::JsonValue::array();
-  for (const DeclPhase& d : summary.decl_phases) {
-    obs::JsonValue o = obs::JsonValue::object();
-    o.set("name", d.name);
-    o.set("phase", shard_phase_name(d.phase));
-    o.set("line", d.line);
-    decls.items().push_back(std::move(o));
-  }
-  doc.set("decl_phases", std::move(decls));
-
   obs::JsonValue flds = obs::JsonValue::array();
   for (const FieldSymbol& f : summary.fields) {
     obs::JsonValue o = obs::JsonValue::object();
     o.set("name", f.name);
     o.set("line", f.line);
-    o.set("shared", f.shared);
     o.set("mutex", f.guarded_by);
     flds.items().push_back(std::move(o));
   }
@@ -877,51 +644,12 @@ bool parse_summary(const std::string& text, FileSummary* out) {
     out->suppressions.push_back(std::move(sup));
   }
 
-  const auto parse_phase = [](const std::string& name) {
-    ShardPhase p = ShardPhase::kNone;
-    (void)phase_from_name(name, &p);
-    return p;
-  };
-
-  const obs::JsonValue* fns = doc.find("functions");
-  if (fns == nullptr || !fns->is_array()) return false;
-  for (const obs::JsonValue& f : fns->items()) {
-    FunctionSymbol fn;
-    fn.name = json_str(f.find("name"));
-    fn.line = json_int(f.find("line"));
-    fn.phase = parse_phase(json_str(f.find("phase")));
-    fn.mentions_guard =
-        f.find("guard") != nullptr && f.find("guard")->as_bool();
-    const obs::JsonValue* calls = f.find("calls");
-    if (calls == nullptr || !calls->is_array()) return false;
-    for (const obs::JsonValue& c : calls->items()) {
-      fn.calls.push_back(CallRef{
-          json_str(c.find("n")), json_int(c.find("l")),
-          c.find("a") != nullptr && c.find("a")->as_bool()});
-    }
-    const obs::JsonValue* accs = f.find("accesses");
-    if (accs == nullptr || !accs->is_array()) return false;
-    for (const obs::JsonValue& a : accs->items()) {
-      fn.accesses.push_back(CodeRef{json_str(a.find("n")), json_int(a.find("l"))});
-    }
-    out->functions.push_back(std::move(fn));
-  }
-
-  const obs::JsonValue* decls = doc.find("decl_phases");
-  if (decls == nullptr || !decls->is_array()) return false;
-  for (const obs::JsonValue& d : decls->items()) {
-    out->decl_phases.push_back(DeclPhase{json_str(d.find("name")),
-                                         parse_phase(json_str(d.find("phase"))),
-                                         json_int(d.find("line"))});
-  }
-
   const obs::JsonValue* flds = doc.find("fields");
   if (flds == nullptr || !flds->is_array()) return false;
   for (const obs::JsonValue& f : flds->items()) {
     FieldSymbol field;
     field.name = json_str(f.find("name"));
     field.line = json_int(f.find("line"));
-    field.shared = f.find("shared") != nullptr && f.find("shared")->as_bool();
     field.guarded_by = json_str(f.find("mutex"));
     out->fields.push_back(std::move(field));
   }
@@ -958,7 +686,7 @@ bool parse_summary(const std::string& text, FileSummary* out) {
 }
 
 std::string config_fingerprint(const LintConfig& config) {
-  std::string s = "tbp-lint-config-v2";
+  std::string s = "tbp-lint-config-v3";
   const auto add = [&s](const std::vector<std::string>& v) {
     s += '|';
     for (const std::string& x : v) {
@@ -970,9 +698,6 @@ std::string config_fingerprint(const LintConfig& config) {
   add(config.getenv_allowlist);
   add(config.raw_memory_allowlist);
   add(config.order_sensitive);
-  add(config.shard_scope);
-  add(config.shard_entry_files);
-  add(config.shard_guard_tokens);
   add(config.prof_include_allowlist);
   s += '|';
   for (const auto& [module, rank] : config.layer_ranks) {

@@ -2,7 +2,6 @@
 //
 // Pass one (this header) reduces each translation unit to a `FileSummary`:
 // local diagnostics plus the symbol facts the cross-file passes need —
-// function spans with their call/member-access lists, shard-phase and
 // TBP_GUARDED_BY annotations, include edges, Status/Result declarators.
 // A summary is a pure function of (file bytes, paired-header bytes, config
 // fingerprint), which is what makes it cacheable in the ContentStore: a
@@ -10,15 +9,6 @@
 //
 // Annotation grammar (DESIGN.md "Static invariants"):
 //
-//   // tbp-lint: shard(worker)      function runs on a worker thread
-//   // tbp-lint: shard(commit)      serial-commit API; workers must not call
-//   // tbp-lint: shard(route)       routing shim: branches on shard plumbing
-//   //                              and stops traversal (must reference a
-//   //                              configured shard guard token)
-//   // tbp-lint: shard(isolate)     constructs a private engine; traversal
-//   //                              stops (the callee's own entry files are
-//   //                              analyzed separately)
-//   // tbp-lint: shard(shared)      field annotation: cross-SM shared state
 //   // TBP_GUARDED_BY(m)            field annotation: reads/writes require
 //   //                              mutex `m` held in the enclosing scope
 //
@@ -33,45 +23,11 @@
 
 namespace tbp_lint {
 
-enum class ShardPhase { kNone, kWorker, kCommit, kRoute, kIsolate, kShared };
-
-[[nodiscard]] const char* shard_phase_name(ShardPhase phase) noexcept;
-
-/// One call site inside a function body.  `has_args` distinguishes
-/// `store.get(key)` from `ptr.get()`: zero-argument calls are traversed but
-/// never flagged by name alone (too many std vocabulary collisions).
-struct CallRef {
-  std::string name;
-  int line = 0;
-  bool has_args = false;
-};
-
-/// A function (or named lambda) definition span and what its body touches.
-struct FunctionSymbol {
-  std::string name;
-  int line = 0;  ///< line of the name token
-  ShardPhase phase = ShardPhase::kNone;
-  /// Body mentions one of config.shard_guard_tokens (route honesty check).
-  bool mentions_guard = false;
-  std::vector<CallRef> calls;
-  std::vector<CodeRef> accesses;  ///< member-ish identifier uses (no call)
-};
-
-/// A shard-phase annotation whose target is a declaration (or any line the
-/// span detector did not resolve to a body).  Header declarations carry the
-/// phase for their .cpp definitions and for call-site classification.
-struct DeclPhase {
-  std::string name;
-  ShardPhase phase = ShardPhase::kNone;
-  int line = 0;
-};
-
-/// An annotated field: shard(shared) and/or TBP_GUARDED_BY(mutex).
+/// A TBP_GUARDED_BY(mutex)-annotated field.
 struct FieldSymbol {
   std::string name;
   int line = 0;
-  bool shared = false;
-  std::string guarded_by;  ///< mutex name; empty when not lock-annotated
+  std::string guarded_by;  ///< mutex name
 };
 
 struct IncludeRef {
@@ -94,8 +50,6 @@ struct FileSummary {
   std::string path;
   std::vector<Diagnostic> local;
   std::vector<Suppression> suppressions;
-  std::vector<FunctionSymbol> functions;
-  std::vector<DeclPhase> decl_phases;
   std::vector<FieldSymbol> fields;
   std::vector<IncludeRef> includes;
   std::vector<StatusFunction> status_functions;
@@ -105,8 +59,8 @@ struct FileSummary {
 };
 
 /// Parses `tbp-lint: allow(a, b) -- reason` out of one comment, if present.
-/// Annotation comments (`tbp-lint: shard(...)` with no allow clause) are
-/// not suppressions and return false.
+/// Any comment opening with the `tbp-lint:` marker is a suppression; one
+/// without an allow clause has no rules and is reported as malformed.
 [[nodiscard]] bool parse_suppression(const Comment& comment, Suppression* out);
 
 /// Pass one over a single file: local rules, annotation parsing, symbol

@@ -249,91 +249,6 @@ void print_service_stats(const JsonValue& body, std::FILE* out) {
   print_spans(body, out);
 }
 
-/// The load-skew view of a tbp-prof-v1 sidecar: per-worker busy/wait, the
-/// per-SM busy distribution (the ROADMAP work-stealing signal — which SMs a
-/// balanced partition would move), and the per-epoch imbalance histogram.
-void print_prof(const JsonValue& body, std::FILE* out) {
-  const JsonValue* skew = body.find("skew");
-  if (skew != nullptr && skew->is_object() &&
-      num_member(*skew, "rounds") > 0.0) {
-    std::fprintf(out,
-                 "shard skew: %llu rounds, %llu worker(s) over %llu SMs, "
-                 "wall %.3fs\n",
-                 static_cast<unsigned long long>(num_member(*skew, "rounds")),
-                 static_cast<unsigned long long>(
-                     num_member(*skew, "n_workers")),
-                 static_cast<unsigned long long>(num_member(*skew, "n_sms")),
-                 num_member(*skew, "wall_seconds"));
-    std::fprintf(out,
-                 "epoch imbalance (max worker busy / mean): "
-                 "max %.3f, mean %.3f\n",
-                 num_member(*skew, "max_imbalance_ratio"),
-                 num_member(*skew, "mean_imbalance_ratio"));
-
-    const JsonValue* busy = skew->find("worker_busy_seconds");
-    const JsonValue* wait = skew->find("worker_wait_seconds");
-    if (busy != nullptr && busy->is_array() && !busy->items().empty()) {
-      std::fputs("\nper-worker:\n", out);
-      harness::TablePrinter table({"worker", "busy s", "wait s", "wait%"});
-      for (std::size_t i = 0; i < busy->items().size(); ++i) {
-        const double b = busy->items()[i].as_double();
-        const double w = wait != nullptr && i < wait->items().size()
-                             ? wait->items()[i].as_double()
-                             : 0.0;
-        table.add_row({std::to_string(i), harness::fmt(b, 3),
-                       harness::fmt(w, 3),
-                       harness::fmt(b + w > 0.0 ? 100.0 * w / (b + w) : 0.0,
-                                    1)});
-      }
-      table.print(out);
-    }
-
-    const JsonValue* sm_busy = skew->find("sm_busy_seconds");
-    if (sm_busy != nullptr && sm_busy->is_array() &&
-        !sm_busy->items().empty()) {
-      double total = 0.0;
-      for (const JsonValue& v : sm_busy->items()) total += v.as_double();
-      std::fputs("\nper-SM busy (share of all SM busy time):\n", out);
-      harness::TablePrinter table({"SM", "busy s", "share%"});
-      for (std::size_t i = 0; i < sm_busy->items().size(); ++i) {
-        const double b = sm_busy->items()[i].as_double();
-        table.add_row({std::to_string(i), harness::fmt(b, 3),
-                       harness::fmt(total > 0.0 ? 100.0 * b / total : 0.0,
-                                    1)});
-      }
-      table.print(out);
-    }
-
-    const JsonValue* hist = skew->find("imbalance_milli");
-    const JsonValue* bounds = hist != nullptr ? hist->find("bounds") : nullptr;
-    const JsonValue* counts = hist != nullptr ? hist->find("counts") : nullptr;
-    if (bounds != nullptr && counts != nullptr && bounds->is_array() &&
-        counts->is_array()) {
-      std::string line;
-      for (std::size_t i = 0; i < counts->items().size(); ++i) {
-        const std::uint64_t n = counts->items()[i].as_u64();
-        if (n == 0) continue;
-        line += line.empty() ? "" : " ";
-        line += i < bounds->items().size()
-                    ? "<=" + std::to_string(bounds->items()[i].as_u64())
-                    : std::string(">") +
-                          std::to_string(
-                              bounds->items().back().as_u64());
-        line += ":" + std::to_string(static_cast<unsigned long long>(n));
-      }
-      if (!line.empty()) {
-        std::fprintf(out, "\nimbalance histogram (ratio x1000): %s\n",
-                     line.c_str());
-      }
-    }
-  } else {
-    std::fputs("shard skew: none recorded (serial engine or no sharded "
-               "launches)\n",
-               out);
-  }
-  print_spans(body, out);
-}
-
 // ---------------------------------------------------------------------------
 // compare
 
@@ -351,9 +266,6 @@ enum class Direction : std::uint8_t {
 
 [[nodiscard]] Direction classify(std::string_view path) {
   if (ends_with(path, "seconds")) return Direction::kLowerBetter;
-  // Skew statistics (tbp-prof-v1): a perfectly balanced shard run scores
-  // 1.0; anything above is wasted barrier wait, so lower is better.
-  if (ends_with(path, "_ratio")) return Direction::kLowerBetter;
   if (ends_with(path, "per_second")) return Direction::kHigherBetter;
   if (ends_with(path, "hit_rate")) return Direction::kHigherBetter;
   if (ends_with(path, "error_pct") || ends_with(path, "_pct") ||
@@ -425,7 +337,7 @@ int cmd_show(const std::string& path, std::FILE* out) {
     return kExitOk;
   }
   if (doc->schema == prof::kProfSchema) {
-    print_prof(doc->body, out);
+    print_spans(doc->body, out);
     return kExitOk;
   }
   const JsonValue* tool = doc->body.find("tool");
@@ -454,7 +366,7 @@ int cmd_prof(const std::string& path, std::FILE* out) {
     return kExitUnreadable;
   }
   std::fprintf(out, "%s (%s)\n", path.c_str(), doc->schema.c_str());
-  print_prof(doc->body, out);
+  print_spans(doc->body, out);
   return kExitOk;
 }
 

@@ -31,16 +31,14 @@ struct CompareOptions {
 [[nodiscard]] int cmd_show(const std::string& path, std::FILE* out);
 
 /// `tbp-report prof <file>`: the self-profiling view of a tbp-prof-v1
-/// sidecar — per-SM/per-worker shard load skew, the per-epoch imbalance
-/// histogram, and span latency percentiles (p50/p95/p99).
+/// sidecar — per-span counts, total time and latency percentiles
+/// (p50/p95/p99).
 [[nodiscard]] int cmd_prof(const std::string& path, std::FILE* out);
 
 /// `tbp-report compare <old> <new> --max-regress <pct>`: flattens both
 /// bodies to dotted numeric paths and gates the fields whose names declare
-/// a direction — *seconds / *_ratio (lower is better), *per_second /
-/// *hit_rate (higher is better), *error_pct / *err_ppb (lower absolute is
-/// better).  Two tbp-prof-v1 sidecars therefore gate skew-ratio
-/// regressions out of the box.
+/// a direction — *seconds (lower is better), *per_second / *hit_rate
+/// (higher is better), *error_pct / *err_ppb (lower absolute is better).
 /// Fields present in only one file are reported but never gate.
 [[nodiscard]] int cmd_compare(const std::string& old_path,
                               const std::string& new_path,

@@ -1,7 +1,7 @@
 // tbpointd — the batching sampling service daemon.
 //
 //   tbpointd --spool DIR [--store DIR] [--store-max-bytes N]
-//            [--jobs N] [--sim-jobs N] [--poll-ms N]
+//            [--jobs N] [--poll-ms N]
 //            [--max-requests N] [--once] [--metrics PATH]
 //            [--stats PATH] [--prof PATH]
 //
@@ -51,7 +51,7 @@ void handle_stop_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 [[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: tbpointd --spool DIR [--store DIR] "
-               "[--store-max-bytes N] [--jobs N] [--sim-jobs N] "
+               "[--store-max-bytes N] [--jobs N] "
                "[--poll-ms N] [--max-requests N] [--once] [--metrics PATH] "
                "[--stats PATH] [--prof PATH]\n");
   std::exit(2);
@@ -83,14 +83,11 @@ int main(int argc, char** argv) {
                                             options.store_max_bytes);
   options.jobs = static_cast<std::size_t>(flag_u64_or_die(
       argc, argv, "--jobs", static_cast<std::uint64_t>(par::default_jobs())));
-  options.sim_jobs = static_cast<std::uint32_t>(
-      flag_u64_or_die(argc, argv, "--sim-jobs", 1));
   options.poll_ms = static_cast<std::uint32_t>(
       flag_u64_or_die(argc, argv, "--poll-ms", options.poll_ms));
   options.max_requests = flag_u64_or_die(argc, argv, "--max-requests", 0);
-  if (options.jobs == 0 || options.sim_jobs == 0 || options.poll_ms == 0) {
-    std::fprintf(stderr,
-                 "tbpointd: --jobs, --sim-jobs and --poll-ms must be >= 1\n");
+  if (options.jobs == 0 || options.poll_ms == 0) {
+    std::fprintf(stderr, "tbpointd: --jobs and --poll-ms must be >= 1\n");
     return 2;
   }
   par::set_global_jobs(options.jobs);
@@ -117,10 +114,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "tbpointd: %s\n", st.to_string().c_str());
     return 1;
   }
-  std::printf("tbpointd: serving spool %s (store %s, jobs %zu, sim-jobs %u)\n",
+  std::printf("tbpointd: serving spool %s (store %s, jobs %zu)\n",
               options.spool_dir.string().c_str(),
-              daemon.response_store().dir().string().c_str(), options.jobs,
-              options.sim_jobs);
+              daemon.response_store().dir().string().c_str(), options.jobs);
   std::fflush(stdout);
 
   if (harness::has_flag(argc, argv, "--once")) {

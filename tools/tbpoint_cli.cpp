@@ -11,14 +11,14 @@
 //   tbpoint_cli run      <workload> [--scale N] [--sms S] [--warps W]
 //                        [--inter-sigma X] [--intra-sigma X] [--vf X]
 //                        [--no-inter] [--no-intra] [--gto] [--validate]
-//                        [--jobs N] [--sim-jobs N]
+//                        [--jobs N]
 //       Full TBPoint pipeline; prints predicted IPC and sample size.
 //   tbpoint_cli compare  <workload> [--scale N] [--sms S] [--warps W]
-//                        [--validate] [--jobs N] [--sim-jobs N]
+//                        [--validate] [--jobs N]
 //       Four-way Full / Random / Ideal-SimPoint / TBPoint comparison.
 //   tbpoint_cli simulate <workload> [--launch N] [--scale N] [--sms S]
 //                        [--warps W] [--gto] [--max-cycles N]
-//                        [--stall-limit N] [--validate] [--sim-jobs N]
+//                        [--stall-limit N] [--validate]
 //       Plain full simulation (all launches, or one with --launch),
 //       printing per-launch cycles and IPC.  A deadlocked or over-budget
 //       launch prints the watchdog diagnostic (stall age, dispatch
@@ -43,22 +43,13 @@
 // components; DESIGN.md "Accuracy attribution"); with --metrics the
 // decomposition is also exported as core.attr.* counters.
 //
-// compare and simulate also accept --prof PATH: a sealed tbp-prof-v1
-// self-profiling sidecar (wall-clock only — shard load skew under
-// --sim-jobs, stage latencies; render with `tbp-report prof`).  Attaching
-// it never changes results: the manifest bytes are identical with --prof
-// present, absent, or compiled out (TBP_PROF=OFF).  With --trace, the
-// timeline gains a "wall clock (tbp-prof)" track.
-//
 // --validate runs trace::validate_launch over every launch of the workload
 // before simulating and fails with the violation report if a trace breaks
 // the simulator's contract.  All numeric flag values are parsed strictly:
 // malformed numbers are a usage error (exit 2), never silently zero.
 // --jobs N (default: hardware concurrency) bounds the parallelism of the
 // independent launch profiles/simulations; every value produces the same
-// numbers — only wall-clock changes.  --sim-jobs N (default 1) additionally
-// shards the SMs *inside* each launch simulation (DESIGN.md "Intra-launch
-// parallel simulation") with the same bit-identity guarantee.
+// numbers — only wall-clock changes.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -77,8 +68,6 @@
 #include "harness/cli.hpp"
 #include "harness/manifest.hpp"
 #include "obs/export.hpp"
-#include "prof/prof.hpp"
-#include "prof/sidecar.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 #include "markov/monte_carlo.hpp"
@@ -189,53 +178,6 @@ struct CliObservation {
   }
 };
 
-/// The --prof session for one subcommand; `session` is null without the
-/// flag, or when profiling is compiled out (after a stderr notice).
-struct CliProf {
-  std::string path;
-  std::unique_ptr<prof::ProfSession> session;
-
-  static CliProf from_flags(int argc, char** argv) {
-    CliProf out;
-    out.path = harness::flag_value(argc, argv, "--prof", "");
-    if (!out.path.empty()) {
-      if constexpr (prof::kEnabled) {
-        out.session = std::make_unique<prof::ProfSession>();
-      } else {
-        std::fprintf(stderr,
-                     "--prof ignored: self-profiling compiled out "
-                     "(TBP_PROF=OFF)\n");
-      }
-    }
-    return out;
-  }
-
-  [[nodiscard]] prof::ProfSession* get() const noexcept {
-    return session.get();
-  }
-
-  /// Appends the wall-clock track to `observe` (when tracing) and writes
-  /// the sidecar; returns false after printing on failure.  Must run
-  /// before CliObservation::write so the track makes the trace file.
-  [[nodiscard]] bool write(obs::Observation* observe) const {
-    if (session == nullptr) return true;
-    if (observe != nullptr && observe->trace_on()) {
-      // '~' sorts after every simulator key: the track lands at the end of
-      // the merged trace.
-      prof::append_wall_clock_track(*session, observe->trace_buffer("~prof"));
-    }
-    const Status st = prof::write_prof_sidecar(*session, path);
-    if (!st.ok()) {
-      std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                   st.to_string().c_str());
-      return false;
-    }
-    std::printf("wrote prof sidecar %s (render with: tbp-report prof %s)\n",
-                path.c_str(), path.c_str());
-    return true;
-  }
-};
-
 /// Strict --jobs parsing (default: hardware concurrency); also sizes the
 /// process-wide pool so nested parallel sections share one thread budget.
 std::size_t jobs_from_flags(int argc, char** argv) {
@@ -247,17 +189,6 @@ std::size_t jobs_from_flags(int argc, char** argv) {
   }
   par::set_global_jobs(jobs);
   return jobs;
-}
-
-/// Strict --sim-jobs parsing (default 1 = the serial launch engine).
-std::uint32_t sim_jobs_from_flags(int argc, char** argv) {
-  const std::uint32_t sim_jobs = flag_u32(argc, argv, "--sim-jobs", 1);
-  if (sim_jobs == 0) {
-    std::fprintf(stderr,
-                 "tbpoint_cli: invalid value for --sim-jobs: must be >= 1\n");
-    std::exit(2);
-  }
-  return sim_jobs;
 }
 
 workloads::WorkloadScale scale_from_flags(int argc, char** argv) {
@@ -448,7 +379,6 @@ int cmd_run(int argc, char** argv) {
 
   core::TBPointOptions options;
   options.jobs = jobs;
-  options.sim_jobs = sim_jobs_from_flags(argc, argv);
   options.inter.distance_threshold = flag_double(argc, argv, "--inter-sigma", 0.1);
   options.intra.distance_threshold = flag_double(argc, argv, "--intra-sigma", 0.2);
   options.intra.variation_factor_threshold = flag_double(argc, argv, "--vf", 0.3);
@@ -499,7 +429,6 @@ int cmd_compare(int argc, char** argv) {
   if (argc < 3) usage();
   harness::ComparisonOptions options;
   options.jobs = jobs_from_flags(argc, argv);
-  options.sim_jobs = sim_jobs_from_flags(argc, argv);
   // The compare flags are exactly a tbpointd request spec; building one and
   // deriving the config/manifest from it keeps this command byte-identical
   // to the service's responses by construction (the service smoke test cmps
@@ -516,8 +445,6 @@ int cmd_compare(int argc, char** argv) {
   const sim::GpuConfig config = service::spec_gpu_config(spec);
   const CliObservation observation = CliObservation::from_flags(argc, argv);
   options.observe = observation.get();
-  const CliProf cli_prof = CliProf::from_flags(argc, argv);
-  options.prof = cli_prof.get();
   const harness::ExperimentRow row =
       harness::run_comparison(workload, config, options);
 
@@ -549,7 +476,6 @@ int cmd_compare(int argc, char** argv) {
   bool ok = write_cli_manifest(argc, argv, "compare",
                                service::spec_config_value(spec),
                                std::span(&row, 1), observation.get());
-  ok = cli_prof.write(observation.get()) && ok;
   ok = observation.write() && ok;
   return ok ? 0 : 1;
 }
@@ -564,11 +490,8 @@ int cmd_simulate(int argc, char** argv) {
   if (!validate_if_requested(argc, argv, workload)) return 1;
   const sim::GpuConfig config = config_from_flags(argc, argv);
   const CliObservation observation = CliObservation::from_flags(argc, argv);
-  const CliProf cli_prof = CliProf::from_flags(argc, argv);
 
   sim::RunOptions base_options;
-  base_options.sim_jobs = sim_jobs_from_flags(argc, argv);
-  base_options.prof = cli_prof.get();
   base_options.max_cycles =
       flag_u64(argc, argv, "--max-cycles", base_options.max_cycles);
   base_options.stall_cycle_limit =
@@ -661,7 +584,6 @@ int cmd_simulate(int argc, char** argv) {
     });
     core::TBPointOptions tbp_options;
     tbp_options.jobs = jobs;
-    tbp_options.sim_jobs = base_options.sim_jobs;
     tbp_options.observe = observation.get();
     tbp_options.observe_key_prefix = workload.name + "/tbp/";
     const core::TBPointRun run =
@@ -700,9 +622,6 @@ int cmd_simulate(int argc, char** argv) {
   if (!write_cli_manifest(argc, argv, "simulate",
                           cli_config_value(argc, argv, workload, config),
                           manifest_rows, observation.get())) {
-    exit_code = exit_code == 0 ? 1 : exit_code;
-  }
-  if (!cli_prof.write(observation.get())) {
     exit_code = exit_code == 0 ? 1 : exit_code;
   }
   if (!observation.write()) exit_code = exit_code == 0 ? 1 : exit_code;
