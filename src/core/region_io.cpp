@@ -12,7 +12,6 @@ namespace {
 
 constexpr io::ArtifactFormat kFormat{
     .magic = "tbpoint-regions-v2",
-    .legacy_magic = "tbpoint-regions-v1",
     .family = "tbpoint-regions-",
     .kind = "regions",
 };

@@ -5,8 +5,8 @@
 // per (profile, occupancy) pair, and the simulator consults the stored
 // table at dispatch time.  Persisting tables lets a design sweep reuse them
 // across simulator invocations, and makes them inspectable/diffable.
-// v2 files carry a crc32 trailer and are written atomically; v1 files (no
-// checksum) remain readable.  All counts from disk are capped before any
+// v2 files carry a crc32 trailer and are written atomically; any other
+// version is a kVersionMismatch.  All counts from disk are capped before any
 // allocation.
 #pragma once
 

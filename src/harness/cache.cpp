@@ -9,7 +9,6 @@
 #include <sstream>
 #include <utility>
 
-#include "store/migrate.hpp"
 #include "store/store.hpp"
 #include "support/artifact.hpp"
 
@@ -18,7 +17,6 @@ namespace {
 
 constexpr io::ArtifactFormat kRowFormat{
     .magic = "tbpoint-row-v3",
-    .legacy_magic = "tbpoint-row-v2",
     .family = "tbpoint-row-",
     .kind = "cache-row",
 };
@@ -53,8 +51,8 @@ constexpr io::ArtifactFormat kRowFormat{
   return io::seal_artifact(kRowFormat.magic, out.str());
 }
 
-/// Parses a sealed row artifact (current v3, or legacy v2 without
-/// checksum).  `context` names the source in error messages.
+/// Parses a sealed tbpoint-row-v3 artifact.  `context` names the source in
+/// error messages.
 [[nodiscard]] Result<ExperimentRow> parse_row_text(const std::string& text,
                                                    const std::string& context) {
   Result<std::string> body = io::unseal_artifact(text, kRowFormat);
@@ -87,7 +85,7 @@ constexpr io::ArtifactFormat kRowFormat{
 
 /// Per-directory store registry.  One ContentStore per cache directory per
 /// process: the store's own mutex serializes row I/O, and opening (index
-/// load + one-shot legacy import) happens once.
+/// load) happens once.
 struct StoreRegistry {
   std::mutex mutex;
   std::map<std::string, std::unique_ptr<store::ContentStore>> stores;
@@ -103,26 +101,6 @@ struct StoreRegistry {
   std::filesystem::path abs = std::filesystem::absolute(cache_dir, ec);
   if (ec) abs = cache_dir;
   return abs.lexically_normal().string();
-}
-
-/// Imports legacy flat `<stem>.txt` rows sitting next to the store.  Valid
-/// rows are re-encoded as current-format payloads (originals untouched);
-/// unparseable ones are deleted, matching the old quarantine behavior.
-void import_legacy_rows(store::ContentStore& store_ref,
-                        const std::filesystem::path& dir) {
-  store::LegacyImportSpec spec;
-  spec.suffix = ".txt";
-  spec.key_for_stem = [](std::string_view stem) {
-    return experiment_store_key(std::string(stem));
-  };
-  spec.recode = [](std::string_view stem,
-                   const std::string& text) -> Result<std::string> {
-    Result<ExperimentRow> row = parse_row_text(text, std::string(stem));
-    if (!row.has_value()) return row.status();
-    return serialize_row(*row);
-  };
-  // Import is best-effort: a failure leaves the store cold, not broken.
-  (void)store::import_legacy_flat_files(store_ref, dir, spec);
 }
 
 /// The opened store for `cache_dir`, creating the directory only when
@@ -142,7 +120,6 @@ void import_legacy_rows(store::ContentStore& store_ref,
       std::filesystem::path(cache_dir), options);
   Status opened = candidate->open();
   if (!opened.ok()) return opened;  // not cached: a later create may succeed
-  import_legacy_rows(*candidate, std::filesystem::path(cache_dir));
   const auto [it, inserted] =
       reg.stores.emplace(dir_key, std::move(candidate));
   return it->second.get();
@@ -191,7 +168,8 @@ std::string experiment_key(const std::string& workload_name,
 }
 
 store::StoreKey experiment_store_key(const std::string& key) {
-  return store::make_key("row", kRowFormat.magic, key, key);
+  return store::make_key("row", kRowFormat.magic,
+                         key + " model " + std::to_string(kModelVersion), key);
 }
 
 std::filesystem::path cached_row_path(const std::string& cache_dir,

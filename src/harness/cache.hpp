@@ -4,20 +4,18 @@
 // Figures 9, 10 and 11 are views of the same four-way comparison, and the
 // hardware-sensitivity sweeps re-run it per configuration; since every run
 // is deterministic, rows are cached under a key that fingerprints the
-// workload, scale, GPU configuration and every sampling option, so each
-// (workload, config) pair is simulated once no matter how many bench
-// binaries ask for it.  Delete the cache directory (default
-// ./tbpoint_cache) or pass --no-cache to force recomputation.
+// workload, scale, GPU configuration, every sampling option and the
+// simulator model (kModelVersion), so each (workload, config) pair is
+// simulated once per model no matter how many bench binaries ask for it.
+// A row computed by an older model is a miss, never a stale hit; pass
+// --no-cache to force recomputation anyway.
 //
 // Layout: each cache directory holds one ContentStore (sharded objects/
 // tree + index journal).  Rows are sealed tbpoint-row-v3 artifacts stored
-// as entry payloads, addressed by a hash of the experiment key.  Legacy
-// flat `<key>.txt` rows (the pre-store layout, including the committed
-// tbpoint_cache/ files) are imported on the directory's first open — valid
-// rows are re-keyed into the store (originals left in place), unparseable
-// ones are quarantined — so warm caches survive the upgrade.  Corrupt
-// store entries are likewise quarantined on read, making the next lookup a
-// clean miss instead of a persistent failure.
+// as entry payloads, addressed by a hash of the experiment key and the
+// model version.  Nothing else in the directory is ever read.  Corrupt
+// entries are quarantined on read, making the next lookup a clean miss
+// instead of a persistent failure.
 #pragma once
 
 #include <cstddef>
@@ -33,17 +31,18 @@
 
 namespace tbp::harness {
 
-/// Stable fingerprint of everything that affects an ExperimentRow
-/// ("<workload>_d<divisor>_s<hexseed>_c<option-hash>") — also the legacy
-/// flat-file stem, which is what lets the importer re-key old rows.
+/// Fingerprint of an ExperimentRow's inputs: workload, scale, GPU
+/// configuration and every sampling option
+/// ("<workload>_d<divisor>_s<hexseed>_c<option-hash>").  The simulator
+/// model is not an input here; experiment_store_key adds it.
 [[nodiscard]] std::string experiment_key(const std::string& workload_name,
                                          const workloads::WorkloadScale& scale,
                                          const sim::GpuConfig& config,
                                          const ComparisonOptions& options);
 
-/// Store address for an experiment key: the row codec version is mixed in,
-/// so a future row-format bump starts a fresh namespace instead of
-/// misparsing old payloads.
+/// Store address for an experiment key.  The row codec version and
+/// kModelVersion are mixed in, so a row-format bump or a model change
+/// starts a fresh namespace instead of serving old payloads.
 [[nodiscard]] store::StoreKey experiment_store_key(const std::string& key);
 
 /// Where `key`'s row lives inside `cache_dir`'s store (for tests and

@@ -105,6 +105,17 @@ struct ExperimentRow {
   core::ErrorAttribution attribution;
 };
 
+/// Version of the simulator model behind every ExperimentRow: the crc32 of
+/// bench/baselines/fig9_manifest.json.  The fig9_baseline_manifest test
+/// forces that file to be regenerated whenever a result of its stream/bfs
+/// slice moves, and tests/harness pins this constant to its digest, so the
+/// version changes with them.  Keys of stored results mix it in
+/// (experiment_store_key, service::spec_store_key), so a result computed
+/// by another model is a miss, never a stale hit.  A change the slice
+/// cannot see (another workload's model, the GTO scheduler alone) leaves
+/// the version as it is; recompute with --no-cache after one.
+inline constexpr std::uint32_t kModelVersion = 0x3e1b7478;
+
 /// Runs the full four-way comparison.  Deterministic for fixed inputs:
 /// every field except the wall-clock `*_seconds` measurements is
 /// bit-identical across runs and across `options.jobs` values.

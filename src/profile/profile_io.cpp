@@ -13,7 +13,6 @@ namespace {
 
 constexpr io::ArtifactFormat kFormat{
     .magic = "tbpoint-profile-v2",
-    .legacy_magic = "tbpoint-profile-v1",
     .family = "tbpoint-profile-",
     .kind = "profile",
 };

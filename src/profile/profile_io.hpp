@@ -5,7 +5,7 @@
 // and re-clustered cheaply for every hardware configuration studied.  The
 // format is a line-oriented text format (self-describing, diff-able,
 // version-tagged).  v2 appends a crc32 trailer over the payload and is
-// written atomically; v1 files (no checksum) are still readable.  Loaders
+// written atomically; any other version is a kVersionMismatch.  Loaders
 // never trust size fields: every count is bounds-checked before any
 // allocation, so a corrupt file yields a Status, not an OOM.
 #pragma once

@@ -125,8 +125,11 @@ store::StoreKey spec_store_key(const RequestSpec& spec) {
       spec.workload + "-d" + std::to_string(spec.scale.divisor) + "-sms" +
       std::to_string(spec.sms) + "-w" + std::to_string(spec.warps) +
       (spec.gto ? "-gto" : "");
-  return store::make_key("response", obs::kManifestSchema,
-                         spec_canonical_line(spec), label);
+  return store::make_key(
+      "response", obs::kManifestSchema,
+      spec_canonical_line(spec) + " model " +
+          std::to_string(harness::kModelVersion),
+      label);
 }
 
 sim::GpuConfig spec_gpu_config(const RequestSpec& spec) {

@@ -58,8 +58,9 @@ struct RequestSpec {
 [[nodiscard]] std::string spec_canonical_line(const RequestSpec& spec);
 
 /// Store address of the spec's response manifest.  The manifest schema tag
-/// is the codec version, so a future manifest format bump re-computes
-/// instead of serving stale-format bytes.
+/// is the codec version and harness::kModelVersion salts the spec, so a
+/// manifest format bump or a model change re-computes instead of serving
+/// stale bytes.
 [[nodiscard]] store::StoreKey spec_store_key(const RequestSpec& spec);
 
 /// The GPU configuration the spec names — same rule as tbpoint_cli: the

@@ -76,7 +76,10 @@ std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) noexcept {
   // span wraps to 0 exactly when [lo, hi] covers all 2^64 values; below(0)
   // would return 0 (always yielding lo), so draw a full word instead.
   if (span == 0) return static_cast<std::int64_t>(next());
-  return lo + static_cast<std::int64_t>(below(span));
+  // Add in uint64 space too: lo + offset can exceed INT64_MAX in int64
+  // arithmetic (UB) even though the true sum lies in [lo, hi].
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   below(span));
 }
 
 double Rng::gaussian() noexcept {

@@ -5,7 +5,7 @@
 // entry's bytes — the entry kind, the codec version of the payload, and a
 // canonical dump of the inputs — so any input or format change addresses a
 // different entry instead of silently aliasing a stale one.  `label` is a
-// short human-readable tag (the legacy cache stem, a request summary)
+// short human-readable tag (the experiment key, a request summary)
 // carried alongside the hash for index listings and diagnostics; it never
 // participates in addressing.
 //

@@ -1,7 +1,6 @@
 #include "store/store.hpp"
 
 #include <algorithm>
-#include <array>
 #include <charconv>
 #include <sstream>
 #include <utility>
@@ -9,21 +8,18 @@
 #include "prof/prof.hpp"
 #include "support/artifact.hpp"
 #include "support/atomic_file.hpp"
-#include "support/walltime.hpp"
 
 namespace tbp::store {
 namespace {
 
 constexpr io::ArtifactFormat kEntryFormat{
     .magic = "tbp-store-entry-v1",
-    .legacy_magic = "",
     .family = "tbp-store-entry-",
     .kind = "store-entry",
 };
 
 constexpr io::ArtifactFormat kIndexFormat{
     .magic = "tbp-store-index-v1",
-    .legacy_magic = "",
     .family = "tbp-store-index-",
     .kind = "store-index",
 };
@@ -194,7 +190,6 @@ Result<std::string> ContentStore::get(const StoreKey& key) {
   if (!opened_) {
     return Status(StatusCode::kInvalidArgument, "store not opened");
   }
-  const timing::WallTimer timer;
   const auto it = index_.find(key.id);
   if (it == index_.end()) {
     stats_.misses += 1;
@@ -239,7 +234,6 @@ Result<std::string> ContentStore::get(const StoreKey& key) {
 
   it->second.last_use = ++tick_;
   stats_.hits += 1;
-  record_latency_locked(timer.seconds());
   return std::move(decoded->payload);
 }
 
@@ -256,7 +250,6 @@ Status ContentStore::put(const StoreKey& key, std::string_view payload) {
     return Status(StatusCode::kInvalidArgument,
                   "invalid store key label '" + key.label + "'");
   }
-  const timing::WallTimer timer;
 
   const std::string sealed =
       io::seal_artifact(kEntryFormat.magic, encode_entry_body(key, payload));
@@ -273,10 +266,7 @@ Status ContentStore::put(const StoreKey& key, std::string_view payload) {
 
   Status evicted = evict_until_within_budget_locked(key.id);
   if (!evicted.ok()) return evicted;
-  Status persisted = write_index_locked();
-  if (!persisted.ok()) return persisted;
-  record_latency_locked(timer.seconds());
-  return Status();
+  return write_index_locked();
 }
 
 Status ContentStore::remove(const StoreKey& key) {
@@ -293,11 +283,6 @@ Status ContentStore::remove(const StoreKey& key) {
   total_bytes_ -= std::min(total_bytes_, it->second.bytes);
   index_.erase(it);
   return write_index_locked();
-}
-
-bool ContentStore::contains(const StoreKey& key) const {
-  std::scoped_lock lock(mutex_);
-  return index_.find(key.id) != index_.end();
 }
 
 Status ContentStore::flush_index() {
@@ -357,14 +342,6 @@ void ContentStore::flush_metrics(obs::MetricsShard* shard) const {
   shard->add("store.rebuilds", stats_.rebuilds);
   shard->add("store.bytes", total_bytes_);
   shard->add("store.entries", index_.size());
-  if (!latency_us_.empty()) {
-    static constexpr std::array<std::uint64_t, 6> kBoundsUs{
-        100, 1000, 10000, 100000, 1000000, 10000000};
-    obs::Histogram* histogram = shard->histogram("store.latency_us", kBoundsUs);
-    if (histogram != nullptr) {
-      for (const std::uint64_t us : latency_us_) histogram->record(us);
-    }
-  }
 }
 
 Status ContentStore::write_index_locked() {
@@ -561,12 +538,6 @@ Status ContentStore::evict_until_within_budget_locked(
     stats_.evictions += 1;
   }
   return Status();
-}
-
-void ContentStore::record_latency_locked(double seconds) {
-  if (!options_.record_latency) return;
-  const double us = seconds * 1e6;
-  latency_us_.push_back(us <= 0.0 ? 0 : static_cast<std::uint64_t>(us));
 }
 
 }  // namespace tbp::store

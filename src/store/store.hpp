@@ -56,10 +56,6 @@ struct StoreOptions {
   /// When false, open() of a nonexistent directory reports kNotFound
   /// instead of creating it (read-only probes of never-written caches).
   bool create = true;
-  /// Record per-operation latency into the `store.latency_us` histogram of
-  /// flush_metrics.  Off by default: latency is wall-clock data, and the
-  /// default counters must stay byte-deterministic for the manifest tests.
-  bool record_latency = false;
   /// Wall-clock self-profiling sink (src/prof; null = off).  Pure observer:
   /// GC/eviction passes and index rebuilds record store.evict /
   /// store.rebuild spans into it, and nothing feeds back into store
@@ -112,9 +108,6 @@ class ContentStore {
   /// Drops one entry (file + index row).  kNotFound when absent.
   [[nodiscard]] Status remove(const StoreKey& key);
 
-  /// Index-only membership probe (no payload I/O, no LRU update).
-  [[nodiscard]] bool contains(const StoreKey& key) const;
-
   /// Persists the in-memory index (get-side LRU ticks are journaled lazily;
   /// puts and evictions persist eagerly).
   [[nodiscard]] Status flush_index();
@@ -135,7 +128,7 @@ class ContentStore {
   }
 
   /// Dumps the counters as `store.*` metrics (hit/miss/put/eviction/
-  /// quarantine/bytes/entries, plus the latency histogram when enabled).
+  /// quarantine/rebuild/bytes/entries).
   void flush_metrics(obs::MetricsShard* shard) const;
 
  private:
@@ -151,7 +144,6 @@ class ContentStore {
   void quarantine_locked(const std::string& id);
   [[nodiscard]] Status evict_until_within_budget_locked(
       const std::string& keep_id);
-  void record_latency_locked(double seconds);
 
   const std::filesystem::path dir_;
   const StoreOptions options_;
@@ -162,7 +154,6 @@ class ContentStore {
   std::uint64_t total_bytes_ = 0;            // TBP_GUARDED_BY(mutex_)
   std::uint64_t tick_ = 0;                   // TBP_GUARDED_BY(mutex_)
   StoreStats stats_;                         // TBP_GUARDED_BY(mutex_)
-  std::vector<std::uint64_t> latency_us_;    // TBP_GUARDED_BY(mutex_) raw samples when enabled
 };
 
 /// Entry/index file name constants, shared with tests.

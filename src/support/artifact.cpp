@@ -39,9 +39,6 @@ Result<std::string> unseal_artifact(std::string_view text,
   const std::string_view magic = text.substr(0, magic_end);
   const std::string_view body = text.substr(magic_end + 1);
 
-  if (!format.legacy_magic.empty() && magic == format.legacy_magic) {
-    return std::string(body);  // legacy version: no checksum to verify
-  }
   if (magic != format.magic) {
     if (magic.substr(0, format.family.size()) == format.family) {
       return Status(StatusCode::kVersionMismatch,

@@ -5,9 +5,9 @@
 //   crc32 <8 hex>\n      checksum trailer over the body bytes
 //
 // seal_artifact builds the envelope; unseal_artifact validates magic and
-// checksum and hands the body back.  Formats keep their previous
-// (checksum-free) version readable by passing it as `legacy_magic`, so old
-// artifacts load while every newly written file is verifiable.
+// checksum and hands the body back.  Only the current version loads: an
+// older or newer version of the same family is a kVersionMismatch, so no
+// file is ever read without its checksum.
 #pragma once
 
 #include <string>
@@ -18,10 +18,9 @@
 namespace tbp::io {
 
 struct ArtifactFormat {
-  std::string_view magic;         ///< current version, written and verified
-  std::string_view legacy_magic;  ///< prior version accepted without checksum
-  std::string_view family;        ///< magic prefix => kVersionMismatch if unknown
-  std::string_view kind;          ///< "profile", "regions", ... for messages
+  std::string_view magic;   ///< current version, written and verified
+  std::string_view family;  ///< magic prefix => kVersionMismatch if unknown
+  std::string_view kind;    ///< "profile", "regions", ... for messages
 };
 
 /// "<magic>\n<body>crc32 <hex>\n".

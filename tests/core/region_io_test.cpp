@@ -3,9 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <string_view>
+
+#include "support/artifact.hpp"
 
 namespace tbp::core {
 namespace {
+
+/// A current-version regions file around `body`, with a valid checksum, so
+/// the loader's own checks are what reject it.
+std::stringstream sealed(std::string_view body) {
+  return std::stringstream(io::seal_artifact("tbpoint-regions-v2", body));
+}
 
 RegionTableSet sample_set() {
   RegionTableSet set;
@@ -53,32 +63,30 @@ TEST(RegionIoTest, UnknownVersionIsVersionMismatch) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kVersionMismatch);
 }
 
-TEST(RegionIoTest, LegacyV1WithoutChecksumStillLoads) {
+TEST(RegionIoTest, LegacyV1WithoutChecksumIsVersionMismatch) {
+  // The checksum-free v1 that preceded the trailer is never parsed.
   std::stringstream stream("tbpoint-regions-v1\n84 1\ntable 10 1\n0 2 5 3\n");
   const auto loaded = load_region_tables(stream);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->system_occupancy, 84u);
-  ASSERT_EQ(loaded->tables.size(), 1u);
-  EXPECT_EQ(loaded->tables[0].region_of(3), 0);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kVersionMismatch);
 }
 
 TEST(RegionIoTest, HugeTableCountRejectedBeforeAllocation) {
-  std::stringstream stream("tbpoint-regions-v1\n84 888888888888\n");
+  std::stringstream stream = sealed("84 888888888888\n");
   const auto loaded = load_region_tables(stream);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.status().code(), StatusCode::kTooLarge);
 }
 
 TEST(RegionIoTest, HugeRegionCountRejectedBeforeAllocation) {
-  std::stringstream stream(
-      "tbpoint-regions-v1\n84 1\ntable 10 999999999999\n");
+  std::stringstream stream = sealed("84 1\ntable 10 999999999999\n");
   const auto loaded = load_region_tables(stream);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.status().code(), StatusCode::kTooLarge);
 }
 
 TEST(RegionIoTest, RejectsTrailingGarbage) {
-  std::stringstream stream("tbpoint-regions-v1\n84 0\nstray\n");
+  std::stringstream stream = sealed("84 0\nstray\n");
   const auto loaded = load_region_tables(stream);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorrupt);
@@ -94,15 +102,18 @@ TEST(RegionIoTest, RejectsTruncation) {
 }
 
 TEST(RegionIoTest, RejectsOutOfRangeRegions) {
-  std::stringstream stream(
-      "tbpoint-regions-v1\n84 1\ntable 10 1\n0 5 20 2\n");  // end 20 >= 10
-  EXPECT_FALSE(load_region_tables(stream).has_value());
+  // end 20 >= 10 blocks
+  std::stringstream stream = sealed("84 1\ntable 10 1\n0 5 20 2\n");
+  const auto loaded = load_region_tables(stream);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorrupt);
 }
 
 TEST(RegionIoTest, RejectsOverlappingRegions) {
-  std::stringstream stream(
-      "tbpoint-regions-v1\n84 1\ntable 10 2\n0 0 5 1\n1 4 9 1\n");
-  EXPECT_FALSE(load_region_tables(stream).has_value());
+  std::stringstream stream = sealed("84 1\ntable 10 2\n0 0 5 1\n1 4 9 1\n");
+  const auto loaded = load_region_tables(stream);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorrupt);
 }
 
 TEST(RegionIoTest, FileRoundTrip) {

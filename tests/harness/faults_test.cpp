@@ -237,7 +237,6 @@ TEST(FaultsTest, Crc32MatchesKnownVectors) {
 
 TEST(FaultsTest, SealUnsealRoundTrip) {
   const io::ArtifactFormat format{.magic = "tbpoint-test-v2",
-                                  .legacy_magic = "tbpoint-test-v1",
                                   .family = "tbpoint-test-",
                                   .kind = "test"};
   const std::string sealed = io::seal_artifact(format.magic, "line one\n");

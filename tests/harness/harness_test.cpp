@@ -6,6 +6,8 @@
 #include <sstream>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/cache.hpp"
 #include "harness/cli.hpp"
@@ -13,6 +15,9 @@
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 #include "sim/config.hpp"
+#include "store/key.hpp"
+#include "support/artifact.hpp"
+#include "support/checksum.hpp"
 #include "support/parallel.hpp"
 #include "workloads/workload.hpp"
 
@@ -87,6 +92,16 @@ TEST(CacheTest, KeyChangesWithInputs) {
   EXPECT_NE(base, experiment_key("bfs", scale, config, other_options));
 
   EXPECT_NE(base, experiment_key("sssp", scale, config, options));
+
+  // The store address also covers the simulator model: the same
+  // experiment key under another model is another entry.
+  EXPECT_NE(experiment_store_key(base).id,
+            store::make_key("row", "tbpoint-row-v3", base, base).id);
+  EXPECT_EQ(experiment_store_key(base).id,
+            store::make_key("row", "tbpoint-row-v3",
+                            base + " model " + std::to_string(kModelVersion),
+                            base)
+                .id);
 }
 
 TEST(CacheTest, RowRoundTrips) {
@@ -132,23 +147,59 @@ TEST(CacheTest, MissingRowIsNotFound) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
-TEST(CacheTest, LegacyV2RowWithoutChecksumStillLoads) {
-  // Rows written before the checksum trailer (the committed tbpoint_cache
-  // entries) must keep loading.
-  const std::string dir = ::testing::TempDir() + "/tbp_cache_legacy";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  {
-    std::ofstream out(dir + "/legacy.txt");
-    out << "tbpoint-row-v2\n"
-           "bfs 1 14 10619 123456789 2.25 2.1 6.7 10 2.2 2.2 5.5 "
-           "2.15 3.3 8 2.24 0.4 2.6 0.25 7 3 50000 12.5 1.5\n";
+TEST(CacheTest, FlatRowFilesAreNeverServed) {
+  // Rows live only in the cache directory's store.  A flat <key>.txt row
+  // next to it is never read, whichever version it carries: the lookup
+  // misses and cached_comparison recomputes.
+  workloads::WorkloadScale scale;
+  scale.divisor = 32;
+  sim::GpuConfig config = sim::fermi_config();
+  config.n_sms = 4;
+  ComparisonOptions options;
+  options.target_units = 60;
+  const std::string key = experiment_key("stream", scale, config, options);
+  const std::string fields =
+      "stream 0 1 10 1000 99.5 1 1 1 1 1 1 1 1 1 1 1 1 0.5 1 1 100 1 1\n";
+  const std::vector<std::pair<std::string, std::string>> rows = {
+      {"v2", "tbpoint-row-v2\n" + fields},  // checksum-free
+      {"v3", io::seal_artifact("tbpoint-row-v3", fields)},
+  };
+  for (const auto& [version, text] : rows) {
+    SCOPED_TRACE(version);
+    const std::string dir = ::testing::TempDir() + "/tbp_cache_flat_" + version;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    {
+      std::ofstream out(dir + "/" + key + ".txt");
+      out << text;
+    }
+    const auto loaded = load_cached_row(dir, key);
+    ASSERT_FALSE(loaded.has_value());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+
+    const std::size_t before = run_comparison_invocations();
+    const ExperimentRow row =
+        cached_comparison("stream", scale, config, options, dir);
+    EXPECT_EQ(run_comparison_invocations(), before + 1);
+    EXPECT_FALSE(row.from_cache);
+    EXPECT_NE(row.full_ipc, 99.5);
   }
-  const auto loaded = load_cached_row(dir, "legacy");
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->workload, "bfs");
-  EXPECT_EQ(loaded->n_launches, 14u);
-  EXPECT_DOUBLE_EQ(loaded->full_ipc, 2.25);
+}
+
+TEST(ModelVersionTest, IsTheFig9BaselineDigest) {
+  // Moving a simulated result means regenerating the fig9 baseline (the
+  // fig9_baseline_manifest test), and this pin then forces kModelVersion to
+  // follow, so rows cached by the old model stop being served.
+  std::ifstream in(TBP_FIG9_BASELINE, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "cannot read " << TBP_FIG9_BASELINE;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  const std::uint32_t digest = crc32(bytes.str());
+  char hex[16];
+  std::snprintf(hex, sizeof hex, "0x%08x", digest);
+  EXPECT_EQ(digest, kModelVersion)
+      << TBP_FIG9_BASELINE << " changed: set harness::kModelVersion in "
+      << "src/harness/experiment.hpp to " << hex;
 }
 
 TEST(CacheTest, CorruptRowIsQuarantined) {
@@ -176,24 +227,6 @@ TEST(CacheTest, CorruptRowIsQuarantined) {
   const auto second = load_cached_row(dir, "bad_key");
   ASSERT_FALSE(second.has_value());
   EXPECT_EQ(second.status().code(), StatusCode::kNotFound);
-}
-
-TEST(CacheTest, CorruptLegacyFlatRowIsQuarantinedAtMigration) {
-  // Pre-store layout: an unparseable flat row is quarantined (deleted) when
-  // the directory's store first opens, so the lookup is a clean miss, never
-  // a persistent failure.
-  const std::string dir = ::testing::TempDir() + "/tbp_cache_legacy_bad";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/bad_key.txt";
-  {
-    std::ofstream out(path);
-    out << "tbpoint-row-v3\nnot a row at all\n";
-  }
-  const auto loaded = load_cached_row(dir, "bad_key");
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
-  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(CacheTest, TornWriteRecoversByRecomputation) {

@@ -3,9 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <string_view>
+
+#include "support/artifact.hpp"
 
 namespace tbp::profile {
 namespace {
+
+/// A current-version profile file around `body`, with a valid checksum, so
+/// the loader's own checks are what reject it.
+std::stringstream sealed(std::string_view body) {
+  return std::stringstream(io::seal_artifact("tbpoint-profile-v2", body));
+}
 
 ApplicationProfile sample_profile() {
   ApplicationProfile app;
@@ -65,28 +75,26 @@ TEST(ProfileIoTest, UnknownVersionIsVersionMismatch) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kVersionMismatch);
 }
 
-TEST(ProfileIoTest, LegacyV1WithoutChecksumStillLoads) {
+TEST(ProfileIoTest, LegacyV1WithoutChecksumIsVersionMismatch) {
+  // The checksum-free v1 that preceded the trailer is never parsed.
   std::stringstream stream(
       "tbpoint-profile-v1\n1\nlaunch kernel_a 1 2\nbbv 5 7\n96 3 0\n");
   const auto loaded = load_profile(stream);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->launches.size(), 1u);
-  EXPECT_EQ(loaded->launches[0].kernel_name, "kernel_a");
-  EXPECT_EQ(loaded->launches[0].bbv, (std::vector<std::uint64_t>{5, 7}));
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kVersionMismatch);
 }
 
 TEST(ProfileIoTest, HugeLaunchCountRejectedBeforeAllocation) {
   // A lying size field must be rejected as too-large up front, not fed to
-  // resize/reserve.  Legacy v1 framing so no checksum has to match.
-  std::stringstream stream("tbpoint-profile-v1\n999999999999\n");
+  // resize/reserve.
+  std::stringstream stream = sealed("999999999999\n");
   const auto loaded = load_profile(stream);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.status().code(), StatusCode::kTooLarge);
 }
 
 TEST(ProfileIoTest, HugeBlockCountRejectedBeforeAllocation) {
-  std::stringstream stream(
-      "tbpoint-profile-v1\n1\nlaunch k 888888888888 1\nbbv 5\n");
+  std::stringstream stream = sealed("1\nlaunch k 888888888888 1\nbbv 5\n");
   const auto loaded = load_profile(stream);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.status().code(), StatusCode::kTooLarge);
@@ -95,7 +103,7 @@ TEST(ProfileIoTest, HugeBlockCountRejectedBeforeAllocation) {
 TEST(ProfileIoTest, RejectsTrailingGarbage) {
   // Records after the declared launch count must not be silently ignored
   // (that is how a spliced or magic-flipped file would slip through).
-  std::stringstream doubled("tbpoint-profile-v1\n0\n1 2 3\n");
+  std::stringstream doubled = sealed("0\n1 2 3\n");
   const auto loaded = load_profile(doubled);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorrupt);
@@ -112,9 +120,10 @@ TEST(ProfileIoTest, RejectsTruncatedInput) {
 }
 
 TEST(ProfileIoTest, RejectsGarbageNumbers) {
-  std::stringstream stream(
-      "tbpoint-profile-v1\n1\nlaunch k 1 1\nbbv 5\nxx yy zz\n");
-  EXPECT_FALSE(load_profile(stream).has_value());
+  std::stringstream stream = sealed("1\nlaunch k 1 1\nbbv 5\nxx yy zz\n");
+  const auto loaded = load_profile(stream);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorrupt);
 }
 
 TEST(ProfileIoTest, FileRoundTrip) {

@@ -125,6 +125,12 @@ TEST(RequestTest, StoreKeyTracksTheSpec) {
   gto.gto = true;
   EXPECT_EQ(spec_store_key(gto).label, "stream-d48-sms4-w48-gto");
   EXPECT_NE(spec_store_key(gto).id, spec_store_key(base).id);
+  // The spec alone is not the address: the model version salts it, so a
+  // response stored by another model is never served.
+  EXPECT_NE(spec_store_key(base).id,
+            store::make_key("response", obs::kManifestSchema,
+                            spec_canonical_line(base), "x")
+                .id);
 }
 
 // ---- spool protocol ----
