@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,27 +45,31 @@ inline std::unique_ptr<obs::Observation> make_observation(
       /*trace_on=*/!flags.trace_path.empty());
 }
 
+/// Reports the write of a requested output file.  A failed write ends the
+/// run with exit code 1, as in tbpoint_cli: a bench that could not write
+/// what it was asked for must not look successful.
+inline void check_written(const Status& status, const std::string& path) {
+  if (status.ok()) {
+    std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
+    return;
+  }
+  std::fprintf(stderr, "[bench] cannot write %s: %s\n", path.c_str(),
+               status.to_string().c_str());
+  std::exit(1);
+}
+
 /// Writes the --metrics/--trace output files from `observe` (atomic writes;
 /// empty paths are skipped).
 inline void write_observation_outputs(const harness::CommonFlags& flags,
                                       const obs::Observation& observe) {
   if (!flags.metrics_path.empty()) {
-    const Status status =
-        obs::write_metrics_file(observe.merged_metrics(), flags.metrics_path);
-    if (status.ok()) {
-      std::fprintf(stderr, "[bench] wrote %s\n", flags.metrics_path.c_str());
-    } else {
-      std::fprintf(stderr, "[bench] %s\n", status.to_string().c_str());
-    }
+    check_written(
+        obs::write_metrics_file(observe.merged_metrics(), flags.metrics_path),
+        flags.metrics_path);
   }
   if (!flags.trace_path.empty()) {
-    const std::vector<obs::TraceEvent> events = observe.merged_trace();
-    const Status status = obs::write_trace_file(events, flags.trace_path);
-    if (status.ok()) {
-      std::fprintf(stderr, "[bench] wrote %s\n", flags.trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "[bench] %s\n", status.to_string().c_str());
-    }
+    check_written(obs::write_trace_file(observe.merged_trace(), flags.trace_path),
+                  flags.trace_path);
   }
 }
 
@@ -104,24 +109,14 @@ inline void write_bench_manifest(const harness::CommonFlags& flags,
                                  std::span<const harness::ExperimentRow> rows,
                                  const obs::Observation* observe,
                                  const std::string& tool) {
-  if constexpr (obs::kEnabled) {
-    obs::MetricsSnapshot metrics;
-    if (observe != nullptr && observe->metrics_on()) {
-      metrics = observe->merged_metrics();
-    }
-    const obs::JsonValue body = harness::manifest_body(
-        tool, "collect_rows", flags_config_value(flags, config), rows, metrics);
-    const Status status = harness::write_manifest(body, flags.manifest_path);
-    if (status.ok()) {
-      std::fprintf(stderr, "[bench] wrote %s\n", flags.manifest_path.c_str());
-    } else {
-      std::fprintf(stderr, "[bench] %s\n", status.to_string().c_str());
-    }
-  } else {
-    std::fprintf(stderr,
-                 "[bench] --manifest ignored: observability compiled out "
-                 "(TBP_OBS=OFF)\n");
+  obs::MetricsSnapshot metrics;
+  if (observe != nullptr && observe->metrics_on()) {
+    metrics = observe->merged_metrics();
   }
+  const obs::JsonValue body = harness::manifest_body(
+      tool, "collect_rows", flags_config_value(flags, config), rows, metrics);
+  check_written(harness::write_manifest(body, flags.manifest_path),
+                flags.manifest_path);
 }
 
 /// Writes the --perf-json (BENCH_PERF.json) file: per-workload wall time and
@@ -130,72 +125,65 @@ inline void write_bench_manifest(const harness::CommonFlags& flags,
 inline void write_bench_perf(const harness::CommonFlags& flags,
                              std::span<const harness::ExperimentRow> rows,
                              double wall_seconds, const std::string& tool) {
-  if constexpr (obs::kEnabled) {
-    obs::JsonValue entries = obs::JsonValue::object();
-    double total_sim_seconds = 0.0;
-    for (const harness::ExperimentRow& row : rows) {
-      obs::JsonValue entry = obs::JsonValue::object();
-      entry.set("wall_seconds", row.full_sim_seconds + row.tbp_seconds);
-      entry.set("full_sim_seconds", row.full_sim_seconds);
-      entry.set("tbp_seconds", row.tbp_seconds);
-      entry.set("error_pct", row.tbpoint.err_pct);
-      entry.set("from_cache", row.from_cache);
-      // Exact-simulation throughput: cycles the full run simulated per
-      // second of wall time.  The denominator is the row's own timing, so
-      // cached rows report the original run's rate.
-      const double full_cycles = row.full_ipc > 0.0
-          ? static_cast<double>(row.total_warp_insts) / row.full_ipc
-          : 0.0;
-      entry.set("sim_cycles_per_second",
-                row.full_sim_seconds > 0.0 ? full_cycles / row.full_sim_seconds
-                                           : 0.0);
-      if (const auto hits = row.metrics.counter("sim.l1.hits")) {
-        const std::uint64_t misses =
-            row.metrics.counter("sim.l1.misses").value_or(0);
-        const double accesses = static_cast<double>(*hits + misses);
-        entry.set("l1_hit_rate", accesses > 0.0
-                                     ? static_cast<double>(*hits) / accesses
-                                     : 0.0);
-      }
-      entries.set(row.workload, std::move(entry));
-      total_sim_seconds += row.full_sim_seconds + row.tbp_seconds;
+  obs::JsonValue entries = obs::JsonValue::object();
+  double total_sim_seconds = 0.0;
+  for (const harness::ExperimentRow& row : rows) {
+    obs::JsonValue entry = obs::JsonValue::object();
+    entry.set("wall_seconds", row.full_sim_seconds + row.tbp_seconds);
+    entry.set("full_sim_seconds", row.full_sim_seconds);
+    entry.set("tbp_seconds", row.tbp_seconds);
+    entry.set("error_pct", row.tbpoint.err_pct);
+    entry.set("from_cache", row.from_cache);
+    // Exact-simulation throughput: cycles the full run simulated per
+    // second of wall time.  The denominator is the row's own timing, so
+    // cached rows report the original run's rate.
+    const double full_cycles = row.full_ipc > 0.0
+        ? static_cast<double>(row.total_warp_insts) / row.full_ipc
+        : 0.0;
+    entry.set("sim_cycles_per_second",
+              row.full_sim_seconds > 0.0 ? full_cycles / row.full_sim_seconds
+                                         : 0.0);
+    if (const auto hits = row.metrics.counter("sim.l1.hits")) {
+      const std::uint64_t misses =
+          row.metrics.counter("sim.l1.misses").value_or(0);
+      const double accesses = static_cast<double>(*hits + misses);
+      entry.set("l1_hit_rate", accesses > 0.0
+                                   ? static_cast<double>(*hits) / accesses
+                                   : 0.0);
     }
-    obs::JsonValue body = obs::JsonValue::object();
-    body.set("bench", tool);
-    body.set("entries", std::move(entries));
-    body.set("total_sim_seconds", total_sim_seconds);
-    body.set("wall_seconds", wall_seconds);
-    // Result-store traffic for this process (EXPERIMENTS.md "Result store"
-    // reads the hit rate off repeated runs).  Cache-state-dependent, like
-    // every other number in this document — the byte-deterministic run
-    // manifest deliberately excludes it.
-    {
-      obs::MetricsShard cache_shard;
-      harness::flush_cache_metrics(&cache_shard);
-      obs::MetricsSnapshot cache_metrics;
-      cache_metrics.absorb(cache_shard);
-      obs::JsonValue store = obs::JsonValue::object();
-      for (const std::string_view name :
-           {"hits", "misses", "puts", "evictions", "quarantined", "rebuilds"}) {
-        store.set(std::string(name),
-                  cache_metrics.counter("store." + std::string(name))
-                      .value_or(0));
-      }
-      body.set("store", std::move(store));
-    }
-    const Status status = obs::write_json_file(
-        obs::seal_json(obs::kBenchPerfSchema, std::move(body)),
-        flags.perf_json_path);
-    if (status.ok()) {
-      std::fprintf(stderr, "[bench] wrote %s\n", flags.perf_json_path.c_str());
-    } else {
-      std::fprintf(stderr, "[bench] %s\n", status.to_string().c_str());
-    }
-  } else {
-    std::fprintf(stderr,
-                 "[bench] --perf-json ignored: observability compiled out "
-                 "(TBP_OBS=OFF)\n");
+    entries.set(row.workload, std::move(entry));
+    total_sim_seconds += row.full_sim_seconds + row.tbp_seconds;
   }
+  obs::JsonValue body = obs::JsonValue::object();
+  body.set("bench", tool);
+  body.set("entries", std::move(entries));
+  body.set("total_sim_seconds", total_sim_seconds);
+  body.set("wall_seconds", wall_seconds);
+  // The parallelism the wall times were measured under.
+  body.set("jobs", static_cast<std::uint64_t>(flags.jobs));
+  body.set("nproc", static_cast<std::uint64_t>(par::default_jobs()));
+  // Result-store traffic for this process (EXPERIMENTS.md "Result store"
+  // reads the hit rate off repeated runs).  Cache-state-dependent, like
+  // every other number in this document — the byte-deterministic run
+  // manifest deliberately excludes it.
+  {
+    obs::MetricsShard cache_shard;
+    harness::flush_cache_metrics(&cache_shard);
+    obs::MetricsSnapshot cache_metrics;
+    cache_metrics.absorb(cache_shard);
+    obs::JsonValue store = obs::JsonValue::object();
+    for (const std::string_view name :
+         {"hits", "misses", "puts", "evictions", "quarantined", "rebuilds"}) {
+      store.set(std::string(name),
+                cache_metrics.counter("store." + std::string(name))
+                    .value_or(0));
+    }
+    body.set("store", std::move(store));
+  }
+  check_written(
+      obs::write_json_file(obs::seal_json(obs::kBenchPerfSchema, std::move(body)),
+                           flags.perf_json_path),
+      flags.perf_json_path);
 }
 
 /// Collects one comparison row per requested benchmark under `config`.
@@ -254,11 +242,7 @@ inline void maybe_write_csv(int argc, char** argv,
                             std::span<const harness::ExperimentRow> rows) {
   const std::string path = harness::flag_value(argc, argv, "--csv", "");
   if (path.empty()) return;
-  if (harness::write_rows_csv_file(rows, path)) {
-    std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
-  }
+  check_written(harness::write_rows_csv_file(rows, path), path);
 }
 
 /// The (W, S) sweep of Figs. 12/13: W warps per SM, S SMs.  (48, 14) is the

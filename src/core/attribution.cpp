@@ -134,28 +134,23 @@ ErrorAttribution attribute_errors(const profile::ApplicationProfile& profile,
 
 void record_attribution(const ErrorAttribution& attribution,
                         obs::MetricsShard* shard) {
-  if constexpr (obs::kEnabled) {
-    if (shard == nullptr) return;
-    shard->add("core.attr.valid", attribution.valid ? 1u : 0u);
-    if (!attribution.valid) return;
-    const auto record = [&](const char* name, double pct) {
-      // |error| in parts-per-billion of the exact IPC: integer-exact in a
-      // counter, and fine-grained enough to pin sub-1e-6-percent drifts.
-      const double ppb = std::abs(pct) * 1e7;
-      const double clamped = std::min(ppb, 1e18);
-      shard->add(std::string("core.attr.") + name + ".err_ppb",
-                 static_cast<std::uint64_t>(std::llround(clamped)));
-      shard->add(std::string("core.attr.") + name + ".negative",
-                 std::signbit(pct) ? 1u : 0u);
-    };
-    record("total", attribution.total_error_pct());
-    record("inter", attribution.inter_error_pct());
-    record("warmup", attribution.warmup_error_pct());
-    record("reconstruction", attribution.reconstruction_error_pct());
-  } else {
-    (void)attribution;
-    (void)shard;
-  }
+  if (shard == nullptr) return;
+  shard->add("core.attr.valid", attribution.valid ? 1u : 0u);
+  if (!attribution.valid) return;
+  const auto record = [&](const char* name, double pct) {
+    // |error| in parts-per-billion of the exact IPC: integer-exact in a
+    // counter, and fine-grained enough to pin sub-1e-6-percent drifts.
+    const double ppb = std::abs(pct) * 1e7;
+    const double clamped = std::min(ppb, 1e18);
+    shard->add(std::string("core.attr.") + name + ".err_ppb",
+               static_cast<std::uint64_t>(std::llround(clamped)));
+    shard->add(std::string("core.attr.") + name + ".negative",
+               std::signbit(pct) ? 1u : 0u);
+  };
+  record("total", attribution.total_error_pct());
+  record("inter", attribution.inter_error_pct());
+  record("warmup", attribution.warmup_error_pct());
+  record("reconstruction", attribution.reconstruction_error_pct());
 }
 
 }  // namespace tbp::core

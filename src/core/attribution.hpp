@@ -139,8 +139,7 @@ struct ErrorAttribution {
 /// Records the decomposition into a metrics shard as integer counters
 /// (per-component |error| in parts-per-billion of the exact IPC plus a sign
 /// marker), so `--metrics` output carries the attribution alongside the
-/// simulator counters.  No-op when `shard` is null or observability is
-/// compiled out.
+/// simulator counters.  No-op when `shard` is null.
 void record_attribution(const ErrorAttribution& attribution,
                         obs::MetricsShard* shard);
 

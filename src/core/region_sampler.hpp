@@ -90,16 +90,14 @@ class RegionSampler final : public sim::SimController {
   /// side may be null.  Phase spans (warm-up, fast-forward) are drawn on
   /// trace row (`pid`, `tid`) — callers use one synthetic row past the SM
   /// rows of the same launch; sampler counters flush into `metrics` at
-  /// finalize().  No-op in a TBP_OBS-off build.
+  /// finalize().
   void attach_observation(obs::MetricsShard* metrics, obs::TraceBuffer* trace,
                           std::uint32_t pid, std::uint32_t tid) {
-    if constexpr (obs::kEnabled) {
-      metrics_ = metrics;
-      trace_ = trace;
-      trace_pid_ = pid;
-      trace_tid_ = tid;
-      if (trace_ != nullptr) trace_->thread_name(pid, tid, "region-sampler");
-    }
+    metrics_ = metrics;
+    trace_ = trace;
+    trace_pid_ = pid;
+    trace_tid_ = tid;
+    if (trace_ != nullptr) trace_->thread_name(pid, tid, "region-sampler");
   }
 
   [[nodiscard]] std::span<const SkippedRegion> skipped_regions() const noexcept {
@@ -120,7 +118,7 @@ class RegionSampler final : public sim::SimController {
   /// Remembers the simulation time of the latest callback so finalize()
   /// (which has no cycle argument) can close the trailing span.
   void note_cycle(std::uint64_t cycle) noexcept {
-    if constexpr (obs::kEnabled) last_cycle_ = cycle;
+    last_cycle_ = cycle;
   }
 
   const profile::LaunchProfile* launch_;
@@ -141,7 +139,7 @@ class RegionSampler final : public sim::SimController {
   SkippedRegion open_skip_;  ///< accumulating while fast-forwarding
   std::vector<SkippedRegion> skipped_;
 
-  // Observability (unused in a TBP_OBS-off build).
+  // Observability (unused while metrics_ and trace_ are null).
   obs::MetricsShard* metrics_ = nullptr;
   obs::TraceBuffer* trace_ = nullptr;
   std::uint32_t trace_pid_ = 0;

@@ -69,27 +69,25 @@ TBPointRun run_tbpoint(std::span<const trace::LaunchTraceSource* const> launches
         RegionSampler sampler(launch_profile, rep.regions.table, sampler_options);
         sim::RunOptions run_options;
         run_options.controller = &sampler;
-        if constexpr (obs::kEnabled) {
-          if (options.observe != nullptr) {
-            // One shard/buffer per representative, keyed by rep index, so
-            // the merge order is independent of the jobs value.  The trace
-            // pid offset keeps representative timelines apart from any
-            // full-simulation timelines captured in the same session.
-            const std::string key =
-                options.observe_key_prefix + "tbp/rep/" + obs::key_index(r);
-            const std::uint32_t pid = options.observe_pid_base + 0x10000u +
-                                      static_cast<std::uint32_t>(launch_index);
-            obs::MetricsShard* shard = options.observe->metrics_shard(key);
-            obs::TraceBuffer* trace = options.observe->trace_buffer(key);
-            run_options.observe =
-                sim::LaunchObservation{.metrics = shard, .trace = trace, .pid = pid};
-            if (trace != nullptr) {
-              trace->process_name(
-                  pid, "tbpoint rep launch " + std::to_string(launch_index));
-            }
-            // Phase spans go on one synthetic row past the SM rows.
-            sampler.attach_observation(shard, trace, pid, config.n_sms + 1);
+        if (options.observe != nullptr) {
+          // One shard/buffer per representative, keyed by rep index, so
+          // the merge order is independent of the jobs value.  The trace
+          // pid offset keeps representative timelines apart from any
+          // full-simulation timelines captured in the same session.
+          const std::string key =
+              options.observe_key_prefix + "tbp/rep/" + obs::key_index(r);
+          const std::uint32_t pid = options.observe_pid_base + 0x10000u +
+                                    static_cast<std::uint32_t>(launch_index);
+          obs::MetricsShard* shard = options.observe->metrics_shard(key);
+          obs::TraceBuffer* trace = options.observe->trace_buffer(key);
+          run_options.observe =
+              sim::LaunchObservation{.metrics = shard, .trace = trace, .pid = pid};
+          if (trace != nullptr) {
+            trace->process_name(
+                pid, "tbpoint rep launch " + std::to_string(launch_index));
           }
+          // Phase spans go on one synthetic row past the SM rows.
+          sampler.attach_observation(shard, trace, pid, config.n_sms + 1);
         }
         sim::GpuSimulator simulator(config);
         rep.sim = simulator.run_launch(source, run_options);

@@ -1,7 +1,10 @@
 #include "harness/csv.hpp"
 
-#include <fstream>
+#include <filesystem>
 #include <ostream>
+#include <sstream>
+
+#include "support/atomic_file.hpp"
 
 namespace tbp::harness {
 
@@ -43,12 +46,11 @@ void write_rows_csv(std::span<const ExperimentRow> rows, std::ostream& out) {
   }
 }
 
-bool write_rows_csv_file(std::span<const ExperimentRow> rows,
-                         const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
+Status write_rows_csv_file(std::span<const ExperimentRow> rows,
+                           const std::string& path) {
+  std::ostringstream out;
   write_rows_csv(rows, out);
-  return static_cast<bool>(out);
+  return io::write_file_atomic(std::filesystem::path(path), out.str());
 }
 
 }  // namespace tbp::harness

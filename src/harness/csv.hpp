@@ -8,15 +8,16 @@
 #include <string>
 
 #include "harness/experiment.hpp"
+#include "support/status.hpp"
 
 namespace tbp::harness {
 
 /// Writes a header plus one line per row with every ExperimentRow field.
 void write_rows_csv(std::span<const ExperimentRow> rows, std::ostream& out);
 
-/// Convenience file variant; returns false on I/O failure.
-[[nodiscard]] bool write_rows_csv_file(std::span<const ExperimentRow> rows,
-                                       const std::string& path);
+/// Convenience file variant (atomic write).
+[[nodiscard]] Status write_rows_csv_file(std::span<const ExperimentRow> rows,
+                                         const std::string& path);
 
 /// Escapes a value for CSV (quotes fields containing separators/quotes).
 [[nodiscard]] std::string csv_escape(const std::string& value);

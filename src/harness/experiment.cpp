@@ -63,22 +63,20 @@ ExperimentRow run_comparison(const workloads::Workload& workload,
   par::parallel_for(sources.size(), options.jobs, [&](std::size_t i) {
     sim::GpuSimulator launch_sim(full_config);
     sim::RunOptions run_options;
-    if constexpr (obs::kEnabled) {
-      if (options.observe != nullptr) {
-        // Per-launch shard/buffer keyed by launch index: the merge order is
-        // the key order, so --jobs never changes the exported files.
-        const std::string key = row.workload + "/full/" + obs::key_index(i);
-        const std::uint32_t pid =
-            options.observe_pid_base + static_cast<std::uint32_t>(i);
-        run_options.observe = sim::LaunchObservation{
-            .metrics = options.observe->metrics_shard(key),
-            .trace = options.observe->trace_buffer(key),
-            .pid = pid,
-        };
-        if (run_options.observe.trace != nullptr) {
-          run_options.observe.trace->process_name(
-              pid, row.workload + ": full launch " + std::to_string(i));
-        }
+    if (options.observe != nullptr) {
+      // Per-launch shard/buffer keyed by launch index: the merge order is
+      // the key order, so --jobs never changes the exported files.
+      const std::string key = row.workload + "/full/" + obs::key_index(i);
+      const std::uint32_t pid =
+          options.observe_pid_base + static_cast<std::uint32_t>(i);
+      run_options.observe = sim::LaunchObservation{
+          .metrics = options.observe->metrics_shard(key),
+          .trace = options.observe->trace_buffer(key),
+          .pid = pid,
+      };
+      if (run_options.observe.trace != nullptr) {
+        run_options.observe.trace->process_name(
+            pid, row.workload + ": full launch " + std::to_string(i));
       }
     }
     launch_results[i] = launch_sim.run_launch(*sources[i], run_options);
@@ -133,12 +131,10 @@ ExperimentRow run_comparison(const workloads::Workload& workload,
   const timing::WallTimer tbp_sim_timer;
   core::TBPointOptions tbp_options = options.tbpoint;
   tbp_options.jobs = options.jobs;
-  if constexpr (obs::kEnabled) {
-    if (options.observe != nullptr) {
-      tbp_options.observe = options.observe;
-      tbp_options.observe_key_prefix = row.workload + "/";
-      tbp_options.observe_pid_base = options.observe_pid_base;
-    }
+  if (options.observe != nullptr) {
+    tbp_options.observe = options.observe;
+    tbp_options.observe_key_prefix = row.workload + "/";
+    tbp_options.observe_pid_base = options.observe_pid_base;
   }
   const core::TBPointRun tbp =
       core::run_tbpoint(sources, app_profile, config, tbp_options);
@@ -155,13 +151,11 @@ ExperimentRow run_comparison(const workloads::Workload& workload,
   // so it inherits the row's --jobs bit-identity.
   row.attribution = core::attribute_errors(app_profile, tbp, exact);
 
-  if constexpr (obs::kEnabled) {
-    if (options.observe != nullptr && options.observe->metrics_on()) {
-      core::record_attribution(
-          row.attribution,
-          options.observe->metrics_shard(row.workload + "/attribution"));
-      row.metrics = options.observe->merged_metrics(row.workload + "/");
-    }
+  if (options.observe != nullptr && options.observe->metrics_on()) {
+    core::record_attribution(
+        row.attribution,
+        options.observe->metrics_shard(row.workload + "/attribution"));
+    row.metrics = options.observe->merged_metrics(row.workload + "/");
   }
 
   return row;

@@ -27,10 +27,9 @@ namespace tbp::obs {
 class Observation {
  public:
   /// Either side can be off; a fully-off observation hands out nulls
-  /// everywhere (and a compile-time disabled build behaves as fully off
-  /// regardless of the arguments).
+  /// everywhere.
   Observation(bool metrics_on, bool trace_on)
-      : metrics_on_(kEnabled && metrics_on), trace_on_(kEnabled && trace_on) {}
+      : metrics_on_(metrics_on), trace_on_(trace_on) {}
 
   [[nodiscard]] bool metrics_on() const noexcept { return metrics_on_; }
   [[nodiscard]] bool trace_on() const noexcept { return trace_on_; }

@@ -19,10 +19,7 @@
 //    the parsed body and compares checksums, so a torn file fails to parse
 //    and a flipped bit fails the CRC.
 //
-// This layer is pure data handling (no clocks, no recording overhead), so
-// it is compiled regardless of TBP_OBS: tbp-report must be able to *read*
-// manifests even in builds whose pipeline no longer *emits* them.  Emission
-// sites gate on `if constexpr (obs::kEnabled)`.
+// This layer is pure data handling: no clocks, no recording overhead.
 #pragma once
 
 #include <cstdint>

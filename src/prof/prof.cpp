@@ -63,7 +63,6 @@ std::uint64_t percentile_upper_bound(const obs::Histogram& hist,
 
 void ProfSession::record_span(std::string_view name,
                               double duration_seconds) {
-  if constexpr (!kEnabled) return;
   const double clamped = std::max(0.0, duration_seconds);
   const std::scoped_lock lock(mutex_);
   SpanStats& stats = spans_[std::string(name)];
@@ -83,8 +82,7 @@ std::map<std::string, ProfSession::SpanStats> ProfSession::span_snapshot()
 }
 
 ScopedSpan::ScopedSpan(ProfSession* session, std::string_view name)
-    : session_(nullptr), name_(name), start_(0.0) {
-  if constexpr (kEnabled) session_ = session;
+    : session_(session), name_(name), start_(0.0) {
   if (session_ != nullptr) start_ = timing::monotonic_seconds();
 }
 

@@ -18,16 +18,14 @@
 //    doorway); this layer never touches <chrono> directly.
 //  - Profiling output lives ONLY in the tbp-prof-v1 sidecar — never in
 //    sealed responses or manifests.  tbpointd's responses are byte-identical
-//    with profiling on, off, and compiled out
-//    (tests/service/service_determinism_test.cpp + the CI service jobs pin
-//    this).
+//    with profiling on and off (tests/service/service_determinism_test.cpp
+//    + the CI service jobs pin this).
 //  - Prof values may only reach `*_seconds` reporting fields (the lint sink
 //    rule), so a wall-clock number can never masquerade as a simulated
 //    quantity downstream.
 //
-// Like TBP_OBS, the compile-time switch TBP_PROF (macro TBP_PROF_ENABLED)
-// removes every recording path; the types stay compiled so tbp-report can
-// still *read* sidecars in a TBP_PROF=OFF build.
+// Profiling is switched on and off at run time only: a ScopedSpan given a
+// null ProfSession pointer records nothing and reads no clock.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +37,7 @@
 
 #include "obs/metrics.hpp"
 
-// Compile-time master switch; 0 removes every recording path.
-#ifndef TBP_PROF_ENABLED
-#define TBP_PROF_ENABLED 1
-#endif
-
 namespace tbp::prof {
-
-inline constexpr bool kEnabled = TBP_PROF_ENABLED != 0;
 
 /// Fixed microsecond bucket upper bounds for latency histograms: powers of
 /// two from 1us to ~67s.  Fixed at compile time so every histogram of every

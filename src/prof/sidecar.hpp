@@ -1,8 +1,8 @@
 // The tbp-prof-v1 sidecar: sealed JSON export of a ProfSession.
 //
 // Profiling data NEVER enters a response or run manifest — it rides in
-// this separate artifact so those stay byte-identical with profiling on,
-// off, or compiled out.  The sidecar reuses the sealed-JSON envelope
+// this separate artifact so those stay byte-identical with profiling on
+// or off.  The sidecar reuses the sealed-JSON envelope
 // (crc32 + schema tag) so tbp-report can validate and render it like any
 // other document.  Body shape:
 //

@@ -207,8 +207,7 @@ Status Daemon::serve(const std::atomic<bool>& stop) {
   if (!opened.ok()) return opened;
   // One service.spool_wait span covers a whole idle stretch — from the
   // first empty drain until the poll that finds work — not each poll tick.
-  prof::ProfSession* prof_sink = nullptr;
-  if constexpr (prof::kEnabled) prof_sink = options_.prof;
+  prof::ProfSession* const prof_sink = options_.prof;
   double idle_start = -1.0;
   while (!stop.load(std::memory_order_relaxed)) {
     Result<std::size_t> drained = drain_once();
@@ -240,7 +239,6 @@ store::ContentStore& Daemon::response_store() {
 }
 
 void Daemon::flush_metrics(obs::MetricsShard* shard) const {
-  if constexpr (!obs::kEnabled) return;
   if (shard == nullptr) return;
   shard->add("service.claimed", stats_.claimed);
   shard->add("service.malformed", stats_.malformed);

@@ -73,9 +73,9 @@ class DramChannel {
 
   /// Attaches a queue-depth histogram sampled once per FR-FCFS scheduling
   /// decision (null detaches); channels of one simulator share one
-  /// histogram.  No-op in a TBP_OBS-off build.
+  /// histogram.
   void set_queue_depth_histogram(obs::Histogram* hist) noexcept {
-    if constexpr (obs::kEnabled) queue_depth_hist_ = hist;
+    queue_depth_hist_ = hist;
   }
 
  private:

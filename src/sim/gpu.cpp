@@ -254,26 +254,24 @@ Status LaunchEngine::init() {
                                              : &default_controller;
   n_blocks = launch.n_blocks();
 
-  if constexpr (obs::kEnabled) {
-    shard = options.observe.metrics;
-    timeline = options.observe.trace;
-    trace_pid = options.observe.pid;
-    if (shard != nullptr) {
-      stall_stats.resize(sms.size());
-      for (std::size_t s = 0; s < sms.size(); ++s) {
-        sms[s].enable_stall_accounting(&stall_stats[s]);
-      }
-      memory.set_queue_depth_histogram(
-          shard->histogram("sim.dram.queue_depth", kQueueDepthBounds));
+  shard = options.observe.metrics;
+  timeline = options.observe.trace;
+  trace_pid = options.observe.pid;
+  if (shard != nullptr) {
+    stall_stats.resize(sms.size());
+    for (std::size_t s = 0; s < sms.size(); ++s) {
+      sms[s].enable_stall_accounting(&stall_stats[s]);
     }
-    if (timeline != nullptr) {
-      tb_dispatch.resize(n_blocks);
-      for (std::uint32_t s = 0; s < config.n_sms; ++s) {
-        timeline->thread_name(trace_pid, s, "SM " + std::to_string(s));
-      }
-      // One synthetic row past the SMs for machine-wide unit boundaries.
-      timeline->thread_name(trace_pid, config.n_sms, "sampling-units");
+    memory.set_queue_depth_histogram(
+        shard->histogram("sim.dram.queue_depth", kQueueDepthBounds));
+  }
+  if (timeline != nullptr) {
+    tb_dispatch.resize(n_blocks);
+    for (std::uint32_t s = 0; s < config.n_sms; ++s) {
+      timeline->thread_name(trace_pid, s, "SM " + std::to_string(s));
     }
+    // One synthetic row past the SMs for machine-wide unit boundaries.
+    timeline->thread_name(trace_pid, config.n_sms, "sampling-units");
   }
   return Status();
 }
@@ -303,10 +301,8 @@ void LaunchEngine::dispatch() {
     sms[target].dispatch_block(next_block, launch.block_trace(next_block),
                                cycle);
     units.on_dispatch(next_block, cycle, meter);
-    if constexpr (obs::kEnabled) {
-      if (timeline != nullptr) {
-        tb_dispatch[next_block] = TbDispatch{.cycle = cycle, .sm = target};
-      }
+    if (timeline != nullptr) {
+      tb_dispatch[next_block] = TbDispatch{.cycle = cycle, .sm = target};
     }
     ++next_block;
   }
@@ -315,14 +311,12 @@ void LaunchEngine::dispatch() {
 void LaunchEngine::process_retirement(std::uint32_t block_id, std::uint64_t now) {
   ++retired_blocks;
   controller->on_block_retire(block_id, now, /*was_skipped=*/false);
-  if constexpr (obs::kEnabled) {
-    if (timeline != nullptr) {
-      const TbDispatch& start = tb_dispatch[block_id];
-      timeline->complete(
-          "TB " + std::to_string(block_id), "tb", trace_pid, start.sm,
-          start.cycle, now - start.cycle,
-          {{"block", obs::json_number(std::uint64_t{block_id})}});
-    }
+  if (timeline != nullptr) {
+    const TbDispatch& start = tb_dispatch[block_id];
+    timeline->complete(
+        "TB " + std::to_string(block_id), "tb", trace_pid, start.sm,
+        start.cycle, now - start.cycle,
+        {{"block", obs::json_number(std::uint64_t{block_id})}});
   }
   SamplingUnit unit;
   if (units.on_retire(block_id, now, meter, unit)) {
@@ -346,13 +340,11 @@ void LaunchEngine::close_fixed_unit(std::uint64_t now) {
   unit.warp_insts = meter.warp_insts - fixed_unit_start_insts;
   unit.thread_insts = meter.thread_insts - fixed_unit_start_threads;
   unit.bbv = meter.fixed_unit_bbv;
-  if constexpr (obs::kEnabled) {
-    if (timeline != nullptr) {
-      timeline->instant(
-          "fixed-unit " + std::to_string(result.fixed_units.size()), "unit",
-          trace_pid, config.n_sms, now,
-          {{"warp_insts", obs::json_number(unit.warp_insts)}});
-    }
+  if (timeline != nullptr) {
+    timeline->instant(
+        "fixed-unit " + std::to_string(result.fixed_units.size()), "unit",
+        trace_pid, config.n_sms, now,
+        {{"warp_insts", obs::json_number(unit.warp_insts)}});
   }
   result.fixed_units.push_back(std::move(unit));
   std::fill(meter.fixed_unit_bbv.begin(), meter.fixed_unit_bbv.end(), 0u);
@@ -467,46 +459,44 @@ Result<LaunchResult> LaunchEngine::collect_result() {
 
   // Flush the accumulated struct counters into named metrics — once per
   // launch, so the hot loops above never touched a string.
-  if constexpr (obs::kEnabled) {
-    if (shard != nullptr) {
-      SmStallStats machine;
-      for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(sms.size()); ++s) {
-        const SmStallStats& st = stall_stats[s];
-        flush_stall_stats(*shard, sm_prefix(s), st);
-        machine.issued_cycles += st.issued_cycles;
-        machine.stall_memory += st.stall_memory;
-        machine.stall_scoreboard += st.stall_scoreboard;
-        machine.stall_barrier += st.stall_barrier;
-        machine.stall_idle += st.stall_idle;
-        machine.stall_wedged += st.stall_wedged;
-        machine.stall_other += st.stall_other;
-      }
-      flush_stall_stats(*shard, "sim.", machine);
-
-      const MemoryStats& mem = result.mem;
-      shard->add("sim.l1.hits", mem.l1.hits);
-      shard->add("sim.l1.misses", mem.l1.misses);
-      shard->add("sim.l1.evictions", mem.l1.evictions);
-      shard->add("sim.l1.mshr_merges", mem.l1_mshr_merges);
-      shard->add("sim.l1.mshr_stalls", mem.l1_mshr_stalls);
-      shard->add("sim.l2.hits", mem.l2.hits);
-      shard->add("sim.l2.misses", mem.l2.misses);
-      shard->add("sim.l2.evictions", mem.l2.evictions);
-      shard->add("sim.l2.mshr_merges", mem.l2_mshr_merges);
-      shard->add("sim.l2.mshr_stalls", mem.l2_mshr_overflows);
-      shard->add("sim.dram.row_hits", mem.dram.row_hits);
-      shard->add("sim.dram.row_misses", mem.dram.row_misses);
-      shard->add("sim.dram.loads", mem.dram.loads);
-      shard->add("sim.dram.stores", mem.dram.stores);
-      shard->add("sim.dram.scheduling_decisions", mem.dram.scheduling_decisions);
-
-      shard->add("sim.launch.count", 1);
-      shard->add("sim.launch.cycles", result.cycles);
-      shard->add("sim.launch.warp_insts", result.sim_warp_insts);
-      shard->add("sim.launch.thread_insts", result.sim_thread_insts);
-      shard->add("sim.launch.blocks", n_blocks);
-      shard->add("sim.launch.skipped_blocks", result.skipped_blocks.size());
+  if (shard != nullptr) {
+    SmStallStats machine;
+    for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(sms.size()); ++s) {
+      const SmStallStats& st = stall_stats[s];
+      flush_stall_stats(*shard, sm_prefix(s), st);
+      machine.issued_cycles += st.issued_cycles;
+      machine.stall_memory += st.stall_memory;
+      machine.stall_scoreboard += st.stall_scoreboard;
+      machine.stall_barrier += st.stall_barrier;
+      machine.stall_idle += st.stall_idle;
+      machine.stall_wedged += st.stall_wedged;
+      machine.stall_other += st.stall_other;
     }
+    flush_stall_stats(*shard, "sim.", machine);
+
+    const MemoryStats& mem = result.mem;
+    shard->add("sim.l1.hits", mem.l1.hits);
+    shard->add("sim.l1.misses", mem.l1.misses);
+    shard->add("sim.l1.evictions", mem.l1.evictions);
+    shard->add("sim.l1.mshr_merges", mem.l1_mshr_merges);
+    shard->add("sim.l1.mshr_stalls", mem.l1_mshr_stalls);
+    shard->add("sim.l2.hits", mem.l2.hits);
+    shard->add("sim.l2.misses", mem.l2.misses);
+    shard->add("sim.l2.evictions", mem.l2.evictions);
+    shard->add("sim.l2.mshr_merges", mem.l2_mshr_merges);
+    shard->add("sim.l2.mshr_stalls", mem.l2_mshr_overflows);
+    shard->add("sim.dram.row_hits", mem.dram.row_hits);
+    shard->add("sim.dram.row_misses", mem.dram.row_misses);
+    shard->add("sim.dram.loads", mem.dram.loads);
+    shard->add("sim.dram.stores", mem.dram.stores);
+    shard->add("sim.dram.scheduling_decisions", mem.dram.scheduling_decisions);
+
+    shard->add("sim.launch.count", 1);
+    shard->add("sim.launch.cycles", result.cycles);
+    shard->add("sim.launch.warp_insts", result.sim_warp_insts);
+    shard->add("sim.launch.thread_insts", result.sim_thread_insts);
+    shard->add("sim.launch.blocks", n_blocks);
+    shard->add("sim.launch.skipped_blocks", result.skipped_blocks.size());
   }
   return std::move(result);
 }

@@ -107,7 +107,7 @@ struct RunOptions {
   /// so the default leaves three orders of magnitude of headroom.
   std::uint64_t stall_cycle_limit = 1ull << 22;
   std::uint32_t sim_jobs = 1;  ///< unused: the simulator never reads it
-  /// Metrics/timeline capture; ignored entirely in a TBP_OBS-off build.
+  /// Metrics/timeline capture; null pointers switch it off.
   LaunchObservation observe;
 };
 

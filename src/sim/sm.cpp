@@ -17,12 +17,10 @@ void SmCore::configure_launch(std::uint32_t n_slots, std::uint32_t warps_per_blo
   free_slots_ = n_slots;
   slots_.assign(n_slots, BlockSlot{});
   warps_.assign(std::size_t{n_slots} * warps_per_block, WarpContext{});
-  if constexpr (obs::kEnabled) {
-    // Fresh contexts are all kDone; re-seed the population counts.
-    state_count_.fill(0);
-    state_count_[static_cast<std::size_t>(WarpState::kDone)] =
-        static_cast<std::uint32_t>(warps_.size());
-  }
+  // Fresh contexts are all kDone; re-seed the population counts.
+  state_count_.fill(0);
+  state_count_[static_cast<std::size_t>(WarpState::kDone)] =
+      static_cast<std::uint32_t>(warps_.size());
   rr_cursor_ = 0;
   gto_current_ = ~0u;
   retired_.clear();
@@ -57,13 +55,11 @@ void SmCore::dispatch_block(std::uint32_t block_id, trace::BlockTrace trace,
 }
 
 void SmCore::issue(std::uint64_t cycle) {
-  if constexpr (obs::kEnabled) {
-    if (stall_ != nullptr) {
-      const std::uint64_t before = warp_insts_;
-      issue_impl(cycle);
-      account_cycle(/*issued=*/warp_insts_ != before);
-      return;
-    }
+  if (stall_ != nullptr) {
+    const std::uint64_t before = warp_insts_;
+    issue_impl(cycle);
+    account_cycle(/*issued=*/warp_insts_ != before);
+    return;
   }
   issue_impl(cycle);
 }

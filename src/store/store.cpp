@@ -331,7 +331,6 @@ std::vector<StoreEntryInfo> ContentStore::entries() const {
 }
 
 void ContentStore::flush_metrics(obs::MetricsShard* shard) const {
-  if constexpr (!obs::kEnabled) return;
   if (shard == nullptr) return;
   std::scoped_lock lock(mutex_);
   shard->add("store.hits", stats_.hits);

@@ -174,15 +174,11 @@ TEST(AttributionTest, RecordAttributionWritesCounters) {
 
   obs::MetricsShard shard;
   record_attribution(attr, &shard);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(shard.counters().count("core.attr.valid"), 1u);
-    EXPECT_EQ(shard.counters().count("core.attr.total.err_ppb"), 1u);
-    EXPECT_EQ(shard.counters().count("core.attr.inter.err_ppb"), 1u);
-    EXPECT_EQ(shard.counters().count("core.attr.warmup.err_ppb"), 1u);
-    EXPECT_EQ(shard.counters().count("core.attr.reconstruction.err_ppb"), 1u);
-  } else {
-    EXPECT_TRUE(shard.counters().empty());
-  }
+  EXPECT_EQ(shard.counters().count("core.attr.valid"), 1u);
+  EXPECT_EQ(shard.counters().count("core.attr.total.err_ppb"), 1u);
+  EXPECT_EQ(shard.counters().count("core.attr.inter.err_ppb"), 1u);
+  EXPECT_EQ(shard.counters().count("core.attr.warmup.err_ppb"), 1u);
+  EXPECT_EQ(shard.counters().count("core.attr.reconstruction.err_ppb"), 1u);
   // Null shard is a no-op, not a crash.
   record_attribution(attr, nullptr);
 }

@@ -304,7 +304,7 @@ TEST(CsvTest, FileRoundTripIsReadable) {
   ExperimentRow row;
   row.workload = "spmv";
   const std::string path = ::testing::TempDir() + "/tbp_csv_test.csv";
-  ASSERT_TRUE(write_rows_csv_file(std::vector<ExperimentRow>{row}, path));
+  ASSERT_TRUE(write_rows_csv_file(std::vector<ExperimentRow>{row}, path).ok());
   std::ifstream in(path);
   std::string header;
   ASSERT_TRUE(std::getline(in, header));

@@ -65,7 +65,6 @@ std::string manifest_bytes_at_jobs(std::size_t jobs, const std::string& path) {
 }
 
 TEST(ManifestDeterminismTest, BytesIdenticalAcrossJobs) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const std::string dir = ::testing::TempDir();
   const std::string serial =
       manifest_bytes_at_jobs(1, dir + "/manifest_jobs1.json");
@@ -94,7 +93,6 @@ TEST(ManifestDeterminismTest, BytesIdenticalAcrossJobs) {
 }
 
 TEST(ManifestDeterminismTest, RepeatedSerialRunsAreStable) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const std::string dir = ::testing::TempDir();
   const std::string first =
       manifest_bytes_at_jobs(1, dir + "/manifest_a.json");

@@ -55,7 +55,6 @@ std::string deterministic_csv(std::vector<harness::ExperimentRow> rows) {
 }
 
 TEST(ObsDeterminismTest, ExportsAreBitIdenticalAcrossJobs) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   par::set_global_jobs(8);
   const workloads::Workload workload = small_workload();
   const sim::GpuConfig config = small_config();
@@ -121,13 +120,10 @@ TEST(ObsDeterminismTest, ObservationOnOrOffSameArtifacts) {
 
   // The only difference is the attached snapshot.
   EXPECT_TRUE(unobserved.metrics.counters.empty());
-  if (kEnabled) {
-    EXPECT_FALSE(observed.metrics.counters.empty());
-  }
+  EXPECT_FALSE(observed.metrics.counters.empty());
 }
 
 TEST(ObsDeterminismTest, ConcurrentShardRegistrationIsSafe) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   // Many tasks asking the session for distinct shards concurrently (the
   // run_comparison pattern) must neither race nor lose shards.  Under the
   // TSan tree this is the locking proof for the registry.

@@ -104,7 +104,6 @@ TEST(ObservationTest, ObservingNeverChangesTheSimulation) {
 }
 
 TEST(ObservationTest, StallCyclesAccountForEveryCycle) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   const ObservedPair pair = run_pair(24);
   const sim::GpuConfig config = small_config();
 
@@ -143,7 +142,6 @@ TEST(ObservationTest, StallCyclesAccountForEveryCycle) {
 }
 
 TEST(ObservationTest, MshrPressureCountersAreExported) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   // Starved MSHR pools at both levels: every counter in the export must
   // mirror the LaunchResult's own stats, and the scenario must actually
   // produce pressure (nonzero) for the mirror check to mean anything.
@@ -172,7 +170,6 @@ TEST(ObservationTest, MshrPressureCountersAreExported) {
 }
 
 TEST(ObservationTest, TraceCoversEveryBlock) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   const std::uint32_t n_blocks = 24;
   const ObservedPair pair = run_pair(n_blocks);
 
@@ -187,7 +184,6 @@ TEST(ObservationTest, TraceCoversEveryBlock) {
 }
 
 TEST(ObservationTest, MergeIsIndependentOfRegistrationOrder) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   auto record = [](Observation& session, const std::vector<std::string>& keys) {
     // Per-key deltas derived from the key so shards differ.
     for (const std::string& key : keys) {
@@ -229,22 +225,18 @@ TEST(ObservationTest, DisabledSessionHandsOutNulls) {
   EXPECT_TRUE(off.merged_trace().empty());
 
   Observation metrics_only(true, false);
-  if (kEnabled) {
-    EXPECT_NE(metrics_only.metrics_shard("k"), nullptr);
-  } else {
-    EXPECT_EQ(metrics_only.metrics_shard("k"), nullptr);
-  }
+  EXPECT_NE(metrics_only.metrics_shard("k"), nullptr);
   EXPECT_EQ(metrics_only.trace_buffer("k"), nullptr);
 }
 
 TEST(ObservationTest, FileWritersProduceTheInMemoryDocuments) {
   Observation session(true, true);
-  // Works in the disabled build too: the snapshot and event list are just
-  // empty, and the writers still emit valid (empty) documents.
-  if (MetricsShard* shard = session.metrics_shard("k")) shard->add("c", 3);
-  if (TraceBuffer* buffer = session.trace_buffer("k")) {
-    buffer->instant("mark", "test", 0, 0, 1);
-  }
+  MetricsShard* shard = session.metrics_shard("k");
+  ASSERT_NE(shard, nullptr);
+  shard->add("c", 3);
+  TraceBuffer* buffer = session.trace_buffer("k");
+  ASSERT_NE(buffer, nullptr);
+  buffer->instant("mark", "test", 0, 0, 1);
 
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "tbp_observation_test";

@@ -86,13 +86,11 @@ TEST(ServiceDeterminismTest, ResponsesAreJobsIndependent) {
   // The duplicate collapsed to its twin's bytes in both drains.
   EXPECT_EQ(serial[0], serial[1]);
 
-  if constexpr (prof::kEnabled) {
-    const auto spans = session.span_snapshot();
-    const auto simulate = spans.find("service.simulate");
-    ASSERT_NE(simulate, spans.end()) << "the profiled drain recorded no "
-                                        "service.simulate span";
-    EXPECT_GT(simulate->second.count, 0u);
-  }
+  const auto spans = session.span_snapshot();
+  const auto simulate = spans.find("service.simulate");
+  ASSERT_NE(simulate, spans.end()) << "the profiled drain recorded no "
+                                      "service.simulate span";
+  EXPECT_GT(simulate->second.count, 0u);
 }
 
 }  // namespace

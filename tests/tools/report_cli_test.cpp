@@ -210,6 +210,34 @@ TEST(ReportCliTest, ShowSurfacesStoreBlockInBenchPerfDocuments) {
   return output;
 }
 
+// A bench-perf document's `bench:` line names the parallelism its wall
+// times were measured under; compare reports the two fields but never
+// gates on them, so comparing runs from different hosts stays clean.
+TEST(ReportCliTest, ShowPrintsJobsAndNprocOnTheBenchLine) {
+  const std::string dir = temp_dir("tbp_report_jobs");
+  const auto write = [&dir](const std::string& name, std::uint64_t jobs,
+                            std::uint64_t nproc) {
+    JsonValue body = perf_body(2.0, 5e6, 1.0);
+    body.set("jobs", jobs);
+    body.set("nproc", nproc);
+    const std::string path = dir + "/" + name;
+    EXPECT_TRUE(
+        obs::write_json_file(obs::seal_json(obs::kBenchPerfSchema, body), path)
+            .ok());
+    return path;
+  };
+  const std::string path = write("perf.json", 2, 4);
+  const std::string shown = capture_run({"show", path}, kExitOk);
+  EXPECT_NE(shown.find("bench: micro_sim jobs=2 nproc=4\n"), std::string::npos)
+      << shown;
+
+  const std::string other = write("other.json", 16, 64);
+  const std::string compared = capture_run({"compare", path, other}, kExitOk);
+  EXPECT_NE(compared.find("compared 4 gated field(s)"), std::string::npos)
+      << compared;
+  EXPECT_NE(compared.find("no regressions"), std::string::npos) << compared;
+}
+
 /// One wall-clock span object in the shape prof::spans_to_value emits.
 [[nodiscard]] JsonValue span_value(std::uint64_t count, double total_seconds,
                                    double p50, double p95, double p99) {

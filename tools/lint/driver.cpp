@@ -4,13 +4,11 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <set>
 #include <sstream>
 
 #include "obs/report.hpp"
-#include "store/store.hpp"
 
 namespace tbp_lint {
 namespace {
@@ -33,15 +31,6 @@ namespace fs = std::filesystem;
   return std::any_of(
       excludes.begin(), excludes.end(),
       [&](const std::string& p) { return rel.rfind(p, 0) == 0; });
-}
-
-/// Store labels exclude '/' — paths become "src:sim:sm.cpp".
-[[nodiscard]] std::string path_label(const std::string& path) {
-  std::string label = path;
-  for (char& c : label) {
-    if (c == '/') c = ':';
-  }
-  return label;
 }
 
 void apply_suppressions(const FileSummary& summary,
@@ -139,7 +128,9 @@ LintResult run_lint(const LintOptions& options) {
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  std::vector<std::string> contents(files.size());
+  // Pass one: a summary per file.
+  std::vector<LexedFile> lexed(files.size());
+  std::vector<FileSummary> summaries(files.size());
   for (std::size_t i = 0; i < files.size(); ++i) {
     std::ifstream in(root / files[i], std::ios::binary);
     if (!in) {
@@ -149,76 +140,26 @@ LintResult run_lint(const LintOptions& options) {
     }
     std::ostringstream text;
     text << in.rdbuf();
-    contents[i] = text.str();
+    lexed[i] = lex(text.str());
+    summaries[i] = build_file_summary(files[i], lexed[i], options.config);
   }
   result.files_scanned = files.size();
 
-  // Index of a file's paired header, if scanned (cpp -> hpp).
-  const auto companion_index = [&](std::size_t i) -> int {
-    if (!files[i].ends_with(".cpp")) return -1;
-    const std::string header = files[i].substr(0, files[i].size() - 4) + ".hpp";
-    const auto it = std::lower_bound(files.begin(), files.end(), header);
-    if (it != files.end() && *it == header)
-      return static_cast<int>(it - files.begin());
-    return -1;
-  };
-
-  // Incremental cache: an unopenable store degrades to a cold run rather
-  // than failing the lint (CI may run on a read-only checkout).
-  std::unique_ptr<tbp::store::ContentStore> cache;
-  if (!options.cache_dir.empty()) {
-    auto store = std::make_unique<tbp::store::ContentStore>(
-        fs::path(options.cache_dir), tbp::store::StoreOptions{});
-    if (store->open().ok()) {
-      cache = std::move(store);
-      result.cache_enabled = true;
-    }
-  }
-  const std::string fingerprint = config_fingerprint(options.config);
-
-  // Pass one: summary per file, from the store when the content triple is
-  // unchanged.
-  std::vector<FileSummary> summaries(files.size());
-  std::vector<LexedFile> lexed(files.size());
-  std::vector<tbp::store::StoreKey> keys(files.size());
-  std::vector<std::size_t> misses;
+  // Pass 1b: pair rules, once every summary exists so that a .cpp sees its
+  // paired header's (cpp -> hpp).
   for (std::size_t i = 0; i < files.size(); ++i) {
-    const int ci = companion_index(i);
-    std::string canonical = fingerprint;
-    canonical += '\0';
-    canonical += contents[i];
-    canonical += '\0';
-    if (ci >= 0) canonical += contents[static_cast<std::size_t>(ci)];
-    keys[i] = tbp::store::make_key("lint-summary", "tbp-lint-summary-v1",
-                                   canonical, path_label(files[i]));
-    if (cache != nullptr) {
-      auto hit = cache->get(keys[i]);
-      if (hit.ok() && parse_summary(hit.value(), &summaries[i]) &&
-          summaries[i].path == files[i]) {
-        ++result.cache_hits;
-        continue;
+    const FileSummary* companion = nullptr;
+    if (files[i].ends_with(".cpp")) {
+      const std::string header =
+          files[i].substr(0, files[i].size() - 4) + ".hpp";
+      const auto it = std::lower_bound(files.begin(), files.end(), header);
+      if (it != files.end() && *it == header) {
+        companion = &summaries[static_cast<std::size_t>(it - files.begin())];
       }
-      summaries[i] = FileSummary{};
     }
-    lexed[i] = lex(contents[i]);
-    summaries[i] = build_file_summary(files[i], lexed[i], options.config);
-    misses.push_back(i);
-  }
-  result.cache_misses = misses.size();
-
-  // Pass 1b: pair rules for the misses, then persist their summaries.
-  for (const std::size_t i : misses) {
-    const int ci = companion_index(i);
-    const FileSummary* companion =
-        ci >= 0 ? &summaries[static_cast<std::size_t>(ci)] : nullptr;
     run_pair_rules(files[i], lexed[i], options.config, companion,
                    &summaries[i]);
-    if (cache != nullptr) {
-      // A failed put only costs the next run a re-lex.
-      (void)cache->put(keys[i], serialize_summary(summaries[i])).ok();
-    }
   }
-  if (cache != nullptr) (void)cache->flush_index().ok();
 
   finish_lint(summaries, options.config, &result.suppressions_used,
               &result.diagnostics);
@@ -328,12 +269,7 @@ void print_report(const LintResult& result, OutputFormat format,
   if (format == OutputFormat::kSarif) out << render_sarif(result) << '\n';
   err << "tbp-lint: " << result.files_scanned << " files, " << errors
       << " error(s), " << warnings << " warning(s), "
-      << result.suppressions_used << " suppression(s) honored";
-  if (result.cache_enabled) {
-    err << ", cache: " << result.cache_hits << " hit(s), "
-        << result.cache_misses << " miss(es)";
-  }
-  err << '\n';
+      << result.suppressions_used << " suppression(s) honored\n";
 }
 
 int lint_exit_code(const LintResult& result, bool werror) {

@@ -1,13 +1,9 @@
 // tbp_lint driver: collects sources, runs the two-pass pipeline, applies
 // inline suppressions and renders reports.
 //
-// Pipeline: pass one builds (or loads from the ContentStore cache) a
-// FileSummary per file — local rules plus the symbol facts; pass two runs
-// the cross-file passes (error discipline, layering) over the summary set
-// every invocation.  The cache key is a content hash over
-// (config fingerprint, file bytes, paired-header bytes), so a warm run
-// re-analyzes only changed files and still produces byte-identical
-// diagnostics.
+// Pipeline: pass one builds a FileSummary per file — local rules plus the
+// symbol facts; pass two runs the cross-file passes (error discipline,
+// layering) over the summary set.
 //
 // Suppression syntax, checked by the `lint-suppression` meta-rule:
 //
@@ -35,9 +31,6 @@ struct LintOptions {
   std::vector<std::string> subdirs = {"src", "tools", "bench", "tests"};
   /// Path prefixes never scanned (deliberately-broken lint fixtures).
   std::vector<std::string> excludes = {"tests/lint/fixtures"};
-  /// ContentStore directory for incremental summaries; empty disables
-  /// caching.  An unopenable store degrades silently to uncached.
-  std::string cache_dir;
   LintConfig config = default_config();
 };
 
@@ -45,9 +38,6 @@ struct LintResult {
   std::vector<Diagnostic> diagnostics;  ///< sorted by (file, line, rule)
   std::size_t files_scanned = 0;
   std::size_t suppressions_used = 0;
-  bool cache_enabled = false;
-  std::size_t cache_hits = 0;    ///< files whose summary came from the store
-  std::size_t cache_misses = 0;  ///< files re-lexed and re-analyzed
   bool io_error = false;
   std::string io_message;
 };

@@ -1,7 +1,5 @@
 // Cross-file passes for tbp_lint: everything that needs more than one
-// file's summary.  These run over the full summary set every invocation —
-// they are cheap relative to lexing, which is what the ContentStore cache
-// skips — so a cached file still participates in tree-wide analysis.
+// file's summary.  These run over the full summary set every invocation.
 //
 //  - Error discipline: the Status/Result name index feeds the
 //    nodiscard-status inheritance check and discarded-status call check.

@@ -1,7 +1,7 @@
 // Rule definitions for tbp_lint.
 //
 // Each rule protects a repo invariant (DESIGN.md "Static invariants"):
-// determinism rules keep the bit-identical `--jobs`/`TBP_OBS` guarantees
+// determinism rules keep the bit-identical `--jobs`/observation guarantees
 // enforceable at review time instead of only by the runtime property tests;
 // the error-discipline rules keep the Status/Result contract from PR 1
 // un-droppable; the lock-discipline / layering families keep the
@@ -98,8 +98,7 @@ struct StatusFunction {
 [[nodiscard]] bool is_header(const std::string& path);
 
 /// Single-file rules (determinism-*, pragma-once, naked-new): everything
-/// they read is in this file's tokens plus the config, so their findings
-/// are cacheable per file.
+/// they read is in this file's tokens plus the config.
 void run_local_rules(const std::string& path, const LexedFile& lexed,
                      const LintConfig& config, std::vector<Diagnostic>* out);
 

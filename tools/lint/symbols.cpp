@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "obs/report.hpp"
-
 namespace tbp_lint {
 namespace {
 
@@ -237,48 +235,6 @@ const std::unordered_set<std::string>& not_a_function() {
     if (toks[i].kind == TokKind::kIdentifier) name = toks[i].text;
   }
   return name;
-}
-
-// ---------------------------------------------------------------------------
-// Summary JSON codec
-
-namespace obs = tbp::obs;
-
-constexpr int kSummaryVersion = 1;
-
-[[nodiscard]] obs::JsonValue diag_to_json(const Diagnostic& d) {
-  obs::JsonValue o = obs::JsonValue::object();
-  o.set("file", d.file);
-  o.set("line", d.line);
-  o.set("rule", d.rule);
-  o.set("error", d.severity == Severity::kError);
-  o.set("msg", d.message);
-  return o;
-}
-
-[[nodiscard]] obs::JsonValue strings_to_json(
-    const std::vector<std::string>& v) {
-  obs::JsonValue a = obs::JsonValue::array();
-  for (const std::string& s : v) a.items().push_back(obs::JsonValue(s));
-  return a;
-}
-
-[[nodiscard]] bool json_strings(const obs::JsonValue* v,
-                                std::vector<std::string>* out) {
-  if (v == nullptr || !v->is_array()) return false;
-  for (const obs::JsonValue& s : v->items()) {
-    if (!s.is_string()) return false;
-    out->push_back(s.as_string());
-  }
-  return true;
-}
-
-[[nodiscard]] int json_int(const obs::JsonValue* v) {
-  return v != nullptr ? static_cast<int>(v->as_double()) : 0;
-}
-
-[[nodiscard]] std::string json_str(const obs::JsonValue* v) {
-  return v != nullptr && v->is_string() ? v->as_string() : std::string();
 }
 
 }  // namespace
@@ -536,177 +492,6 @@ void run_pair_rules(const std::string& path, const LexedFile& lexed,
   check_unordered_iteration(path, lexed, config, unordered, sorted,
                             &summary->local);
   check_guarded_by(path, lexed, guarded, &summary->local);
-}
-
-// ---------------------------------------------------------------------------
-// Cache codec
-
-std::string serialize_summary(const FileSummary& summary) {
-  obs::JsonValue doc = obs::JsonValue::object();
-  doc.set("schema", "tbp-lint-summary");
-  doc.set("v", kSummaryVersion);
-  doc.set("path", summary.path);
-
-  obs::JsonValue local = obs::JsonValue::array();
-  for (const Diagnostic& d : summary.local)
-    local.items().push_back(diag_to_json(d));
-  doc.set("local", std::move(local));
-
-  obs::JsonValue sups = obs::JsonValue::array();
-  for (const Suppression& s : summary.suppressions) {
-    obs::JsonValue o = obs::JsonValue::object();
-    o.set("line", s.line);
-    o.set("next", s.next_line);
-    o.set("rules", strings_to_json(s.rules));
-    o.set("just", s.justified);
-    sups.items().push_back(std::move(o));
-  }
-  doc.set("suppressions", std::move(sups));
-
-  obs::JsonValue flds = obs::JsonValue::array();
-  for (const FieldSymbol& f : summary.fields) {
-    obs::JsonValue o = obs::JsonValue::object();
-    o.set("name", f.name);
-    o.set("line", f.line);
-    o.set("mutex", f.guarded_by);
-    flds.items().push_back(std::move(o));
-  }
-  doc.set("fields", std::move(flds));
-
-  obs::JsonValue incs = obs::JsonValue::array();
-  for (const IncludeRef& inc : summary.includes) {
-    obs::JsonValue o = obs::JsonValue::object();
-    o.set("t", inc.target);
-    o.set("l", inc.line);
-    incs.items().push_back(std::move(o));
-  }
-  doc.set("includes", std::move(incs));
-
-  obs::JsonValue sts = obs::JsonValue::array();
-  for (const StatusFunction& f : summary.status_functions) {
-    obs::JsonValue o = obs::JsonValue::object();
-    o.set("name", f.name);
-    o.set("line", f.line);
-    o.set("decl", f.is_declaration);
-    o.set("qual", f.qualified);
-    o.set("nd", f.has_nodiscard);
-    sts.items().push_back(std::move(o));
-  }
-  doc.set("status_functions", std::move(sts));
-
-  obs::JsonValue discards = obs::JsonValue::array();
-  for (const CodeRef& c : summary.discard_candidates) {
-    obs::JsonValue o = obs::JsonValue::object();
-    o.set("n", c.name);
-    o.set("l", c.line);
-    discards.items().push_back(std::move(o));
-  }
-  doc.set("discards", std::move(discards));
-
-  doc.set("unordered", strings_to_json(summary.unordered_names));
-  doc.set("sorted", strings_to_json(summary.sorted_names));
-  return obs::json_serialize(doc);
-}
-
-bool parse_summary(const std::string& text, FileSummary* out) {
-  auto parsed = obs::json_parse(text);
-  if (!parsed.ok()) return false;
-  const obs::JsonValue& doc = parsed.value();
-  const obs::JsonValue* schema = doc.find("schema");
-  if (schema == nullptr || schema->as_string() != "tbp-lint-summary") {
-    return false;
-  }
-  if (json_int(doc.find("v")) != kSummaryVersion) return false;
-  out->path = json_str(doc.find("path"));
-
-  const obs::JsonValue* local = doc.find("local");
-  if (local == nullptr || !local->is_array()) return false;
-  for (const obs::JsonValue& d : local->items()) {
-    Diagnostic diag;
-    diag.file = json_str(d.find("file"));
-    diag.line = json_int(d.find("line"));
-    diag.rule = json_str(d.find("rule"));
-    diag.severity = d.find("error") != nullptr && d.find("error")->as_bool()
-                        ? Severity::kError
-                        : Severity::kWarning;
-    diag.message = json_str(d.find("msg"));
-    out->local.push_back(std::move(diag));
-  }
-
-  const obs::JsonValue* sups = doc.find("suppressions");
-  if (sups == nullptr || !sups->is_array()) return false;
-  for (const obs::JsonValue& s : sups->items()) {
-    Suppression sup;
-    sup.line = json_int(s.find("line"));
-    sup.next_line = s.find("next") != nullptr && s.find("next")->as_bool();
-    sup.justified = s.find("just") != nullptr && s.find("just")->as_bool();
-    if (!json_strings(s.find("rules"), &sup.rules)) return false;
-    out->suppressions.push_back(std::move(sup));
-  }
-
-  const obs::JsonValue* flds = doc.find("fields");
-  if (flds == nullptr || !flds->is_array()) return false;
-  for (const obs::JsonValue& f : flds->items()) {
-    FieldSymbol field;
-    field.name = json_str(f.find("name"));
-    field.line = json_int(f.find("line"));
-    field.guarded_by = json_str(f.find("mutex"));
-    out->fields.push_back(std::move(field));
-  }
-
-  const obs::JsonValue* incs = doc.find("includes");
-  if (incs == nullptr || !incs->is_array()) return false;
-  for (const obs::JsonValue& inc : incs->items()) {
-    out->includes.push_back(
-        IncludeRef{json_str(inc.find("t")), json_int(inc.find("l"))});
-  }
-
-  const obs::JsonValue* sts = doc.find("status_functions");
-  if (sts == nullptr || !sts->is_array()) return false;
-  for (const obs::JsonValue& f : sts->items()) {
-    StatusFunction fn;
-    fn.name = json_str(f.find("name"));
-    fn.line = json_int(f.find("line"));
-    fn.is_declaration = f.find("decl") != nullptr && f.find("decl")->as_bool();
-    fn.qualified = f.find("qual") != nullptr && f.find("qual")->as_bool();
-    fn.has_nodiscard = f.find("nd") != nullptr && f.find("nd")->as_bool();
-    out->status_functions.push_back(std::move(fn));
-  }
-
-  const obs::JsonValue* discards = doc.find("discards");
-  if (discards == nullptr || !discards->is_array()) return false;
-  for (const obs::JsonValue& c : discards->items()) {
-    out->discard_candidates.push_back(
-        CodeRef{json_str(c.find("n")), json_int(c.find("l"))});
-  }
-
-  if (!json_strings(doc.find("unordered"), &out->unordered_names)) return false;
-  if (!json_strings(doc.find("sorted"), &out->sorted_names)) return false;
-  return true;
-}
-
-std::string config_fingerprint(const LintConfig& config) {
-  std::string s = "tbp-lint-config-v3";
-  const auto add = [&s](const std::vector<std::string>& v) {
-    s += '|';
-    for (const std::string& x : v) {
-      s += x;
-      s += ';';
-    }
-  };
-  add(config.clock_allowlist);
-  add(config.getenv_allowlist);
-  add(config.raw_memory_allowlist);
-  add(config.order_sensitive);
-  add(config.prof_include_allowlist);
-  s += '|';
-  for (const auto& [module, rank] : config.layer_ranks) {
-    s += module;
-    s += ':';
-    s += std::to_string(rank);
-    s += ';';
-  }
-  return s;
 }
 
 }  // namespace tbp_lint

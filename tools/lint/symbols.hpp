@@ -3,9 +3,8 @@
 // Pass one (this header) reduces each translation unit to a `FileSummary`:
 // local diagnostics plus the symbol facts the cross-file passes need —
 // TBP_GUARDED_BY annotations, include edges, Status/Result declarators.
-// A summary is a pure function of (file bytes, paired-header bytes, config
-// fingerprint), which is what makes it cacheable in the ContentStore: a
-// warm run parses the stored JSON instead of re-lexing the file.
+// A summary is a pure function of (file bytes, paired-header bytes,
+// config).
 //
 // Annotation grammar (DESIGN.md "Static invariants"):
 //
@@ -44,8 +43,8 @@ struct Suppression {
 };
 
 /// Everything the pipeline keeps per file.  `local` holds single-file and
-/// pair-rule diagnostics (cached); cross-pass diagnostics are recomputed
-/// every run and merged in by the driver.
+/// pair-rule diagnostics; cross-pass diagnostics are computed over the
+/// whole summary set and merged in by the driver.
 struct FileSummary {
   std::string path;
   std::vector<Diagnostic> local;
@@ -75,14 +74,5 @@ struct FileSummary {
 void run_pair_rules(const std::string& path, const LexedFile& lexed,
                     const LintConfig& config, const FileSummary* companion,
                     FileSummary* summary);
-
-/// Canonical JSON for the ContentStore cache.  parse_summary returns false
-/// on any schema mismatch (treated as a cache miss by the driver).
-[[nodiscard]] std::string serialize_summary(const FileSummary& summary);
-[[nodiscard]] bool parse_summary(const std::string& text, FileSummary* out);
-
-/// A stable digest of every config field that can change analysis results;
-/// part of the cache key so a config edit invalidates the whole cache.
-[[nodiscard]] std::string config_fingerprint(const LintConfig& config);
 
 }  // namespace tbp_lint

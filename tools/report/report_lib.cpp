@@ -180,10 +180,19 @@ void print_workloads(const JsonValue& body, std::FILE* out) {
 }
 
 void print_bench_perf(const JsonValue& body, std::FILE* out) {
-  std::fprintf(out, "bench: %s\n",
-               body.find("bench") != nullptr
-                   ? body.find("bench")->as_string().c_str()
-                   : "?");
+  std::string line =
+      body.find("bench") != nullptr ? body.find("bench")->as_string() : "?";
+  // The parallelism the wall times were measured under; the micros carry
+  // no --jobs, and older documents neither field.
+  for (const std::string_view key : {"jobs", "nproc"}) {
+    const JsonValue* value = body.find(key);
+    if (value == nullptr || !value->is_number()) continue;
+    line += ' ';
+    line += key;
+    line += '=';
+    line += std::to_string(value->as_u64());
+  }
+  std::fprintf(out, "bench: %s\n", line.c_str());
   const JsonValue* entries = body.find("entries");
   if (entries == nullptr || !entries->is_object()) return;
   harness::TablePrinter table(

@@ -95,14 +95,8 @@ int main(int argc, char** argv) {
   const std::string prof_path = harness::flag_value(argc, argv, "--prof", "");
   std::unique_ptr<prof::ProfSession> prof_session;
   if (!prof_path.empty()) {
-    if constexpr (prof::kEnabled) {
-      prof_session = std::make_unique<prof::ProfSession>();
-      options.prof = prof_session.get();
-    } else {
-      std::fprintf(stderr,
-                   "tbpointd: --prof ignored: self-profiling compiled out "
-                   "(TBP_PROF=OFF)\n");
-    }
+    prof_session = std::make_unique<prof::ProfSession>();
+    options.prof = prof_session.get();
   }
 
   std::signal(SIGINT, handle_stop_signal);
@@ -166,23 +160,17 @@ int main(int argc, char** argv) {
   if (const std::string metrics_path =
           harness::flag_value(argc, argv, "--metrics", "");
       !metrics_path.empty()) {
-    if constexpr (obs::kEnabled) {
-      obs::MetricsShard shard;
-      daemon.flush_metrics(&shard);
-      obs::MetricsSnapshot snapshot;
-      snapshot.absorb(shard);
-      const Status wrote = obs::write_metrics_file(snapshot, metrics_path);
-      if (!wrote.ok()) {
-        std::fprintf(stderr, "tbpointd: cannot write %s: %s\n",
-                     metrics_path.c_str(), wrote.to_string().c_str());
-        return 1;
-      }
-      std::printf("tbpointd: wrote metrics %s\n", metrics_path.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "tbpointd: --metrics ignored: observability compiled out "
-                   "(TBP_OBS=OFF)\n");
+    obs::MetricsShard shard;
+    daemon.flush_metrics(&shard);
+    obs::MetricsSnapshot snapshot;
+    snapshot.absorb(shard);
+    const Status wrote = obs::write_metrics_file(snapshot, metrics_path);
+    if (!wrote.ok()) {
+      std::fprintf(stderr, "tbpointd: cannot write %s: %s\n",
+                   metrics_path.c_str(), wrote.to_string().c_str());
+      return 1;
     }
+    std::printf("tbpointd: wrote metrics %s\n", metrics_path.c_str());
   }
   return 0;
 }

@@ -267,29 +267,22 @@ bool write_cli_manifest(int argc, char** argv, const std::string& command,
                         const obs::Observation* session) {
   const std::string path = harness::flag_value(argc, argv, "--manifest", "");
   if (path.empty()) return true;
-  if constexpr (obs::kEnabled) {
-    obs::MetricsSnapshot metrics;
-    if (session != nullptr && session->metrics_on()) {
-      metrics = session->merged_metrics();
-    }
-    const Status st = harness::write_manifest(
-        harness::manifest_body("tbpoint_cli", command, std::move(config), rows,
-                               metrics),
-        path);
-    if (!st.ok()) {
-      std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                   st.to_string().c_str());
-      return false;
-    }
-    std::printf("wrote manifest %s (render with: tbp-report show %s)\n",
-                path.c_str(), path.c_str());
-    return true;
-  } else {
-    std::fprintf(stderr,
-                 "--manifest ignored: observability compiled out "
-                 "(TBP_OBS=OFF)\n");
-    return true;
+  obs::MetricsSnapshot metrics;
+  if (session != nullptr && session->metrics_on()) {
+    metrics = session->merged_metrics();
   }
+  const Status st = harness::write_manifest(
+      harness::manifest_body("tbpoint_cli", command, std::move(config), rows,
+                             metrics),
+      path);
+  if (!st.ok()) {
+    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+                 st.to_string().c_str());
+    return false;
+  }
+  std::printf("wrote manifest %s (render with: tbp-report show %s)\n",
+              path.c_str(), path.c_str());
+  return true;
 }
 
 int cmd_list() {
