@@ -2,8 +2,12 @@
 // different system occupancies (W warps per SM, S SMs).  The paper reports
 // a maximum error below 14%, with cache-sensitive kernels (bfs, sssp)
 // showing the highest variation because fast-forwarding leaves cache state
-// incomplete.  One-time profiling is exercised for real here: only the
-// epoch regrouping and the sampled simulations rerun per configuration.
+// incomplete.  Each configuration is its own collect_rows pass, and
+// collect_rows -> cached_comparison -> run_comparison profiles every
+// benchmark again before identifying regions and running the sampled and
+// full simulations.  The profile is hardware-independent, so every pass
+// computes the same one; ablation_scheduler and examples/hw_explorer show
+// one in-memory profile reused across configurations.
 //
 // Flags: --scale N --seed S --benchmarks a,b --no-cache --cache-dir PATH
 #include "../bench/bench_common.hpp"

@@ -4,22 +4,27 @@
 // sigma) with sigma = 0.1*mu/1.96; the figure's claim is that >= 95% of
 // samples land within 10% of the mean IPC.
 //
-// Flags: --samples N (default 10000)
+// Flags: --samples N (default 10000, >= 1); the common bench flags are
+// accepted and ignored, anything else is a usage error.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "harness/cli.hpp"
 #include "harness/table.hpp"
 #include "markov/monte_carlo.hpp"
 
 int main(int argc, char** argv) {
   using namespace tbp;
-  std::size_t n_samples = 10000;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--samples") == 0) {
-      n_samples = static_cast<std::size_t>(std::atoll(argv[i + 1]));
-    }
+  (void)harness::parse_common_flags(argc, argv, {"--samples"});
+  const Result<std::uint64_t> parsed =
+      harness::parse_u64(harness::flag_value(argc, argv, "--samples", "10000"));
+  if (!parsed.has_value() || *parsed == 0) {
+    std::fprintf(stderr, "%s: invalid value for --samples: %s\n", argv[0],
+                 parsed.has_value() ? "must be >= 1"
+                                    : parsed.status().message().c_str());
+    return 2;
   }
+  const std::size_t n_samples = static_cast<std::size_t>(*parsed);
 
   struct Config {
     double p;

@@ -29,8 +29,7 @@ void BM_NnChainAgglomeration(benchmark::State& state) {
   const auto points =
       random_points(static_cast<std::size_t>(state.range(0)), 1, 11);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cluster::cluster_by_threshold(points, 0.2, cluster::Linkage::kComplete));
+    benchmark::DoNotOptimize(cluster::cluster_by_threshold(points, 0.2));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -44,18 +43,14 @@ void BM_NaiveAgglomeration(benchmark::State& state) {
   const auto points =
       random_points(static_cast<std::size_t>(state.range(0)), 1, 11);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cluster::agglomerate_naive(points, cluster::Linkage::kComplete,
-                                   cluster::Metric::kEuclidean)
-            .cut(0.2));
+    benchmark::DoNotOptimize(cluster::agglomerate_naive(points).cut(0.2));
   }
 }
 BENCHMARK(BM_NaiveAgglomeration)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
 void BM_DendrogramCut(benchmark::State& state) {
   const auto points = random_points(2048, 1, 13);
-  const cluster::Dendrogram tree = cluster::agglomerate(
-      points, cluster::Linkage::kComplete, cluster::Metric::kEuclidean);
+  const cluster::Dendrogram tree = cluster::agglomerate(points);
   for (auto _ : state) {
     benchmark::DoNotOptimize(tree.cut(0.2));
   }

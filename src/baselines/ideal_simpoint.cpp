@@ -47,8 +47,8 @@ SimpointResult ideal_simpoint(std::span<const sim::FixedUnit> units,
   result.weights.reserve(members.size());
   for (const std::vector<std::size_t>& cluster_members : members) {
     assert(!cluster_members.empty());
-    const std::size_t within = cluster::nearest_to_centroid(
-        bbvs, cluster_members, cluster::Metric::kEuclidean);
+    const std::size_t within =
+        cluster::nearest_to_centroid(bbvs, cluster_members);
     const std::size_t point = cluster_members[within];
     result.simulation_points.push_back(point);
     result.weights.push_back(static_cast<double>(cluster_members.size()) /

@@ -6,22 +6,14 @@
 
 namespace tbp::cluster {
 
-double distance(std::span<const double> a, std::span<const double> b,
-                Metric metric) noexcept {
+double distance(std::span<const double> a, std::span<const double> b) noexcept {
   assert(a.size() == b.size());
   double acc = 0.0;
-  switch (metric) {
-    case Metric::kEuclidean:
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        const double d = a[i] - b[i];
-        acc += d * d;
-      }
-      return std::sqrt(acc);
-    case Metric::kManhattan:
-      for (std::size_t i = 0; i < a.size(); ++i) acc += std::abs(a[i] - b[i]);
-      return acc;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    acc += d * d;
   }
-  return acc;
+  return std::sqrt(acc);
 }
 
 FeatureVector centroid(std::span<const FeatureVector> points,
@@ -39,13 +31,12 @@ FeatureVector centroid(std::span<const FeatureVector> points,
 }
 
 std::size_t nearest_to_centroid(std::span<const FeatureVector> points,
-                                std::span<const std::size_t> members,
-                                Metric metric) {
+                                std::span<const std::size_t> members) {
   const FeatureVector center = centroid(points, members);
   std::size_t best = 0;
   double best_dist = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < members.size(); ++i) {
-    const double d = distance(points[members[i]], center, metric);
+    const double d = distance(points[members[i]], center);
     if (d < best_dist) {
       best_dist = d;
       best = i;

@@ -1,4 +1,4 @@
-// Feature vectors and distance metrics shared by both clustering algorithms.
+// Feature vectors and the distance shared by both clustering algorithms.
 //
 // TBPoint's inter-launch feature vectors have 4 dimensions (paper Eq. 2),
 // intra-launch vectors have 1 (Eq. 5), and Ideal-SimPoint basic-block
@@ -14,13 +14,9 @@ namespace tbp::cluster {
 
 using FeatureVector = std::vector<double>;
 
-enum class Metric {
-  kEuclidean,
-  kManhattan,
-};
-
-[[nodiscard]] double distance(std::span<const double> a, std::span<const double> b,
-                              Metric metric) noexcept;
+/// Euclidean distance, the metric of every clustering in the pipeline.
+[[nodiscard]] double distance(std::span<const double> a,
+                              std::span<const double> b) noexcept;
 
 /// Component-wise mean of a set of member vectors selected by index.
 [[nodiscard]] FeatureVector centroid(std::span<const FeatureVector> points,
@@ -31,8 +27,7 @@ enum class Metric {
 /// with the inter-feature vector closest to the center of the cluster").
 /// Ties break toward the lower index for determinism.
 [[nodiscard]] std::size_t nearest_to_centroid(std::span<const FeatureVector> points,
-                                              std::span<const std::size_t> members,
-                                              Metric metric);
+                                              std::span<const std::size_t> members);
 
 /// Groups labels produced by a clustering into per-cluster member lists.
 /// Labels must be dense in [0, n_clusters).

@@ -1,29 +1,11 @@
 #include "cluster/hierarchical.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 
 namespace tbp::cluster {
 namespace {
-
-/// Lance-Williams update for the distance between a freshly merged cluster
-/// (a union b, with leaf counts na, nb) and bystander k.
-[[nodiscard]] double lance_williams(Linkage linkage, double d_ak, double d_bk,
-                                    double na, double nb) noexcept {
-  switch (linkage) {
-    case Linkage::kSingle:
-      return std::min(d_ak, d_bk);
-    case Linkage::kComplete:
-      return std::max(d_ak, d_bk);
-    case Linkage::kAverage:
-      return (na * d_ak + nb * d_bk) / (na + nb);
-  }
-  return 0.0;
-}
 
 class UnionFind {
  public:
@@ -45,28 +27,14 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
-/// Merge-selection order used when cutting to a fixed cluster count: sort by
-/// (height, creation index).  Children always precede parents in this order
-/// (monotone linkage gives h_child <= h_parent; creation gives i_child <
-/// i_parent), so every prefix is a valid sub-forest.
-[[nodiscard]] std::vector<std::size_t> merge_order_by_height(
-    std::span<const Merge> merges) {
-  std::vector<std::size_t> order(merges.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return merges[a].height < merges[b].height;
-  });
-  return order;
-}
-
 }  // namespace
 
-std::vector<int> Dendrogram::label_components(std::span<const char> keep) const {
+std::vector<int> Dendrogram::cut(double threshold) const {
   UnionFind uf(n_leaves_ + merges_.size());
   for (std::size_t i = 0; i < merges_.size(); ++i) {
     const Merge& m = merges_[i];
     const std::size_t self = n_leaves_ + i;
-    if (keep[i]) {
+    if (m.height <= threshold) {
       uf.unite(m.left, self);
       uf.unite(m.right, self);
     }
@@ -83,30 +51,7 @@ std::vector<int> Dendrogram::label_components(std::span<const char> keep) const 
   return labels;
 }
 
-std::vector<int> Dendrogram::cut(double threshold) const {
-  std::vector<char> keep(merges_.size(), 0);
-  for (std::size_t i = 0; i < merges_.size(); ++i) {
-    keep[i] = merges_[i].height <= threshold ? 1 : 0;
-  }
-  return label_components(keep);
-}
-
-std::vector<int> Dendrogram::cut_k(std::size_t k) const {
-  // k == 0 is a caller bug; under NDEBUG it would silently behave like k == 1
-  // (every merge kept -> one giant cluster), so validate in release too.
-  if (k < 1) {
-    std::fprintf(stderr, "Dendrogram::cut_k: k must be >= 1 (got %zu)\n", k);
-    std::abort();
-  }
-  const std::size_t n_keep = k >= n_leaves_ ? 0 : n_leaves_ - k;
-  const std::vector<std::size_t> order = merge_order_by_height(merges_);
-  std::vector<char> keep(merges_.size(), 0);
-  for (std::size_t i = 0; i < n_keep && i < order.size(); ++i) keep[order[i]] = 1;
-  return label_components(keep);
-}
-
-Dendrogram agglomerate(std::span<const FeatureVector> points, Linkage linkage,
-                       Metric metric) {
+Dendrogram agglomerate(std::span<const FeatureVector> points) {
   const std::size_t n = points.size();
   std::vector<Merge> merges;
   if (n <= 1) return Dendrogram{n, std::move(merges)};
@@ -117,13 +62,13 @@ Dendrogram agglomerate(std::span<const FeatureVector> points, Linkage linkage,
   std::vector<double> dist(n * n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      const double d = distance(points[i], points[j], metric);
+      const double d = distance(points[i], points[j]);
       dist[i * n + j] = d;
       dist[j * n + i] = d;
     }
   }
   std::vector<char> active(n, 1);
-  std::vector<double> leaf_count(n, 1.0);
+  std::vector<std::size_t> leaf_count(n, 1);
   std::vector<std::size_t> node_id(n);  // current dendrogram node held by slot
   std::iota(node_id.begin(), node_id.end(), std::size_t{0});
 
@@ -160,23 +105,22 @@ Dendrogram agglomerate(std::span<const FeatureVector> points, Linkage linkage,
       chain.pop_back();
       const std::size_t a = std::min(top, arg);
       const std::size_t b = std::max(top, arg);
-      const double na = leaf_count[a];
-      const double nb = leaf_count[b];
       merges.push_back(Merge{
           .left = node_id[a],
           .right = node_id[b],
           .height = best,
-          .size = static_cast<std::size_t>(na + nb),
+          .size = leaf_count[a] + leaf_count[b],
       });
+      // Lance-Williams update for complete linkage: the merged cluster's
+      // distance to bystander k is the larger of its parts' distances.
       for (std::size_t k = 0; k < n; ++k) {
         if (!active[k] || k == a || k == b) continue;
-        const double d =
-            lance_williams(linkage, dist[a * n + k], dist[b * n + k], na, nb);
+        const double d = std::max(dist[a * n + k], dist[b * n + k]);
         dist[a * n + k] = d;
         dist[k * n + a] = d;
       }
       active[b] = 0;
-      leaf_count[a] = na + nb;
+      leaf_count[a] += leaf_count[b];
       node_id[a] = n + merges.size() - 1;
       --n_active;
     } else {
@@ -186,8 +130,7 @@ Dendrogram agglomerate(std::span<const FeatureVector> points, Linkage linkage,
   return Dendrogram{n, std::move(merges)};
 }
 
-Dendrogram agglomerate_naive(std::span<const FeatureVector> points, Linkage linkage,
-                             Metric metric) {
+Dendrogram agglomerate_naive(std::span<const FeatureVector> points) {
   const std::size_t n = points.size();
   std::vector<Merge> merges;
   if (n <= 1) return Dendrogram{n, std::move(merges)};
@@ -200,28 +143,13 @@ Dendrogram agglomerate_naive(std::span<const FeatureVector> points, Linkage link
   clusters.reserve(n);
   for (std::size_t i = 0; i < n; ++i) clusters.push_back({{i}, i});
 
+  // Complete linkage: the largest pairwise distance between the clusters.
   const auto linkage_distance = [&](const Cluster& a, const Cluster& b) {
-    double acc = linkage == Linkage::kSingle
-                     ? std::numeric_limits<double>::infinity()
-                     : 0.0;
+    double acc = 0.0;
     for (std::size_t x : a.leaves) {
       for (std::size_t y : b.leaves) {
-        const double d = distance(points[x], points[y], metric);
-        switch (linkage) {
-          case Linkage::kSingle:
-            acc = std::min(acc, d);
-            break;
-          case Linkage::kComplete:
-            acc = std::max(acc, d);
-            break;
-          case Linkage::kAverage:
-            acc += d;
-            break;
-        }
+        acc = std::max(acc, distance(points[x], points[y]));
       }
-    }
-    if (linkage == Linkage::kAverage) {
-      acc /= static_cast<double>(a.leaves.size() * b.leaves.size());
     }
     return acc;
   };
@@ -255,9 +183,8 @@ Dendrogram agglomerate_naive(std::span<const FeatureVector> points, Linkage link
 }
 
 std::vector<int> cluster_by_threshold(std::span<const FeatureVector> points,
-                                      double threshold, Linkage linkage,
-                                      Metric metric) {
-  return agglomerate(points, linkage, metric).cut(threshold);
+                                      double threshold) {
+  return agglomerate(points).cut(threshold);
 }
 
 }  // namespace tbp::cluster

@@ -5,10 +5,11 @@
 // threshold as "the maximum distance between any two points in a cluster" —
 // i.e. complete linkage with the dendrogram cut at height sigma.
 //
-// The production path is the NN-chain algorithm (O(n^2) time, O(n^2) space
-// for the Lance-Williams distance matrix), which is exact for single,
-// complete and average linkage because those linkages are reducible.  A
-// naive O(n^3) implementation is provided for cross-validation in tests.
+// Complete linkage under the Euclidean distance is the only clustering the
+// pipeline runs.  The production path is the NN-chain algorithm (O(n^2)
+// time, O(n^2) space for the Lance-Williams distance matrix), which is
+// exact for complete linkage because that linkage is reducible.  A naive
+// O(n^3) implementation is provided for cross-validation in tests.
 #pragma once
 
 #include <cstddef>
@@ -19,15 +20,9 @@
 
 namespace tbp::cluster {
 
-enum class Linkage {
-  kSingle,
-  kComplete,
-  kAverage,
-};
-
 /// One agglomeration step.  `left` and `right` are node ids: leaves are
 /// 0..n-1, internal nodes are n, n+1, ... in merge order.  `height` is the
-/// linkage distance at which the merge happened.
+/// complete-linkage distance at which the merge happened.
 struct Merge {
   std::size_t left = 0;
   std::size_t right = 0;
@@ -49,12 +44,7 @@ class Dendrogram {
   /// deterministic regardless of merge order.
   [[nodiscard]] std::vector<int> cut(double threshold) const;
 
-  /// Flat clustering into exactly `k` clusters (undoes the last k-1 merges).
-  [[nodiscard]] std::vector<int> cut_k(std::size_t k) const;
-
  private:
-  [[nodiscard]] std::vector<int> label_components(std::span<const char> keep) const;
-
   std::size_t n_leaves_;
   /// In creation order: the node id of merges_[i] is n_leaves_ + i, and the
   /// children of a merge are always created before it.
@@ -62,18 +52,15 @@ class Dendrogram {
 };
 
 /// Exact agglomerative clustering via the NN-chain algorithm.
-[[nodiscard]] Dendrogram agglomerate(std::span<const FeatureVector> points,
-                                     Linkage linkage, Metric metric);
+[[nodiscard]] Dendrogram agglomerate(std::span<const FeatureVector> points);
 
 /// Reference O(n^3) implementation; produces a dendrogram with the same cut
 /// semantics (tests assert label equivalence against `agglomerate`).
-[[nodiscard]] Dendrogram agglomerate_naive(std::span<const FeatureVector> points,
-                                           Linkage linkage, Metric metric);
+[[nodiscard]] Dendrogram agglomerate_naive(std::span<const FeatureVector> points);
 
 /// Convenience: cluster and cut at `threshold` in one call, the operation
 /// TBPoint performs for both inter- and intra-launch sampling.
 [[nodiscard]] std::vector<int> cluster_by_threshold(
-    std::span<const FeatureVector> points, double threshold,
-    Linkage linkage = Linkage::kComplete, Metric metric = Metric::kEuclidean);
+    std::span<const FeatureVector> points, double threshold);
 
 }  // namespace tbp::cluster

@@ -2,7 +2,16 @@
 
 #include <algorithm>
 
+#include "cluster/hierarchical.hpp"
+
 namespace tbp::core {
+namespace {
+
+/// Weight of each BBV dimension when include_bbv is set, so the (many) BBV
+/// dimensions do not drown the four Eq. 2 features.
+constexpr double kBbvWeight = 0.5;
+
+}  // namespace
 
 bool InterLaunchResult::is_representative(std::size_t launch) const noexcept {
   return std::find(representatives.begin(), representatives.end(), launch) !=
@@ -44,19 +53,19 @@ InterLaunchResult cluster_launches(const profile::ApplicationProfile& profile,
         const double normalized =
             total == 0 ? 0.0
                        : static_cast<double>(v) / static_cast<double>(total);
-        result.features[l].push_back(options.bbv_weight * normalized);
+        result.features[l].push_back(kBbvWeight * normalized);
       }
     }
   }
 
-  result.cluster_of_launch = cluster::cluster_by_threshold(
-      result.features, options.distance_threshold, options.linkage, options.metric);
+  result.cluster_of_launch =
+      cluster::cluster_by_threshold(result.features, options.distance_threshold);
   result.clusters = cluster::members_by_cluster(result.cluster_of_launch);
 
   result.representatives.reserve(result.clusters.size());
   for (const std::vector<std::size_t>& members : result.clusters) {
     const std::size_t within =
-        cluster::nearest_to_centroid(result.features, members, options.metric);
+        cluster::nearest_to_centroid(result.features, members);
     result.representatives.push_back(members[within]);
   }
 
@@ -65,8 +74,8 @@ InterLaunchResult cluster_launches(const profile::ApplicationProfile& profile,
     const cluster::FeatureVector& rep_features =
         result.features[result.representatives[c]];
     for (const std::size_t member : result.clusters[c]) {
-      result.distance_to_representative[member] = cluster::distance(
-          result.features[member], rep_features, options.metric);
+      result.distance_to_representative[member] =
+          cluster::distance(result.features[member], rep_features);
     }
   }
   return result;

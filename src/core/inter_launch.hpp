@@ -15,23 +15,19 @@
 #include <vector>
 
 #include "cluster/feature.hpp"
-#include "cluster/hierarchical.hpp"
 #include "profile/profiler.hpp"
 
 namespace tbp::core {
 
 struct InterLaunchOptions {
   double distance_threshold = 0.1;  ///< paper: sigma = 0.1 for inter-launch
-  cluster::Linkage linkage = cluster::Linkage::kComplete;
-  cluster::Metric metric = cluster::Metric::kEuclidean;
   /// The paper's future-work extension (Section III, footnote 2): append
   /// the launch's normalized basic-block vector to the Eq. 2 features.
   /// Separates launches whose aggregate counts coincide but whose code
   /// paths differ, at the cost of more clusters (larger total sample).
+  /// Each BBV dimension is weighted by 0.5 so the (many) BBV dimensions
+  /// do not drown the four Eq. 2 features.
   bool include_bbv = false;
-  /// Weight applied to each BBV dimension when include_bbv is set, so the
-  /// (many) BBV dimensions do not drown the four Eq. 2 features.
-  double bbv_weight = 0.5;
 };
 
 struct InterLaunchResult {
@@ -43,8 +39,8 @@ struct InterLaunchResult {
   std::vector<std::vector<std::size_t>> clusters;
   /// Per cluster: the representative launch (nearest the centroid).
   std::vector<std::size_t> representatives;
-  /// Per launch: feature-space distance (under the clustering metric) to
-  /// the launch's representative.  Zero for representatives themselves.
+  /// Per launch: Euclidean feature-space distance to the launch's
+  /// representative.  Zero for representatives themselves.
   /// The accuracy-attribution report correlates this with the inter-launch
   /// projection error: a member far from its representative is exactly the
   /// launch whose IPC the projection is most likely to miss.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "cluster/hierarchical.hpp"
+
 namespace tbp::core {
 
 RegionTable::RegionTable(std::uint32_t n_blocks,
@@ -49,8 +51,8 @@ RegionIdentification identify_regions(const profile::LaunchProfile& launch,
   for (const Epoch& epoch : out.epochs) {
     features.push_back({epoch.avg_stall_probability});
   }
-  out.cluster_of_epoch = cluster::cluster_by_threshold(
-      features, options.distance_threshold, options.linkage, options.metric);
+  out.cluster_of_epoch =
+      cluster::cluster_by_threshold(features, options.distance_threshold);
 
   // Outlier eviction: epochs whose variation factor exceeds the threshold
   // get their own singleton clusters so they cannot join a region.

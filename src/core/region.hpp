@@ -11,8 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "cluster/feature.hpp"
-#include "cluster/hierarchical.hpp"
 #include "core/epoch.hpp"
 #include "profile/profiler.hpp"
 
@@ -25,8 +23,6 @@ struct IntraLaunchOptions {
   /// Shorter runs cannot amortize a warming period, so sampling them buys
   /// nothing; their blocks are simulated as usual.
   std::uint32_t min_region_epochs = 3;
-  cluster::Linkage linkage = cluster::Linkage::kComplete;
-  cluster::Metric metric = cluster::Metric::kEuclidean;
 };
 
 /// Table III row: a block-id range [start_block, end_block] and its region.

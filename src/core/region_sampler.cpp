@@ -4,6 +4,13 @@
 #include <cmath>
 
 namespace tbp::core {
+namespace {
+
+/// Warming ends once two consecutive units agree within this relative IPC
+/// difference (paper: 10% unit-to-unit IPC agreement).
+constexpr double kWarmupIpcTolerance = 0.1;
+
+}  // namespace
 
 RegionSampler::RegionSampler(const profile::LaunchProfile& launch,
                              const RegionTable& table,
@@ -125,9 +132,8 @@ void RegionSampler::on_sampling_unit(const sim::SamplingUnit& unit) {
     const double prev = warm_ipcs_[n - 2];
     const double curr = warm_ipcs_[n - 1];
     stable = prev > 0.0 &&
-             std::abs(curr - prev) / prev < options_.warmup_ipc_tolerance;
+             std::abs(curr - prev) / prev < kWarmupIpcTolerance;
   }
-  if (options_.max_warm_units != 0 && n >= options_.max_warm_units) stable = true;
   if (!stable) return;
 
   end_phase_span(unit.end_cycle);  // warming ends where fast-forward begins

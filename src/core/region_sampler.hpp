@@ -27,15 +27,11 @@
 namespace tbp::core {
 
 struct RegionSamplerOptions {
-  double warmup_ipc_tolerance = 0.1;  ///< paper: 10% unit-to-unit IPC agreement
   /// Units observed inside the region before the stability comparison can
   /// fire.  The paper's minimum is 2; the default of 3 discards the first
   /// unit, which for a region at the start of a launch measures the
   /// machine-fill and cold-cache transient rather than steady state.
   std::uint32_t min_warm_units = 3;
-  /// Force fast-forward after this many warming units even without IPC
-  /// agreement; 0 = never force (the paper's behaviour).
-  std::uint32_t max_warm_units = 0;
   /// Fraction of concurrently running blocks that must belong to the same
   /// region for the region to be "entered".  The paper's rule is 1.0 (all
   /// of them), but a single long-running outlier block — which is outside

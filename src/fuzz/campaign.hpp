@@ -40,7 +40,7 @@ struct CampaignOptions {
 struct SeedOutcome {
   std::uint64_t seed = 0;
   bool ok = true;
-  /// "none" or a "+"-joined stage tag ("accuracy+faults").
+  /// "none" or a "+"-joined stage tag ("accuracy+parallel").
   std::string violation_tag = "none";
   std::vector<OracleViolation> violations;
   /// Failing seeds only: the spec to persist as a reproducer — minimized

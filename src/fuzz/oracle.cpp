@@ -4,11 +4,8 @@
 #include <sstream>
 #include <utility>
 
-#include "harness/faults.hpp"
 #include "harness/manifest.hpp"
 #include "obs/report.hpp"
-#include "profile/profile_io.hpp"
-#include "profile/profiler.hpp"
 #include "trace/validate.hpp"
 
 namespace tbp::fuzz {
@@ -28,13 +25,6 @@ namespace {
   return "reconstruction";
 }
 
-[[nodiscard]] std::string serialize_profile(
-    const profile::ApplicationProfile& profile) {
-  std::ostringstream out;
-  profile::save_profile(profile, out);
-  return std::move(out).str();
-}
-
 }  // namespace
 
 const char* oracle_stage_name(OracleStage stage) noexcept {
@@ -43,7 +33,6 @@ const char* oracle_stage_name(OracleStage stage) noexcept {
     case OracleStage::kAccuracy: return "accuracy";
     case OracleStage::kCounts: return "counts";
     case OracleStage::kParallel: return "parallel";
-    case OracleStage::kFaults: return "faults";
   }
   return "trace";
 }
@@ -54,7 +43,7 @@ std::string OracleReport::violation_tag() const {
   std::string tag;
   for (const OracleStage stage :
        {OracleStage::kTrace, OracleStage::kAccuracy, OracleStage::kCounts,
-        OracleStage::kParallel, OracleStage::kFaults}) {
+        OracleStage::kParallel}) {
     bool hit = false;
     for (const OracleViolation& v : violations) hit = hit || v.stage == stage;
     if (!hit) continue;
@@ -130,54 +119,6 @@ void check_parallel(const harness::ExperimentRow& serial,
       {}});
 }
 
-void check_fault_quarantine(const workloads::Workload& workload,
-                            const OracleBounds& bounds,
-                            std::vector<OracleViolation>& out) {
-  profile::ApplicationProfile profile;
-  const auto sources = workload.sources();
-  if (sources.empty()) return;
-  profile.launches.reserve(sources.size());
-  for (const trace::LaunchTraceSource* source : sources) {
-    profile.launches.push_back(profile::profile_launch(*source));
-  }
-  const std::string payload = serialize_profile(profile);
-
-  // Donor for splice corruptions: the same application cut to one launch —
-  // structurally valid on its own, so a splice is the realistic
-  // "two concurrent writers interleaved" failure.
-  profile::ApplicationProfile donor_profile;
-  donor_profile.launches.assign(profile.launches.begin(),
-                                profile.launches.begin() + 1);
-  const std::string donor = serialize_profile(donor_profile);
-
-  std::vector<harness::Corruption> variants =
-      harness::corruption_suite(payload, donor);
-  if (bounds.fault_tamper) {
-    variants.push_back(
-        harness::Corruption{"tamper", bounds.fault_tamper(payload)});
-  }
-
-  for (const harness::Corruption& variant : variants) {
-    // A splice inside the shared header prefix reconstructs the donor's
-    // bytes exactly: a complete, checksum-valid artifact ("last writer
-    // wins"), indistinguishable from a legitimate file by any loader.
-    // That is data loss, not detectable corruption — out of scope here.
-    if (variant.payload == donor) continue;
-    std::istringstream in(variant.payload);
-    Result<profile::ApplicationProfile> loaded = profile::load_profile(in);
-    if (!loaded.ok()) continue;  // quarantined with a structured error: good
-    // The loader accepted the bytes.  That is only safe if nothing was
-    // actually altered — re-serialize and compare against the original.
-    if (serialize_profile(*loaded) == payload) continue;
-    out.push_back(OracleViolation{
-        OracleStage::kFaults,
-        "corruption '" + variant.name +
-            "' loaded without error but altered the profile (silent "
-            "corruption would alter downstream results)",
-        {}});
-  }
-}
-
 OracleReport check_workload(const workloads::WorkloadSpec& spec,
                             const sim::GpuConfig& config,
                             const OracleBounds& bounds) {
@@ -206,10 +147,6 @@ OracleReport check_workload(const workloads::WorkloadSpec& spec,
           harness::run_comparison(workload, config, parallel_options);
       check_parallel(report.row, parallel_row, report.violations);
     }
-  }
-
-  if (bounds.run_faults) {
-    check_fault_quarantine(workload, bounds, report.violations);
   }
   return report;
 }

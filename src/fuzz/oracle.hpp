@@ -19,16 +19,12 @@
 //   kParallel  run_comparison(jobs=1) and run_comparison(jobs=N) must
 //              produce byte-identical manifest rows (the determinism
 //              contract tbp-lint guards statically, checked dynamically).
-//   kFaults    a corrupted profile artifact must quarantine — fail with a
-//              structured error — or load back byte-identical; it must
-//              never silently alter results.
 //
 // All checks are deterministic: the same spec, config and bounds always
 // produce the same OracleReport.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,16 +39,15 @@ enum class OracleStage : std::uint8_t {
   kAccuracy,
   kCounts,
   kParallel,
-  kFaults,
 };
 
-/// Stable short name ("trace", "accuracy", "counts", "parallel", "faults").
+/// Stable short name ("trace", "accuracy", "counts", "parallel").
 [[nodiscard]] const char* oracle_stage_name(OracleStage stage) noexcept;
 
 /// Configuration for one oracle evaluation.  The run_* switches let the
 /// shrinker re-check only the stages that originally failed (dropping, say,
-/// the two extra full simulations the parallel check costs when only the
-/// fault oracle tripped).
+/// the comparison runs the accuracy, counts and parallel checks cost when
+/// only the trace oracle tripped).
 struct OracleBounds {
   /// Accuracy oracle: maximum tolerated |TBPoint - full| / full * 100.
   /// Calibrated against the generator's default limits: a 300-seed sweep
@@ -67,14 +62,6 @@ struct OracleBounds {
   bool run_accuracy = true;
   bool run_counts = true;
   bool run_parallel = true;
-  bool run_faults = true;
-
-  /// Test hook for the fault oracle: an extra "corruption" applied to the
-  /// serialized profile after the standard corruption_suite.  Lets tests
-  /// inject a semantically-altered-but-well-formed artifact (the corruption
-  /// class checksums cannot catch) and prove the differential check flags
-  /// it.  Null = no extra variant.
-  std::function<std::string(const std::string&)> fault_tamper;
 };
 
 /// One violated invariant.
@@ -96,7 +83,7 @@ struct OracleReport {
   harness::ExperimentRow row;
 
   [[nodiscard]] bool ok() const noexcept { return violations.empty(); }
-  /// "accuracy+faults"-style tag over the distinct violated stages, in
+  /// "accuracy+parallel"-style tag over the distinct violated stages, in
   /// stage order; "none" when ok.  Used to label reproducer files.
   [[nodiscard]] std::string violation_tag() const;
 };
@@ -118,12 +105,5 @@ void check_counts(const harness::ExperimentRow& row,
 void check_parallel(const harness::ExperimentRow& serial,
                     const harness::ExperimentRow& parallel,
                     std::vector<OracleViolation>& out);
-/// Serializes the workload's profile, expands it through
-/// harness::corruption_suite (plus bounds.fault_tamper when set) and
-/// verifies every variant either fails to load with a structured error or
-/// round-trips byte-identical.
-void check_fault_quarantine(const workloads::Workload& workload,
-                            const OracleBounds& bounds,
-                            std::vector<OracleViolation>& out);
 
 }  // namespace tbp::fuzz

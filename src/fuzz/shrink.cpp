@@ -45,7 +45,6 @@ namespace {
   restricted.run_accuracy = bounds.run_accuracy && has(OracleStage::kAccuracy);
   restricted.run_counts = bounds.run_counts && has(OracleStage::kCounts);
   restricted.run_parallel = bounds.run_parallel && has(OracleStage::kParallel);
-  restricted.run_faults = bounds.run_faults && has(OracleStage::kFaults);
   return restricted;
 }
 

@@ -145,15 +145,12 @@ std::string experiment_key(const std::string& workload_name,
        << ' ' << config.lat.l2_hit << ' ' << config.lat.interconnect << ' '
        << options.tbpoint.inter.distance_threshold << ' '
        << options.tbpoint.inter.include_bbv << ' '
-       << options.tbpoint.inter.bbv_weight << ' '
        << options.tbpoint.sampler.entry_fraction << ' '
        << options.tbpoint.sampler.simulate_final_tail_blocks << ' '
        << options.tbpoint.intra.distance_threshold << ' '
        << options.tbpoint.intra.variation_factor_threshold << ' '
        << options.tbpoint.intra.min_region_epochs << ' '
-       << options.tbpoint.sampler.warmup_ipc_tolerance << ' '
        << options.tbpoint.sampler.min_warm_units << ' '
-       << options.tbpoint.sampler.max_warm_units << ' '
        << options.tbpoint.enable_inter << ' ' << options.tbpoint.enable_intra
        << ' ' << options.random.sample_fraction << ' ' << options.random.seed
        << ' ' << options.simpoint.max_k << ' ' << options.simpoint.bic_fraction

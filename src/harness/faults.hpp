@@ -1,7 +1,9 @@
 // Deterministic corruption injection for artifact robustness tests.
 //
-// The loaders in profile_io / region_io / cache promise a structured error
-// (never a crash, hang, or unbounded allocation) on any malformed input.
+// The readers of sealed files — the cached experiment row (harness/cache,
+// stored as a store entry) and the run manifests tbp-report renders —
+// promise a structured error (never a crash, hang, or unbounded
+// allocation) on any malformed input.
 // That promise is only worth something if it is exercised, so this header
 // provides the three corruption primitives the fault tests drive —
 // truncation, bit flips, and cross-artifact splices — plus a generator

@@ -5,8 +5,9 @@
 // paper's argument for its Monte-Carlo extension is that DRAM queuing makes
 // M a random variable, and a constant-M model cannot quantify the IPC
 // *variation* a homogeneous interval exhibits — only its mean.  This header
-// provides the constant-M model plus a comparison helper used by the Fig. 5
-// bench and the ablation tests to quantify exactly that gap.
+// provides the constant-M model plus a comparison helper that quantifies
+// exactly that gap; tests/markov/constant_latency_test.cpp is its only
+// caller (the Fig. 5 bench runs the stochastic model alone).
 #pragma once
 
 #include <cstddef>

@@ -35,7 +35,6 @@ double LaunchProfile::block_size_cov() const {
 
 LaunchProfile profile_launch(const trace::LaunchTraceSource& launch) {
   LaunchProfile profile;
-  profile.kernel_name = launch.kernel().name;
   profile.blocks.resize(launch.n_blocks());
   profile.bbv.assign(launch.kernel().n_basic_blocks, 0);
 

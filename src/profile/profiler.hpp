@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "trace/kernel.hpp"
@@ -32,7 +31,6 @@ struct BlockStats {
 };
 
 struct LaunchProfile {
-  std::string kernel_name;
   std::vector<BlockStats> blocks;
   /// Warp-instruction counts per static basic block (whole-launch BBV).
   std::vector<std::uint64_t> bbv;

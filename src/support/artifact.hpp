@@ -1,6 +1,6 @@
 // Common envelope for persisted artifacts:
 //
-//   <magic>\n            version-tagged header, e.g. "tbpoint-profile-v2"
+//   <magic>\n            version-tagged header, e.g. "tbpoint-row-v3"
 //   <body>               format-specific payload (line-oriented text)
 //   crc32 <8 hex>\n      checksum trailer over the body bytes
 //
@@ -20,7 +20,7 @@ namespace tbp::io {
 struct ArtifactFormat {
   std::string_view magic;   ///< current version, written and verified
   std::string_view family;  ///< magic prefix => kVersionMismatch if unknown
-  std::string_view kind;    ///< "profile", "regions", ... for messages
+  std::string_view kind;    ///< "cache-row", "store-entry", ... for messages
 };
 
 /// "<magic>\n<body>crc32 <hex>\n".

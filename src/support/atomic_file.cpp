@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <fstream>
-#include <istream>
 
 namespace tbp::io {
 namespace {
@@ -80,22 +79,6 @@ Result<std::string> read_file_limited(const std::filesystem::path& path,
   in.read(data.data(), static_cast<std::streamsize>(data.size()));
   if (static_cast<std::uintmax_t>(in.gcount()) != size) {
     return Status(StatusCode::kIoError, "short read from " + path.string());
-  }
-  return data;
-}
-
-Result<std::string> read_stream_limited(std::istream& in,
-                                        std::uint64_t max_bytes) {
-  std::string data;
-  char chunk[4096];
-  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
-    data.append(chunk, static_cast<std::size_t>(in.gcount()));
-    if (data.size() > max_bytes) {
-      return Status(StatusCode::kTooLarge,
-                    "stream exceeds artifact cap of " +
-                        std::to_string(max_bytes) + " bytes");
-    }
-    if (!in) break;
   }
   return data;
 }

@@ -17,8 +17,8 @@
 
 namespace tbp::io {
 
-/// Hard ceiling on any single artifact this project reads back (profiles,
-/// region tables, cache rows are all well under 1 MB in practice).
+/// Hard ceiling on any single artifact this project reads back (cache
+/// rows, store entries and manifests are all well under 1 MB in practice).
 inline constexpr std::uint64_t kMaxArtifactBytes = 64ull << 20;  // 64 MB
 
 /// Writes `payload` to `path` via temp file + rename.  Creates parent
@@ -32,10 +32,5 @@ inline constexpr std::uint64_t kMaxArtifactBytes = 64ull << 20;  // 64 MB
 [[nodiscard]] Result<std::string> read_file_limited(
     const std::filesystem::path& path,
     std::uint64_t max_bytes = kMaxArtifactBytes);
-
-/// Reads everything remaining on a stream, stopping with kTooLarge once
-/// `max_bytes` is exceeded (never buffering more than the cap + one chunk).
-[[nodiscard]] Result<std::string> read_stream_limited(
-    std::istream& in, std::uint64_t max_bytes = kMaxArtifactBytes);
 
 }  // namespace tbp::io

@@ -11,19 +11,12 @@ namespace {
 TEST(FeatureTest, EuclideanDistance) {
   const FeatureVector a = {0.0, 0.0};
   const FeatureVector b = {3.0, 4.0};
-  EXPECT_DOUBLE_EQ(distance(a, b, Metric::kEuclidean), 5.0);
-}
-
-TEST(FeatureTest, ManhattanDistance) {
-  const FeatureVector a = {1.0, -1.0};
-  const FeatureVector b = {4.0, 1.0};
-  EXPECT_DOUBLE_EQ(distance(a, b, Metric::kManhattan), 5.0);
+  EXPECT_DOUBLE_EQ(distance(a, b), 5.0);
 }
 
 TEST(FeatureTest, DistanceToSelfIsZero) {
   const FeatureVector a = {1.5, 2.5, -3.0};
-  EXPECT_DOUBLE_EQ(distance(a, a, Metric::kEuclidean), 0.0);
-  EXPECT_DOUBLE_EQ(distance(a, a, Metric::kManhattan), 0.0);
+  EXPECT_DOUBLE_EQ(distance(a, a), 0.0);
 }
 
 TEST(FeatureTest, CentroidOfSubset) {
@@ -38,13 +31,13 @@ TEST(FeatureTest, NearestToCentroid) {
   const std::vector<FeatureVector> points = {{0.0}, {1.0}, {10.0}};
   const std::vector<std::size_t> members = {0, 1, 2};
   // Centroid ~ 3.67; closest member is {1.0} (index 1 within members).
-  EXPECT_EQ(nearest_to_centroid(points, members, Metric::kEuclidean), 1u);
+  EXPECT_EQ(nearest_to_centroid(points, members), 1u);
 }
 
 TEST(FeatureTest, NearestToCentroidTieBreaksLow) {
   const std::vector<FeatureVector> points = {{0.0}, {2.0}};
   const std::vector<std::size_t> members = {0, 1};
-  EXPECT_EQ(nearest_to_centroid(points, members, Metric::kEuclidean), 0u);
+  EXPECT_EQ(nearest_to_centroid(points, members), 0u);
 }
 
 TEST(FeatureTest, MembersByCluster) {

@@ -26,12 +26,14 @@ std::vector<int> canonical(const std::vector<int>& labels) {
   return out;
 }
 
+/// `n` points with `dims` coordinates drawn uniformly from [0, spread).
 std::vector<FeatureVector> random_points(std::uint64_t seed, std::size_t n,
-                                         std::size_t dims) {
+                                         std::size_t dims,
+                                         double spread = 10.0) {
   stats::Rng rng(seed);
   std::vector<FeatureVector> points(n, FeatureVector(dims));
   for (auto& p : points) {
-    for (double& x : p) x = rng.uniform(0.0, 10.0);
+    for (double& x : p) x = rng.uniform(0.0, spread);
   }
   return points;
 }
@@ -88,50 +90,28 @@ TEST(HierarchicalTest, ZeroThresholdSeparatesDistinctPoints) {
 TEST(HierarchicalTest, CompleteLinkageRespectsDiameterBound) {
   const std::vector<FeatureVector> points = random_points(17, 60, 3);
   const double threshold = 4.0;
-  const std::vector<int> labels =
-      cluster_by_threshold(points, threshold, Linkage::kComplete);
+  const std::vector<int> labels = cluster_by_threshold(points, threshold);
   for (std::size_t i = 0; i < points.size(); ++i) {
     for (std::size_t j = i + 1; j < points.size(); ++j) {
       if (labels[i] == labels[j]) {
-        EXPECT_LE(distance(points[i], points[j], Metric::kEuclidean), threshold)
+        EXPECT_LE(distance(points[i], points[j]), threshold)
             << "cluster diameter exceeds the threshold";
       }
     }
   }
 }
 
-TEST(HierarchicalTest, CutKProducesExactlyKClusters) {
-  const std::vector<FeatureVector> points = random_points(23, 30, 2);
-  const Dendrogram tree = agglomerate(points, Linkage::kAverage, Metric::kEuclidean);
-  for (std::size_t k = 1; k <= points.size(); ++k) {
-    const std::vector<int> labels = tree.cut_k(k);
-    std::set<int> distinct(labels.begin(), labels.end());
-    EXPECT_EQ(distinct.size(), k);
-  }
-}
-
-TEST(HierarchicalDeathTest, CutKZeroAbortsInAllBuilds) {
-  // cut_k(0) is a caller bug; without the release-build check it would
-  // silently keep every merge (one giant cluster) under NDEBUG.
-  const std::vector<FeatureVector> points = random_points(5, 8, 2);
-  const Dendrogram tree = agglomerate(points, Linkage::kAverage, Metric::kEuclidean);
-  EXPECT_DEATH((void)tree.cut_k(0), "k must be >= 1");
-}
-
 TEST(HierarchicalTest, MergeHeightsAreMonotoneAlongPaths) {
-  // Single/complete/average linkage cannot produce inversions: every
-  // merge's height must be >= the heights of the merges it joins.
+  // Complete linkage cannot produce inversions: every merge's height must
+  // be >= the heights of the merges it joins.
   const std::vector<FeatureVector> points = random_points(31, 40, 2);
-  for (const Linkage linkage :
-       {Linkage::kSingle, Linkage::kComplete, Linkage::kAverage}) {
-    const Dendrogram tree = agglomerate(points, linkage, Metric::kEuclidean);
-    const auto merges = tree.merges();
-    const std::size_t n = tree.n_leaves();
-    for (std::size_t i = 0; i < merges.size(); ++i) {
-      for (const std::size_t child : {merges[i].left, merges[i].right}) {
-        if (child >= n) {
-          EXPECT_LE(merges[child - n].height, merges[i].height + 1e-12);
-        }
+  const Dendrogram tree = agglomerate(points);
+  const auto merges = tree.merges();
+  const std::size_t n = tree.n_leaves();
+  for (std::size_t i = 0; i < merges.size(); ++i) {
+    for (const std::size_t child : {merges[i].left, merges[i].right}) {
+      if (child >= n) {
+        EXPECT_LE(merges[child - n].height, merges[i].height + 1e-12);
       }
     }
   }
@@ -141,8 +121,7 @@ struct NnChainParam {
   std::uint64_t seed;
   std::size_t n;
   std::size_t dims;
-  Linkage linkage;
-  Metric metric;
+  double spread;  ///< coordinate range, see random_points
 };
 
 class NnChainEquivalence : public ::testing::TestWithParam<NnChainParam> {};
@@ -151,9 +130,10 @@ class NnChainEquivalence : public ::testing::TestWithParam<NnChainParam> {};
 /// produce identical flat clusterings at every cut level.
 TEST_P(NnChainEquivalence, MatchesNaiveReference) {
   const NnChainParam p = GetParam();
-  const std::vector<FeatureVector> points = random_points(p.seed, p.n, p.dims);
-  const Dendrogram fast = agglomerate(points, p.linkage, p.metric);
-  const Dendrogram naive = agglomerate_naive(points, p.linkage, p.metric);
+  const std::vector<FeatureVector> points =
+      random_points(p.seed, p.n, p.dims, p.spread);
+  const Dendrogram fast = agglomerate(points);
+  const Dendrogram naive = agglomerate_naive(points);
 
   // Same multiset of merge heights.
   std::vector<double> fast_heights;
@@ -179,16 +159,11 @@ TEST_P(NnChainEquivalence, MatchesNaiveReference) {
 INSTANTIATE_TEST_SUITE_P(
     RandomInstances, NnChainEquivalence,
     ::testing::Values(
-        NnChainParam{1, 12, 1, Linkage::kComplete, Metric::kEuclidean},
-        NnChainParam{2, 20, 2, Linkage::kComplete, Metric::kEuclidean},
-        NnChainParam{3, 35, 3, Linkage::kComplete, Metric::kManhattan},
-        NnChainParam{4, 12, 1, Linkage::kSingle, Metric::kEuclidean},
-        NnChainParam{5, 25, 2, Linkage::kSingle, Metric::kManhattan},
-        NnChainParam{6, 18, 4, Linkage::kAverage, Metric::kEuclidean},
-        NnChainParam{7, 40, 2, Linkage::kAverage, Metric::kEuclidean},
-        NnChainParam{8, 50, 1, Linkage::kComplete, Metric::kEuclidean},
-        NnChainParam{9, 9, 5, Linkage::kComplete, Metric::kEuclidean},
-        NnChainParam{10, 30, 2, Linkage::kSingle, Metric::kEuclidean}));
+        NnChainParam{1, 12, 1, 10.0}, NnChainParam{2, 20, 2, 10.0},
+        NnChainParam{3, 35, 3, 1.0}, NnChainParam{4, 12, 1, 0.01},
+        NnChainParam{5, 25, 2, 100.0}, NnChainParam{6, 18, 4, 1e4},
+        NnChainParam{7, 40, 2, 1.0}, NnChainParam{8, 50, 1, 10.0},
+        NnChainParam{9, 9, 5, 10.0}, NnChainParam{10, 30, 2, 1e3}));
 
 TEST(HierarchicalTest, DeterministicAcrossCalls) {
   const std::vector<FeatureVector> points = random_points(99, 50, 3);
@@ -199,7 +174,7 @@ TEST(HierarchicalTest, DeterministicAcrossCalls) {
 
 TEST(HierarchicalTest, HigherThresholdNeverIncreasesClusterCount) {
   const std::vector<FeatureVector> points = random_points(7, 40, 2);
-  const Dendrogram tree = agglomerate(points, Linkage::kComplete, Metric::kEuclidean);
+  const Dendrogram tree = agglomerate(points);
   std::size_t prev = points.size() + 1;
   for (double t = 0.0; t < 15.0; t += 0.5) {
     const std::vector<int> labels = tree.cut(t);

@@ -12,7 +12,6 @@ profile::LaunchProfile make_profile(std::uint64_t thread_insts_per_block,
                                     std::uint64_t mem_per_block,
                                     std::size_t n_blocks) {
   profile::LaunchProfile launch;
-  launch.kernel_name = "k";
   launch.blocks.assign(n_blocks, profile::BlockStats{
                                      .thread_insts = thread_insts_per_block,
                                      .warp_insts = warp_insts_per_block,

@@ -191,19 +191,6 @@ TEST(RegionSamplerTest, FinalizeFlushesOpenRecord) {
   EXPECT_EQ(sampler.skipped_regions().size(), 1u);
 }
 
-TEST(RegionSamplerTest, MaxWarmUnitsForcesFastForward) {
-  Fixture f;
-  RegionSamplerOptions options = two_unit_options();
-  options.max_warm_units = 3;
-  RegionSampler sampler(f.launch, f.table, options);
-  for (std::uint32_t b = 8; b < 12; ++b) (void)sampler.on_block_dispatch(b, 10);
-  sampler.on_sampling_unit(f.unit(20, 120, 500));   // 5.0
-  sampler.on_sampling_unit(f.unit(120, 220, 900));  // 9.0: unstable
-  EXPECT_EQ(sampler.state(), RegionSampler::State::kWarming);
-  sampler.on_sampling_unit(f.unit(220, 320, 500));  // 5.0: unstable vs 9.0
-  EXPECT_EQ(sampler.state(), RegionSampler::State::kFastForward);
-}
-
 TEST(RegionSamplerTest, MixedRunningSetLeavesWarming) {
   Fixture f;
   RegionSamplerOptions options;

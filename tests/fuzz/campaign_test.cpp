@@ -31,8 +31,8 @@ std::string campaign_bytes(const CampaignOptions& options,
 
 // The PR-gate budget: 25 fresh seeds through every oracle (trace validity,
 // accuracy-with-attribution, count equality, serial-vs-parallel byte
-// identity, fault quarantine).  A failure here is a real pipeline
-// regression; `tbp-fuzz replay <seed>` reproduces it standalone.
+// identity).  A failure here is a real pipeline regression;
+// `tbp-fuzz replay <seed>` reproduces it standalone.
 TEST(CampaignTest, BoundedGateCampaignPasses) {
   const CampaignOptions options = gate_options();
   ASSERT_GE(options.n_seeds, 25u);
@@ -101,7 +101,6 @@ TEST(CampaignTest, FailingSeedIsReportedMinimizedAndSerialized) {
   CampaignOptions options = gate_options();
   options.bounds.max_tbpoint_err_pct = 0.0;  // injected violation
   options.bounds.run_parallel = false;
-  options.bounds.run_faults = false;
   options.shrink.max_attempts = 10;
 
   // The calibration sweep's worst seed: 4.75% error, so the zero bound

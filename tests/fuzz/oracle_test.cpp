@@ -1,16 +1,12 @@
-// Differential-oracle behavior: clean specs pass every stage, each oracle
-// trips on its own class of injected violation, and the fault oracle
-// composes with harness/faults (checksum-detectable corruption quarantines;
-// a checksum-valid semantic alteration is caught differentially).
+// Differential-oracle behavior: clean specs pass every stage, and each
+// oracle trips on its own class of injected violation.
 #include "fuzz/oracle.hpp"
 
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "fuzz/generate.hpp"
-#include "profile/profile_io.hpp"
 #include "sim/config.hpp"
 
 namespace tbp::fuzz {
@@ -26,7 +22,6 @@ sim::GpuConfig small_config() { return sim::scaled_config(48, 4); }
 OracleBounds serial_bounds() {
   OracleBounds bounds;
   bounds.run_parallel = false;
-  bounds.run_faults = false;
   return bounds;
 }
 
@@ -88,38 +83,6 @@ TEST(OracleTest, RowDivergenceTripsParallelStage) {
             std::string::npos);
 }
 
-TEST(OracleTest, FaultSuiteQuarantinesCleanly) {
-  const workloads::Workload workload =
-      workloads::build_workload(generate_spec(kHighErrorSeed));
-  std::vector<OracleViolation> violations;
-  check_fault_quarantine(workload, OracleBounds{}, violations);
-  EXPECT_TRUE(violations.empty())
-      << violations.front().detail << " (+" << violations.size() - 1
-      << " more)";
-}
-
-TEST(OracleTest, TamperedProfileIsCaughtDifferentially) {
-  const workloads::Workload workload =
-      workloads::build_workload(generate_spec(kHighErrorSeed));
-  OracleBounds bounds;
-  // A "corruption" no checksum can catch: parse the artifact, nudge one
-  // counter, re-serialize — a fully valid file with altered semantics.
-  bounds.fault_tamper = [](const std::string& payload) {
-    std::istringstream in(payload);
-    Result<profile::ApplicationProfile> profile = profile::load_profile(in);
-    EXPECT_TRUE(profile.ok());
-    profile->launches.front().blocks.front().warp_insts += 1;
-    std::ostringstream out;
-    profile::save_profile(*profile, out);
-    return std::move(out).str();
-  };
-  std::vector<OracleViolation> violations;
-  check_fault_quarantine(workload, bounds, violations);
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_EQ(violations.front().stage, OracleStage::kFaults);
-  EXPECT_NE(violations.front().detail.find("tamper"), std::string::npos);
-}
-
 TEST(OracleTest, InvalidSpecIsReportedNotBuilt) {
   workloads::WorkloadSpec spec = generate_spec(kHighErrorSeed);
   spec.launches.front().threads_per_block = 7;
@@ -133,10 +96,10 @@ TEST(OracleTest, InvalidSpecIsReportedNotBuilt) {
 
 TEST(OracleTest, ViolationTagJoinsStagesInOrder) {
   OracleReport report;
-  report.violations.push_back({OracleStage::kFaults, "f", {}});
+  report.violations.push_back({OracleStage::kParallel, "p", {}});
   report.violations.push_back({OracleStage::kAccuracy, "a", {}});
-  report.violations.push_back({OracleStage::kFaults, "f2", {}});
-  EXPECT_EQ(report.violation_tag(), "accuracy+faults");
+  report.violations.push_back({OracleStage::kParallel, "p2", {}});
+  EXPECT_EQ(report.violation_tag(), "accuracy+parallel");
 }
 
 }  // namespace

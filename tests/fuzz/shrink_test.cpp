@@ -24,7 +24,6 @@ OracleBounds failing_bounds() {
   OracleBounds bounds;
   bounds.max_tbpoint_err_pct = 0.0;
   bounds.run_parallel = false;
-  bounds.run_faults = false;
   return bounds;
 }
 

@@ -3,6 +3,7 @@
 // suppression syntax is exercised in both forms, exit codes are checked,
 // and — the teeth — the real repository tree must lint clean.
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -31,7 +32,7 @@ std::string fixture_path(const std::string& name) {
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << "missing fixture " << path;
+  EXPECT_TRUE(in.is_open()) << "cannot read " << path;
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
@@ -418,6 +419,30 @@ TEST(LintOutput, SarifValidatesAgainstMinimalSchemaShape) {
             "src/a.cpp");
   EXPECT_EQ(loc->find("region")->find("startLine")->as_u64(), 42u);
   EXPECT_EQ(results->items()[1].find("level")->as_string(), "warning");
+}
+
+// The repo policy names only live code: every clock-allowlisted file does
+// read a clock (so its exemption exempts something), and every
+// order-sensitive entry exists in the tree.
+TEST(LintConfig, DefaultConfigNamesOnlyLiveCode) {
+  const LintConfig config = tbp_lint::default_config();
+  LintConfig no_clock_allowlist = config;
+  no_clock_allowlist.clock_allowlist.clear();
+  for (const std::string& path : config.clock_allowlist) {
+    const auto diags = tbp_lint::lint_source(
+        path, read_file(std::string(TBP_LINT_SOURCE_DIR) + "/" + path),
+        no_clock_allowlist);
+    const bool reads_clock =
+        std::any_of(diags.begin(), diags.end(), [](const Diagnostic& d) {
+          return d.rule == "determinism-clock" || d.rule == "determinism-time";
+        });
+    EXPECT_TRUE(reads_clock) << path << " is allowlisted but reads no clock";
+  }
+  for (const std::string& entry : config.order_sensitive) {
+    EXPECT_TRUE(std::filesystem::exists(
+        std::filesystem::path(TBP_LINT_SOURCE_DIR) / entry))
+        << "order_sensitive names a missing path: " << entry;
+  }
 }
 
 // The acceptance gate: the real tree has zero unsuppressed findings under

@@ -2,13 +2,13 @@
 //
 //   tbp-fuzz run     [--seeds N] [--base-seed S] [--jobs N] [--sms S]
 //                    [--err-bound PCT] [--parallel-jobs N] [--no-parallel]
-//                    [--no-faults] [--no-shrink] [--out DIR] [--json PATH]
+//                    [--no-shrink] [--out DIR] [--json PATH]
 //       Runs a campaign of N seeds (default 25) derived from the base seed:
 //       each seed is expanded into a random multi-launch workload, checked
 //       against the differential oracles (trace validity, TBPoint-vs-full
 //       accuracy with error attribution, profiler-vs-simulator instruction
-//       counts, serial-vs-parallel byte identity, fault quarantine) and, on
-//       failure, minimized.  Each failing seed's shrunk spec is written to
+//       counts, serial-vs-parallel byte identity) and, on failure,
+//       minimized.  Each failing seed's shrunk spec is written to
 //       <out>/repro-<seed16hex>.json as a sealed tbp-fuzz-repro-v1 file.
 //       Exit 0 when every seed passes, 1 on any violation, 2 on usage error.
 //   tbp-fuzz replay  <repro.json|seed> [--sms S] [--err-bound PCT] ...
@@ -105,9 +105,6 @@ FuzzFlags parse_flags(int argc, char** argv) {
       flag_u64(argc, argv, "--parallel-jobs", 4);
   if (harness::has_flag(argc, argv, "--no-parallel")) {
     flags.options.bounds.run_parallel = false;
-  }
-  if (harness::has_flag(argc, argv, "--no-faults")) {
-    flags.options.bounds.run_faults = false;
   }
   if (harness::has_flag(argc, argv, "--no-shrink")) {
     flags.options.shrink_failures = false;

@@ -421,13 +421,13 @@ LintConfig default_config() {
   LintConfig config;
   // Wall-clock reads are the *measurement* half of the harness, and all of
   // them funnel through timing::monotonic_seconds (support/walltime) so the
-  // allowlist stays two entries wide: the helper's own translation unit and
-  // the watchdog's real-time deadline.  The experiment timer and every
-  // bench (including the BENCH_PERF.json emitter) call the helper instead
-  // of <chrono> directly; simulated results must never flow from it.
+  // allowlist is one entry wide: the helper's own translation unit.  The
+  // experiment timer and every bench (including the BENCH_PERF.json
+  // emitter) call the helper instead of <chrono> directly; simulated
+  // results must never flow from it, and the simulator's watchdog counts
+  // simulated cycles, not wall time.
   config.clock_allowlist = {
       "src/support/walltime.cpp",
-      "src/harness/faults.cpp",  // watchdog deadline plumbing
   };
   config.getenv_allowlist = {};
   config.raw_memory_allowlist = {};
@@ -438,8 +438,6 @@ LintConfig default_config() {
       "src/obs/",
       "src/harness/cache.cpp",
       "src/harness/manifest.cpp",
-      "src/profile/profile_io.cpp",
-      "src/core/region_io.cpp",
       "src/core/region_sampler.cpp",
       "src/store/",    // index journal + eviction order reach disk bytes
       "src/service/",  // batching order reaches response/store writes

@@ -2,12 +2,6 @@
 //
 //   tbpoint_cli list
 //       Available benchmark models.
-//   tbpoint_cli profile  <workload> -o profile.txt [--scale N] [--seed S]
-//                        [--validate]
-//       One-time functional profiling; writes the profile artifact.
-//   tbpoint_cli regions  <profile.txt> --occupancy N [-o regions.txt]
-//       Homogeneous-region identification from a saved profile (re-run per
-//       hardware configuration; this is the cheap re-clustering step).
 //   tbpoint_cli run      <workload> [--scale N] [--sms S] [--warps W]
 //                        [--inter-sigma X] [--intra-sigma X] [--vf X]
 //                        [--no-inter] [--no-intra] [--gto] [--validate]
@@ -24,7 +18,8 @@
 //       launch prints the watchdog diagnostic (stall age, dispatch
 //       progress, per-SM warp scheduling states) instead of aborting.
 //   tbpoint_cli lemma41  [--p X] [--m X] [--warps N] [--samples N]
-//       Markov-chain Monte-Carlo check of the paper's Lemma 4.1.
+//       Markov-chain Monte-Carlo check of the paper's Lemma 4.1 (--samples
+//       defaults to 10000 and must be >= 1).
 //
 // run, compare and simulate accept --metrics PATH and --trace PATH
 // (--name=value also works): --metrics writes the merged counters and
@@ -63,7 +58,6 @@
 #include "baselines/ideal_simpoint.hpp"
 #include "baselines/random_sampling.hpp"
 #include "core/attribution.hpp"
-#include "core/region_io.hpp"
 #include "core/tbpoint.hpp"
 #include "harness/cli.hpp"
 #include "harness/manifest.hpp"
@@ -71,7 +65,6 @@
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 #include "markov/monte_carlo.hpp"
-#include "profile/profile_io.hpp"
 #include "profile/profiler.hpp"
 #include "service/request.hpp"
 #include "sim/gpu.hpp"
@@ -88,7 +81,7 @@ using namespace tbp;
 [[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: tbpoint_cli "
-               "<list|profile|regions|run|compare|simulate|lemma41> "
+               "<list|run|compare|simulate|lemma41> "
                "[args...]\n(see the header of tools/tbpoint_cli.cpp)\n");
   std::exit(2);
 }
@@ -290,68 +283,6 @@ int cmd_list() {
     std::printf("%s\n", name.c_str());
   }
   std::printf("binomial (Fig. 11 companion, opt-in)\n");
-  return 0;
-}
-
-int cmd_profile(int argc, char** argv) {
-  if (argc < 3) usage();
-  const std::string out_path = harness::flag_value(argc, argv, "-o", "profile.txt");
-  const workloads::Workload workload =
-      workloads::make_workload(argv[2], scale_from_flags(argc, argv));
-  if (!validate_if_requested(argc, argv, workload)) return 1;
-
-  profile::ApplicationProfile app;
-  for (const auto* source : workload.sources()) {
-    app.launches.push_back(profile::profile_launch(*source));
-  }
-  if (const Status st = profile::save_profile_file(app, out_path); !st.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
-                 st.to_string().c_str());
-    return 1;
-  }
-  std::printf("profiled %zu launches / %llu blocks / %llu warp insts -> %s\n",
-              app.launches.size(),
-              static_cast<unsigned long long>(app.total_blocks()),
-              static_cast<unsigned long long>(app.total_warp_insts()),
-              out_path.c_str());
-  return 0;
-}
-
-int cmd_regions(int argc, char** argv) {
-  if (argc < 3) usage();
-  const std::uint32_t occupancy = flag_u32(argc, argv, "--occupancy", 0);
-  if (occupancy == 0) {
-    std::fprintf(stderr, "regions: --occupancy N is required\n");
-    return 2;
-  }
-  const auto app = profile::load_profile_file(argv[2]);
-  if (!app.has_value()) {
-    std::fprintf(stderr, "cannot read profile %s: %s\n", argv[2],
-                 app.status().to_string().c_str());
-    return 1;
-  }
-
-  core::IntraLaunchOptions options;
-  options.distance_threshold = flag_double(argc, argv, "--intra-sigma", 0.2);
-  options.variation_factor_threshold = flag_double(argc, argv, "--vf", 0.3);
-
-  core::RegionTableSet set;
-  set.system_occupancy = occupancy;
-  std::size_t total_regions = 0;
-  for (const profile::LaunchProfile& launch : app->launches) {
-    core::RegionIdentification id =
-        core::identify_regions(launch, occupancy, options);
-    total_regions += id.table.regions().size();
-    set.tables.push_back(std::move(id.table));
-  }
-  const std::string out_path = harness::flag_value(argc, argv, "-o", "regions.txt");
-  if (const Status st = core::save_region_tables_file(set, out_path); !st.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
-                 st.to_string().c_str());
-    return 1;
-  }
-  std::printf("identified %zu homogeneous regions across %zu launches -> %s\n",
-              total_regions, set.tables.size(), out_path.c_str());
   return 0;
 }
 
@@ -627,6 +558,11 @@ int cmd_lemma41(int argc, char** argv) {
   config.mean_stall_cycles = flag_double(argc, argv, "--m", 400.0);
   config.n_warps = flag_u32(argc, argv, "--warps", 4);
   config.n_samples = flag_u32(argc, argv, "--samples", 10000);
+  if (config.n_samples == 0) {
+    std::fprintf(stderr,
+                 "tbpoint_cli: invalid value for --samples: must be >= 1\n");
+    return 2;
+  }
   const markov::MonteCarloResult result = markov::run_ipc_variation(config);
   std::printf("p=%.3f M=%.0f N=%zu: mean IPC %.4f, %.1f%% of samples within "
               "10%% of mean -> Lemma 4.1 %s\n",
@@ -642,8 +578,6 @@ int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string command = argv[1];
   if (command == "list") return cmd_list();
-  if (command == "profile") return cmd_profile(argc, argv);
-  if (command == "regions") return cmd_regions(argc, argv);
   if (command == "run") return cmd_run(argc, argv);
   if (command == "compare") return cmd_compare(argc, argv);
   if (command == "simulate") return cmd_simulate(argc, argv);
