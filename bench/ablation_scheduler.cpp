@@ -9,6 +9,7 @@
 // simulation rerun.
 //
 // Flags: --scale N --seed S --benchmarks a,b (default bfs,spmv,hotspot,cfd)
+// --jobs N
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -25,22 +26,25 @@
 
 int main(int argc, char** argv) {
   using namespace tbp;
-  harness::CommonFlags flags = harness::parse_common_flags(argc, argv);
-  if (flags.benchmarks.empty()) {
-    flags.benchmarks = {"bfs", "spmv", "hotspot", "cfd"};
-  }
+  harness::Args args(argc, argv, argv[0],
+                     "[--scale N] [--seed S] [--benchmarks a,b,...] [--jobs N]");
+  const workloads::WorkloadScale scale = harness::read_scale(args);
+  const std::vector<std::string> benchmarks =
+      harness::read_benchmarks(args, {"bfs", "spmv", "hotspot", "cfd"});
+  const std::size_t jobs = harness::read_jobs(args);
+  args.finish();
 
   std::printf(
       "Ablation: TBPoint accuracy across warp schedulers, one profile "
       "(scale divisor %u)\n",
-      flags.scale.divisor);
+      scale.divisor);
   harness::TablePrinter table({"benchmark", "RR full IPC", "RR err%", "RR smp%",
                                "GTO full IPC", "GTO err%", "GTO smp%"});
 
-  par::set_global_jobs(flags.jobs);
-  for (const std::string& name : flags.benchmarks) {
+  par::set_global_jobs(jobs);
+  for (const std::string& name : benchmarks) {
     std::fprintf(stderr, "[bench] %s ...\n", name.c_str());
-    const workloads::Workload workload = workloads::make_workload(name, flags.scale);
+    const workloads::Workload workload = workloads::make_workload(name, scale);
     const auto sources = workload.sources();
 
     // One-time profiling, shared by both scheduler columns.  Launches are
@@ -48,7 +52,7 @@ int main(int argc, char** argv) {
     // for every --jobs value.
     profile::ApplicationProfile profile;
     profile.launches.resize(sources.size());
-    par::parallel_for(sources.size(), flags.jobs, [&](std::size_t i) {
+    par::parallel_for(sources.size(), jobs, [&](std::size_t i) {
       profile.launches[i] = profile::profile_launch(*sources[i]);
     });
 
@@ -59,14 +63,14 @@ int main(int argc, char** argv) {
       config.scheduler = scheduler;
 
       core::TBPointOptions options;
-      options.jobs = flags.jobs;
+      options.jobs = jobs;
       const core::TBPointRun run = core::run_tbpoint(sources, profile, config, options);
 
       // Ground truth: one fresh simulator per launch (explicit isolation),
       // serial reduction in launch order.
       std::vector<std::uint64_t> launch_cycles(sources.size(), 0);
       std::vector<std::uint64_t> launch_insts(sources.size(), 0);
-      par::parallel_for(sources.size(), flags.jobs, [&](std::size_t i) {
+      par::parallel_for(sources.size(), jobs, [&](std::size_t i) {
         sim::GpuSimulator simulator(config);
         const sim::LaunchResult full = simulator.run_launch(*sources[i]);
         launch_cycles[i] = full.cycles;

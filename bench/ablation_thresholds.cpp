@@ -8,6 +8,7 @@
 // simulation computed once per benchmark.
 //
 // Flags: --scale N --seed S --benchmarks a,b (default bfs,spmv,hotspot,mst)
+// --jobs N
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -66,18 +67,21 @@ PreparedWorkload prepare(const std::string& name,
 
 int main(int argc, char** argv) {
   using namespace tbp;
-  harness::CommonFlags flags = harness::parse_common_flags(argc, argv);
-  if (flags.benchmarks.empty()) {
-    flags.benchmarks = {"bfs", "spmv", "hotspot", "mst"};
-  }
+  harness::Args args(argc, argv, argv[0],
+                     "[--scale N] [--seed S] [--benchmarks a,b,...] [--jobs N]");
+  const workloads::WorkloadScale scale = harness::read_scale(args);
+  const std::vector<std::string> benchmarks =
+      harness::read_benchmarks(args, {"bfs", "spmv", "hotspot", "mst"});
+  const std::size_t jobs = harness::read_jobs(args);
+  args.finish();
   const sim::GpuConfig config = sim::fermi_config();
-  par::set_global_jobs(flags.jobs);
+  par::set_global_jobs(jobs);
 
-  std::vector<PreparedWorkload> prepared(flags.benchmarks.size());
-  par::parallel_for(flags.benchmarks.size(), flags.jobs, [&](std::size_t i) {
+  std::vector<PreparedWorkload> prepared(benchmarks.size());
+  par::parallel_for(benchmarks.size(), jobs, [&](std::size_t i) {
     std::fprintf(stderr, "[bench] preparing %s (full simulation)...\n",
-                 flags.benchmarks[i].c_str());
-    prepared[i] = prepare(flags.benchmarks[i], flags.scale, config, flags.jobs);
+                 benchmarks[i].c_str());
+    prepared[i] = prepare(benchmarks[i], scale, config, jobs);
   });
 
   struct Axis {
@@ -137,7 +141,7 @@ int main(int argc, char** argv) {
       std::vector<std::string> cells = {label};
       for (const PreparedWorkload& p : prepared) {
         core::TBPointOptions run_options = options;
-        run_options.jobs = flags.jobs;
+        run_options.jobs = jobs;
         const core::TBPointRun run =
             core::run_tbpoint(p.workload.sources(), p.profile, config, run_options);
         cells.push_back(harness::fmt(

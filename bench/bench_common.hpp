@@ -35,6 +35,19 @@
 
 namespace tbp::bench {
 
+/// Reads the command line of a collect_rows bench: the common flags, and
+/// --csv PATH into `*csv_path` when that is not null.
+inline harness::CommonFlags read_bench_flags(int argc, char** argv,
+                                             std::string* csv_path = nullptr) {
+  std::string synopsis(harness::kCommonFlagsSynopsis);
+  if (csv_path != nullptr) synopsis += " [--csv PATH]";
+  harness::Args args(argc, argv, argv[0], synopsis);
+  const harness::CommonFlags flags = harness::parse_common_flags(args);
+  if (csv_path != nullptr) *csv_path = args.value("--csv").value_or("");
+  args.finish();
+  return flags;
+}
+
 /// Observation session for the --metrics/--trace flags; null when neither
 /// flag was passed (the common case — nothing is allocated or recorded).
 inline std::unique_ptr<obs::Observation> make_observation(
@@ -237,10 +250,10 @@ inline std::vector<harness::ExperimentRow> collect_rows(
   return rows;
 }
 
-/// Honors a `--csv PATH` flag by dumping the rows for plotting.
-inline void maybe_write_csv(int argc, char** argv,
+/// Honors a `--csv PATH` flag by dumping the rows for plotting (no-op for
+/// an empty path).
+inline void maybe_write_csv(const std::string& path,
                             std::span<const harness::ExperimentRow> rows) {
-  const std::string path = harness::flag_value(argc, argv, "--csv", "");
   if (path.empty()) return;
   check_written(harness::write_rows_csv_file(rows, path), path);
 }

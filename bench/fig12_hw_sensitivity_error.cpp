@@ -9,12 +9,12 @@
 // computes the same one; ablation_scheduler and examples/hw_explorer show
 // one in-memory profile reused across configurations.
 //
-// Flags: --scale N --seed S --benchmarks a,b --no-cache --cache-dir PATH
+// Flags: the common flags (harness/cli.hpp).
 #include "../bench/bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace tbp;
-  const harness::CommonFlags flags = harness::parse_common_flags(argc, argv);
+  const harness::CommonFlags flags = bench::read_bench_flags(argc, argv);
 
   std::printf(
       "Figure 12: TBPoint sampling error vs hardware configuration "

@@ -3,12 +3,12 @@
 // sample sizes (smaller epochs) but can inflate irregular, cache-sensitive
 // kernels' sizes through longer warming periods.
 //
-// Flags: --scale N --seed S --benchmarks a,b --no-cache --cache-dir PATH
+// Flags: the common flags (harness/cli.hpp).
 #include "../bench/bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace tbp;
-  const harness::CommonFlags flags = harness::parse_common_flags(argc, argv);
+  const harness::CommonFlags flags = bench::read_bench_flags(argc, argv);
 
   std::printf(
       "Figure 13: TBPoint total sample size vs hardware configuration "

@@ -4,8 +4,7 @@
 // sigma) with sigma = 0.1*mu/1.96; the figure's claim is that >= 95% of
 // samples land within 10% of the mean IPC.
 //
-// Flags: --samples N (default 10000, >= 1); the common bench flags are
-// accepted and ignored, anything else is a usage error.
+// Flags: --samples N (default 10000, >= 1); anything else is a usage error.
 #include <cstdint>
 #include <cstdio>
 
@@ -15,16 +14,10 @@
 
 int main(int argc, char** argv) {
   using namespace tbp;
-  (void)harness::parse_common_flags(argc, argv, {"--samples"});
-  const Result<std::uint64_t> parsed =
-      harness::parse_u64(harness::flag_value(argc, argv, "--samples", "10000"));
-  if (!parsed.has_value() || *parsed == 0) {
-    std::fprintf(stderr, "%s: invalid value for --samples: %s\n", argv[0],
-                 parsed.has_value() ? "must be >= 1"
-                                    : parsed.status().message().c_str());
-    return 2;
-  }
-  const std::size_t n_samples = static_cast<std::size_t>(*parsed);
+  harness::Args args(argc, argv, argv[0], "[--samples N]");
+  const std::size_t n_samples = args.u64("--samples").value_or(10000);
+  if (n_samples == 0) args.bad_value("--samples", "must be >= 1");
+  args.finish();
 
   struct Config {
     double p;

@@ -68,21 +68,26 @@ void ascii_scatter(const char* title, const tbp::workloads::Workload& workload) 
 
 int main(int argc, char** argv) {
   using namespace tbp;
-  const harness::CommonFlags flags = harness::parse_common_flags(argc, argv);
+  harness::Args args(argc, argv, argv[0],
+                     "[--scale N] [--seed S] [--benchmarks a,b,...]");
+  const workloads::WorkloadScale scale = harness::read_scale(args);
+  const std::vector<std::string> names =
+      harness::read_benchmarks(args, workloads::workload_names());
+  args.finish();
 
   std::printf("Figure 8: thread-block size patterns (scale divisor %u)\n\n",
-              flags.scale.divisor);
+              scale.divisor);
 
-  const workloads::Workload regular = workloads::make_workload("hotspot", flags.scale);
-  const workloads::Workload irregular = workloads::make_workload("mst", flags.scale);
+  const workloads::Workload regular = workloads::make_workload("hotspot", scale);
+  const workloads::Workload irregular = workloads::make_workload("mst", scale);
   ascii_scatter("(a) regular kernel: hotspot", regular);
   std::printf("\n");
   ascii_scatter("(b) irregular kernel: mst", irregular);
 
   std::printf("\nBlock-size-ratio spread per benchmark (launch 0):\n");
   harness::TablePrinter table({"benchmark", "type", "CoV", "min_ratio", "max_ratio"});
-  for (const std::string& name : flags.benchmark_list()) {
-    const workloads::Workload w = workloads::make_workload(name, flags.scale);
+  for (const std::string& name : names) {
+    const workloads::Workload w = workloads::make_workload(name, scale);
     const profile::LaunchProfile p = profile::profile_launch(*w.launches[0]);
     const double avg = static_cast<double>(p.total_thread_insts()) /
                        static_cast<double>(p.blocks.size());

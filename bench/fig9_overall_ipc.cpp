@@ -2,15 +2,16 @@
 // 12 Table VI benchmarks, plus the geometric-mean sampling errors the paper
 // quotes (Random 7.95%, Ideal-SimPoint 1.74%, TBPoint 0.47%).
 //
-// Flags: --scale N --seed S --benchmarks a,b --no-cache --cache-dir PATH
+// Flags: the common flags (harness/cli.hpp) and --csv PATH.
 #include "../bench/bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace tbp;
-  const harness::CommonFlags flags = harness::parse_common_flags(argc, argv, {"--csv"});
+  std::string csv_path;
+  const harness::CommonFlags flags = bench::read_bench_flags(argc, argv, &csv_path);
   const std::vector<harness::ExperimentRow> rows =
       bench::collect_rows(flags, sim::fermi_config());
-  bench::maybe_write_csv(argc, argv, rows);
+  bench::maybe_write_csv(csv_path, rows);
 
   std::printf("Figure 9: Overall IPC (scale divisor %u)\n", flags.scale.divisor);
   harness::TablePrinter table(

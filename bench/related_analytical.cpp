@@ -7,7 +7,7 @@
 // but with tens-of-percent error; TBPoint costs a sampled simulation and
 // lands within a percent.
 //
-// Flags: --scale N --seed S --benchmarks a,b --no-cache --cache-dir PATH
+// Flags: the common flags (harness/cli.hpp) and --csv PATH.
 #include "../bench/bench_common.hpp"
 #include "analytical/mwp_cwp.hpp"
 #include "profile/profiler.hpp"
@@ -16,11 +16,12 @@
 
 int main(int argc, char** argv) {
   using namespace tbp;
-  const harness::CommonFlags flags = harness::parse_common_flags(argc, argv, {"--csv"});
+  std::string csv_path;
+  const harness::CommonFlags flags = bench::read_bench_flags(argc, argv, &csv_path);
   const sim::GpuConfig config = sim::fermi_config();
   const std::vector<harness::ExperimentRow> rows =
       bench::collect_rows(flags, config);
-  bench::maybe_write_csv(argc, argv, rows);
+  bench::maybe_write_csv(csv_path, rows);
 
   std::printf(
       "Related work: first-order analytical model (MWP/CWP) vs TBPoint "

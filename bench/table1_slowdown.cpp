@@ -18,7 +18,9 @@
 
 int main(int argc, char** argv) {
   using namespace tbp;
-  const harness::CommonFlags flags = harness::parse_common_flags(argc, argv);
+  harness::Args args(argc, argv, argv[0], "[--scale N] [--seed S]");
+  const workloads::WorkloadScale scale = harness::read_scale(args);
+  args.finish();
 
   // Paper Table I constants (ms on the Quadro 6000) and simulated-time
   // figures; NB/SP/TSP/DMR have no counterpart in our suite, so this bench
@@ -40,7 +42,7 @@ int main(int argc, char** argv) {
   // reported is single-thread simulator throughput, so the calibration loop
   // must run serially and re-time on every invocation (no stale cached
   // wall-clock figures can leak in here).
-  const workloads::Workload calib = workloads::make_workload("cfd", flags.scale);
+  const workloads::Workload calib = workloads::make_workload("cfd", scale);
   sim::GpuSimulator simulator(sim::fermi_config());
   const timing::WallTimer timer;
   std::uint64_t insts = 0;

@@ -2,7 +2,7 @@
 // thread-block count — regenerated from the workload models (at full scale
 // and at the requested scale divisor).
 //
-// Flags: --scale N --seed S
+// Flags: --scale N --seed S --benchmarks a,b
 #include <cstdio>
 
 #include "harness/cli.hpp"
@@ -12,16 +12,21 @@
 
 int main(int argc, char** argv) {
   using namespace tbp;
-  const harness::CommonFlags flags = harness::parse_common_flags(argc, argv);
+  harness::Args args(argc, argv, argv[0],
+                     "[--scale N] [--seed S] [--benchmarks a,b,...]");
+  const workloads::WorkloadScale scale = harness::read_scale(args);
+  const std::vector<std::string> names =
+      harness::read_benchmarks(args, workloads::workload_names());
+  args.finish();
 
   std::printf("Table VI: evaluated benchmarks (scale divisor %u)\n",
-              flags.scale.divisor);
+              scale.divisor);
   harness::TablePrinter table({"benchmark", "suite", "type", "launches",
                                "blocks", "blocks@full", "warp insts"});
-  const workloads::WorkloadScale full{.divisor = 1, .seed = flags.scale.seed};
+  const workloads::WorkloadScale full{.divisor = 1, .seed = scale.seed};
   std::uint64_t total_blocks = 0;
-  for (const std::string& name : flags.benchmark_list()) {
-    const workloads::Workload w = workloads::make_workload(name, flags.scale);
+  for (const std::string& name : names) {
+    const workloads::Workload w = workloads::make_workload(name, scale);
     const workloads::Workload w_full = workloads::make_workload(name, full);
     std::uint64_t warp_insts = 0;
     for (const auto& launch : w.launches) {

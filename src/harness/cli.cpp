@@ -5,8 +5,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
+#include <utility>
 
 namespace tbp::harness {
 namespace {
@@ -78,127 +78,165 @@ Status validate_scale(const workloads::WorkloadScale& scale) {
   return Status::ok_status();
 }
 
-CommonFlags parse_common_flags(int argc, char** argv,
-                               const std::vector<std::string>& extra_allowed) {
+Status validate_gpu_size(std::uint64_t value) {
+  if (value == 0 || value > 1024) {
+    return Status(StatusCode::kInvalidArgument, "must be in [1, 1024]");
+  }
+  return Status::ok_status();
+}
+
+Args::Args(int argc, char** argv, std::string tool, std::string_view synopsis)
+    : tool_(std::move(tool)),
+      usage_("usage: " + tool_ + " " + std::string(synopsis)) {
+  for (int i = 1; i < argc; ++i) tokens_.emplace_back(argv[i]);
+  read_.assign(tokens_.size(), false);
+  while (n_positionals_ < tokens_.size() &&
+         !tokens_[n_positionals_].starts_with('-')) {
+    ++n_positionals_;
+  }
+}
+
+std::string Args::positional() {
+  if (next_positional_ == n_positionals_) return {};
+  read_[next_positional_] = true;
+  return tokens_[next_positional_++];
+}
+
+std::size_t Args::find(std::string_view name) {
+  std::size_t found = std::string::npos;
+  for (std::size_t i = n_positionals_; i < tokens_.size(); ++i) {
+    const std::string_view token = tokens_[i];
+    if (!token.starts_with(name) ||
+        (token.size() > name.size() && token[name.size()] != '=')) {
+      continue;
+    }
+    if (found != std::string::npos) {
+      usage_error(std::string(name) + " given twice");
+    }
+    found = i;
+  }
+  if (found != std::string::npos) read_[found] = true;
+  return found;
+}
+
+bool Args::flag(std::string_view name) {
+  const std::size_t at = find(name);
+  if (at == std::string::npos) return false;
+  if (tokens_[at] != name) usage_error(std::string(name) + " takes no value");
+  return true;
+}
+
+std::optional<std::string> Args::value(std::string_view name) {
+  const std::size_t at = find(name);
+  if (at == std::string::npos) return std::nullopt;
+  std::string text;
+  if (tokens_[at].size() > name.size()) {
+    text = tokens_[at].substr(name.size() + 1);
+  } else if (at + 1 < tokens_.size() && !tokens_[at + 1].starts_with("--")) {
+    read_[at + 1] = true;
+    text = tokens_[at + 1];
+  }
+  if (text.empty()) die("missing value for " + std::string(name));
+  return text;
+}
+
+std::optional<std::uint64_t> Args::u64(std::string_view name, int base) {
+  const std::optional<std::string> text = value(name);
+  if (!text) return std::nullopt;
+  const Result<std::uint64_t> parsed = parse_u64(*text, base);
+  check(name, parsed.status());
+  return *parsed;
+}
+
+std::optional<std::uint32_t> Args::u32(std::string_view name) {
+  const std::optional<std::string> text = value(name);
+  if (!text) return std::nullopt;
+  const Result<std::uint32_t> parsed = parse_u32(*text);
+  check(name, parsed.status());
+  return *parsed;
+}
+
+std::optional<double> Args::real(std::string_view name) {
+  const std::optional<std::string> text = value(name);
+  if (!text) return std::nullopt;
+  const Result<double> parsed = parse_double(*text);
+  check(name, parsed.status());
+  return *parsed;
+}
+
+void Args::finish() const {
+  for (std::size_t i = 0; i < tokens_.size(); ++i) {
+    if (read_[i]) continue;
+    const std::string& token = tokens_[i];
+    if (token.starts_with('-')) {
+      usage_error("unknown flag " + token.substr(0, token.find('=')));
+    }
+    usage_error("unexpected argument '" + token + "'");
+  }
+}
+
+void Args::check(std::string_view name, const Status& status) const {
+  if (!status.ok()) bad_value(name, status.message());
+}
+
+void Args::bad_value(std::string_view name, const std::string& why) const {
+  die("invalid value for " + std::string(name) + ": " + why);
+}
+
+void Args::die(const std::string& message) const {
+  std::fprintf(stderr, "%s: %s\n", tool_.c_str(), message.c_str());
+  std::exit(2);
+}
+
+void Args::usage_error(const std::string& reason) const {
+  if (!reason.empty()) {
+    std::fprintf(stderr, "%s: %s\n", tool_.c_str(), reason.c_str());
+  }
+  std::fprintf(stderr, "%s\n", usage_.c_str());
+  std::exit(2);
+}
+
+workloads::WorkloadScale read_scale(Args& args) {
+  workloads::WorkloadScale scale = kDefaultScale;
+  scale.divisor = args.u32("--scale").value_or(scale.divisor);
+  args.check("--scale", validate_scale(scale));
+  scale.seed = args.u64("--seed", /*base=*/0).value_or(scale.seed);
+  return scale;
+}
+
+std::size_t read_jobs(Args& args) {
+  const std::uint32_t jobs = args.u32("--jobs").value_or(
+      static_cast<std::uint32_t>(par::default_jobs()));
+  if (jobs == 0) args.bad_value("--jobs", "must be >= 1");
+  return jobs;
+}
+
+std::vector<std::string> read_benchmarks(Args& args,
+                                         std::vector<std::string> fallback) {
+  const std::optional<std::string> list = args.value("--benchmarks");
+  if (!list) return fallback;
+  std::vector<std::string> names = split_commas(*list);
+  const std::vector<std::string>& known = workloads::workload_names();
+  for (const std::string& name : names) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      args.die("unknown benchmark '" + name + "'");
+    }
+  }
+  return names;
+}
+
+CommonFlags parse_common_flags(Args& args) {
   CommonFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    // Accept the --name=value spelling for every flag.
-    std::string inline_value;
-    bool has_inline = false;
-    if (arg.rfind("--", 0) == 0) {
-      if (const std::size_t eq = arg.find('='); eq != std::string::npos) {
-        inline_value = arg.substr(eq + 1);
-        arg.resize(eq);
-        has_inline = true;
-      }
-    }
-    const auto take_value = [&]() -> std::string {
-      if (has_inline) return inline_value;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--scale") {
-      const Result<std::uint32_t> divisor = parse_u32(take_value());
-      if (!divisor.has_value()) {
-        std::fprintf(stderr, "%s: invalid value for --scale: %s\n", argv[0],
-                     divisor.status().message().c_str());
-        std::exit(2);
-      }
-      flags.scale.divisor = *divisor;
-      if (const Status st = validate_scale(flags.scale); !st.ok()) {
-        std::fprintf(stderr, "%s: invalid value for --scale: %s\n", argv[0],
-                     st.message().c_str());
-        std::exit(2);
-      }
-    } else if (arg == "--seed") {
-      const Result<std::uint64_t> seed = parse_u64(take_value(), 0);
-      if (!seed.has_value()) {
-        std::fprintf(stderr, "%s: invalid value for --seed: %s\n", argv[0],
-                     seed.status().message().c_str());
-        std::exit(2);
-      }
-      flags.scale.seed = *seed;
-    } else if (arg == "--benchmarks") {
-      flags.benchmarks = split_commas(take_value());
-      for (const std::string& name : flags.benchmarks) {
-        const auto& known = workloads::workload_names();
-        if (std::find(known.begin(), known.end(), name) == known.end()) {
-          std::fprintf(stderr, "%s: unknown benchmark '%s'\n", argv[0],
-                       name.c_str());
-          std::exit(2);
-        }
-      }
-    } else if (arg == "--no-cache") {
-      flags.cache_dir.clear();
-    } else if (arg == "--cache-dir") {
-      flags.cache_dir = take_value();
-    } else if (arg == "--jobs") {
-      const Result<std::uint32_t> jobs = parse_u32(take_value());
-      if (!jobs.has_value() || *jobs == 0) {
-        std::fprintf(stderr, "%s: invalid value for --jobs: %s\n", argv[0],
-                     jobs.has_value() ? "must be >= 1"
-                                      : jobs.status().message().c_str());
-        std::exit(2);
-      }
-      flags.jobs = *jobs;
-    } else if (arg == "--metrics") {
-      flags.metrics_path = take_value();
-    } else if (arg == "--trace") {
-      flags.trace_path = take_value();
-    } else if (arg == "--manifest") {
-      flags.manifest_path = take_value();
-    } else if (arg == "--perf-json") {
-      flags.perf_json_path = take_value();
-    } else {
-      const bool allowed =
-          std::any_of(extra_allowed.begin(), extra_allowed.end(),
-                      [&](const std::string& a) { return a == arg; });
-      if (allowed) {
-        // Extra flags may take a value; skip it if it does not look like a
-        // flag itself (a --name=value flag already carries its own).
-        if (!has_inline && i + 1 < argc &&
-            std::strncmp(argv[i + 1], "--", 2) != 0) {
-          ++i;
-        }
-        continue;
-      }
-      std::fprintf(stderr,
-                   "usage: %s [--scale N] [--seed S] [--benchmarks a,b,...] "
-                   "[--no-cache] [--cache-dir PATH] [--jobs N] "
-                   "[--metrics PATH] [--trace PATH] [--manifest PATH] "
-                   "[--perf-json PATH]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-  }
+  flags.scale = read_scale(args);
+  flags.benchmarks = read_benchmarks(args, {});
+  flags.cache_dir = args.value("--cache-dir").value_or(flags.cache_dir);
+  if (args.flag("--no-cache")) flags.cache_dir.clear();
+  flags.jobs = read_jobs(args);
+  flags.metrics_path = args.value("--metrics").value_or("");
+  flags.trace_path = args.value("--trace").value_or("");
+  flags.manifest_path = args.value("--manifest").value_or("");
+  flags.perf_json_path = args.value("--perf-json").value_or("");
   return flags;
-}
-
-bool has_flag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
-
-std::string flag_value(int argc, char** argv, const std::string& name,
-                       const std::string& fallback) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (name == arg) {
-      if (i + 1 < argc) return argv[i + 1];
-      return fallback;
-    }
-    if (arg.size() > name.size() + 1 &&
-        arg.compare(0, name.size(), name) == 0 && arg[name.size()] == '=') {
-      return arg.substr(name.size() + 1);
-    }
-  }
-  return fallback;
 }
 
 }  // namespace tbp::harness

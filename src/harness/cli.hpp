@@ -1,8 +1,14 @@
-// Minimal command-line parsing shared by the bench binaries.
+// Command-line parsing for every tool and bench binary: one strict reader
+// (Args), and the readers of the flags several binaries share.  A value flag
+// takes `--name value` or `--name=value` (never a `--` token as its value),
+// a switch `--name` alone; the leading non-flag tokens are positionals.  A
+// missing or malformed value, a repeated flag, a switch given a value and
+// (at finish()) any unread flag or argument exit 2.  Each binary reads all
+// of its flags and calls finish() before it does any work.
 //
-// Common flags:
+// The common flags (CommonFlags) of the benches that call collect_rows:
 //   --scale N          workload scale divisor (default 4)
-//   --seed S           workload seed
+//   --seed S           workload seed (decimal or 0x hex)
 //   --benchmarks a,b   comma-separated subset of Table VI names
 //   --no-cache         recompute instead of using ./tbpoint_cache
 //   --cache-dir PATH   cache location
@@ -18,12 +24,12 @@
 //   --perf-json PATH   write a sealed tbp-bench-perf-v1 wall-time/throughput
 //                      document (BENCH_PERF.json; wall-clock, so NOT
 //                      byte-identical across runs)
-//
-// Every flag also accepts the --name=value spelling.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/parallel.hpp"
@@ -48,8 +54,76 @@ namespace tbp::harness {
 /// uniform across tools.
 [[nodiscard]] Status validate_scale(const workloads::WorkloadScale& scale);
 
+/// The bounds of an SM count and of a warps-per-SM count, applied by every
+/// front end (tbpoint_cli, tbp-client, tbp-fuzz, tbpointd's request
+/// parser): kInvalidArgument "must be in [1, 1024]" outside them.
+[[nodiscard]] Status validate_gpu_size(std::uint64_t value);
+
+/// One binary's command line, read once (rules in the header comment).
+/// Every getter marks the tokens it reads; finish() rejects the rest.
+class Args {
+ public:
+  /// `tool` prefixes every message; the usage line is
+  /// "usage: <tool> <synopsis>".
+  Args(int argc, char** argv, std::string tool, std::string_view synopsis);
+
+  /// The next leading positional, or "" when none is left.
+  [[nodiscard]] std::string positional();
+
+  /// True if the switch `name` (e.g. "--gto") was given.
+  [[nodiscard]] bool flag(std::string_view name);
+
+  /// The value of the value flag `name`, or nullopt when it was not given.
+  [[nodiscard]] std::optional<std::string> value(std::string_view name);
+
+  /// The value parsed with parse_u64 / parse_u32 / parse_double; one that
+  /// does not parse exits 2 with "invalid value for NAME: ...".
+  [[nodiscard]] std::optional<std::uint64_t> u64(std::string_view name,
+                                                 int base = 10);
+  [[nodiscard]] std::optional<std::uint32_t> u32(std::string_view name);
+  [[nodiscard]] std::optional<double> real(std::string_view name);
+
+  /// Exits 2 with the usage line if any flag or argument was left unread.
+  void finish() const;
+
+  /// Each prints "<tool>: ..." on stderr and exits 2: "invalid value for
+  /// NAME: <why>" (check: unless `status` is ok), `message`, or `reason`
+  /// (unless empty) followed by the usage line.
+  void check(std::string_view name, const Status& status) const;
+  [[noreturn]] void bad_value(std::string_view name,
+                              const std::string& why) const;
+  [[noreturn]] void die(const std::string& message) const;
+  [[noreturn]] void usage_error(const std::string& reason = "") const;
+
+ private:
+  /// The index of the one token naming `name` (marked read), or npos.
+  [[nodiscard]] std::size_t find(std::string_view name);
+
+  std::string tool_;
+  std::string usage_;
+  std::vector<std::string> tokens_;  ///< argv[1..]
+  std::vector<bool> read_;
+  std::size_t n_positionals_ = 0;    ///< leading non-flag tokens
+  std::size_t next_positional_ = 0;
+};
+
+/// The workload scale of every binary that takes --scale and --seed.
+inline constexpr workloads::WorkloadScale kDefaultScale{.divisor = 4,
+                                                        .seed = 0x7b90147};
+
+/// --scale N (>= 1) and --seed S (decimal or 0x hex), each defaulting to
+/// kDefaultScale's.
+[[nodiscard]] workloads::WorkloadScale read_scale(Args& args);
+
+/// --jobs N (>= 1, default: hardware concurrency).
+[[nodiscard]] std::size_t read_jobs(Args& args);
+
+/// --benchmarks a,b,... (Table VI names), or `fallback` when not given.
+[[nodiscard]] std::vector<std::string> read_benchmarks(
+    Args& args, std::vector<std::string> fallback);
+
 struct CommonFlags {
-  workloads::WorkloadScale scale{.divisor = 4, .seed = 0x7b90147};
+  workloads::WorkloadScale scale = kDefaultScale;
   std::vector<std::string> benchmarks;  ///< empty = all 12
   std::string cache_dir = "tbpoint_cache";
   std::size_t jobs = par::default_jobs();  ///< strict-parsed --jobs, >= 1
@@ -63,16 +137,13 @@ struct CommonFlags {
   }
 };
 
-/// Parses the common flags; prints usage and exits(2) on an unknown flag
-/// unless it appears in `extra_allowed` (flags the binary parses itself).
-[[nodiscard]] CommonFlags parse_common_flags(
-    int argc, char** argv, const std::vector<std::string>& extra_allowed = {});
+/// The synopsis of the common flags, for a bench's usage line.
+inline constexpr std::string_view kCommonFlagsSynopsis =
+    "[--scale N] [--seed S] [--benchmarks a,b,...] [--no-cache] "
+    "[--cache-dir PATH] [--jobs N] [--metrics PATH] [--trace PATH] "
+    "[--manifest PATH] [--perf-json PATH]";
 
-/// True if `flag` (e.g. "--full") was passed.
-[[nodiscard]] bool has_flag(int argc, char** argv, const std::string& flag);
-
-/// Value of `--name value` or `--name=value`, or `fallback`.
-[[nodiscard]] std::string flag_value(int argc, char** argv, const std::string& name,
-                                     const std::string& fallback);
+/// Reads the common flags (--no-cache wins over --cache-dir).
+[[nodiscard]] CommonFlags parse_common_flags(Args& args);
 
 }  // namespace tbp::harness

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "harness/cli.hpp"
 #include "harness/manifest.hpp"
 
 namespace tbp::service {
@@ -71,20 +72,13 @@ Result<RequestSpec> parse_request(std::string_view text) {
       }
       continue;
     }
-    if (key == "sms") {
-      std::uint64_t sms = 0;
-      if (!read_u64(value, &sms) || sms == 0 || sms > 1024) {
-        return invalid("sms must be in [1, 1024]");
+    if (key == "sms" || key == "warps") {
+      std::uint64_t size = 0;
+      if (!read_u64(value, &size)) size = 0;  // so a non-integer fails too
+      if (const Status st = harness::validate_gpu_size(size); !st.ok()) {
+        return invalid(key + " " + st.message());
       }
-      spec.sms = static_cast<std::uint32_t>(sms);
-      continue;
-    }
-    if (key == "warps") {
-      std::uint64_t warps = 0;
-      if (!read_u64(value, &warps) || warps == 0 || warps > 1024) {
-        return invalid("warps must be in [1, 1024]");
-      }
-      spec.warps = static_cast<std::uint32_t>(warps);
+      (key == "sms" ? spec.sms : spec.warps) = static_cast<std::uint32_t>(size);
       continue;
     }
     if (key == "gto") {
@@ -130,6 +124,18 @@ store::StoreKey spec_store_key(const RequestSpec& spec) {
       spec_canonical_line(spec) + " model " +
           std::to_string(harness::kModelVersion),
       label);
+}
+
+RequestSpec read_spec(harness::Args& args, std::string workload) {
+  RequestSpec spec;
+  spec.workload = std::move(workload);
+  spec.scale = harness::read_scale(args);
+  spec.sms = args.u32("--sms").value_or(spec.sms);
+  args.check("--sms", harness::validate_gpu_size(spec.sms));
+  spec.warps = args.u32("--warps").value_or(spec.warps);
+  args.check("--warps", harness::validate_gpu_size(spec.warps));
+  spec.gto = args.flag("--gto");
+  return spec;
 }
 
 sim::GpuConfig spec_gpu_config(const RequestSpec& spec) {

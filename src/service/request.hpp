@@ -27,6 +27,7 @@
 #include <string>
 #include <string_view>
 
+#include "harness/cli.hpp"
 #include "harness/experiment.hpp"
 #include "obs/report.hpp"
 #include "sim/config.hpp"
@@ -41,7 +42,7 @@ inline constexpr std::string_view kRequestSchema = "tbp-request-v1";
 /// One fully-defaulted compare request (the only command v1 speaks).
 struct RequestSpec {
   std::string workload;
-  workloads::WorkloadScale scale{.divisor = 4, .seed = 0x7b90147};
+  workloads::WorkloadScale scale = harness::kDefaultScale;
   std::uint32_t sms = 14;
   std::uint32_t warps = 48;
   bool gto = false;
@@ -62,6 +63,11 @@ struct RequestSpec {
 /// manifest format bump or a model change re-computes instead of serving
 /// stale bytes.
 [[nodiscard]] store::StoreKey spec_store_key(const RequestSpec& spec);
+
+/// The spec of `workload` that a command line names: --scale, --seed,
+/// --sms and --warps (each in [1, 1024]) and --gto, as read by tbpoint_cli's
+/// run, compare and simulate and by tbp-client submit.
+[[nodiscard]] RequestSpec read_spec(harness::Args& args, std::string workload);
 
 /// The GPU configuration the spec names — same rule as tbpoint_cli: the
 /// default 14x48 geometry is the calibrated Fermi model, anything else is

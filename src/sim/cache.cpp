@@ -58,10 +58,4 @@ void SetAssocCache::fill(std::uint64_t line) noexcept {
   victim->last_use = ++use_clock_;
 }
 
-void SetAssocCache::reset() noexcept {
-  for (Way& way : ways_) way.valid = false;
-  use_clock_ = 0;
-  stats_ = CacheStats{};
-}
-
 }  // namespace tbp::sim

@@ -39,9 +39,6 @@ class SetAssocCache {
   /// Installs `line`, evicting the LRU way of its set if needed.
   void fill(std::uint64_t line) noexcept;
 
-  /// Invalidates every line (used between independently simulated launches).
-  void reset() noexcept;
-
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
  private:

@@ -5,13 +5,11 @@
 
 namespace tbp::sim {
 
-DramChannel::DramChannel(const GpuConfig& config, std::uint32_t channel_id)
+DramChannel::DramChannel(const GpuConfig& config)
     : timing_(config.dram),
       n_channels_(config.n_channels),
       lines_per_page_(config.lines_per_dram_page()),
-      banks_(config.banks_per_channel) {
-  (void)channel_id;
-}
+      banks_(config.banks_per_channel) {}
 
 std::uint32_t DramChannel::bank_of(std::uint64_t line) const noexcept {
   return static_cast<std::uint32_t>((line / n_channels_ / lines_per_page_) %
@@ -90,7 +88,6 @@ void DramChannel::tick(std::uint64_t cycle, std::vector<DramReply>& replies) {
   chosen_bank->row_valid = true;
 
   ++stats_.scheduling_decisions;
-  stats_.queue_occupancy_sum += queued_ + 1;
   if (queue_depth_hist_ != nullptr) queue_depth_hist_->record(queued_ + 1);
   if (chosen_is_hit) {
     ++stats_.row_hits;
@@ -105,21 +102,9 @@ void DramChannel::tick(std::uint64_t cycle, std::vector<DramReply>& replies) {
   }
 }
 
-void DramChannel::reset() {
-  for (Bank& bank : banks_) {
-    bank.queue.clear();
-    bank.row_valid = false;
-    bank.busy_until = 0;
-  }
-  queued_ = 0;
-  bus_free_at_ = 0;
-  while (!pending_.empty()) pending_.pop();
-  stats_ = DramStats{};
-}
-
 DramSystem::DramSystem(const GpuConfig& config) : n_channels_(config.n_channels) {
   channels_.reserve(n_channels_);
-  for (std::uint32_t c = 0; c < n_channels_; ++c) channels_.emplace_back(config, c);
+  for (std::uint32_t c = 0; c < n_channels_; ++c) channels_.emplace_back(config);
 }
 
 void DramSystem::push(std::uint64_t line, bool is_store, std::uint64_t cycle) {
@@ -144,14 +129,9 @@ DramStats DramSystem::aggregate_stats() const noexcept {
     total.row_misses += s.row_misses;
     total.loads += s.loads;
     total.stores += s.stores;
-    total.queue_occupancy_sum += s.queue_occupancy_sum;
     total.scheduling_decisions += s.scheduling_decisions;
   }
   return total;
-}
-
-void DramSystem::reset() {
-  for (DramChannel& channel : channels_) channel.reset();
 }
 
 void DramSystem::set_queue_depth_histogram(obs::Histogram* hist) noexcept {

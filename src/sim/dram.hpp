@@ -39,7 +39,6 @@ struct DramStats {
   std::uint64_t row_misses = 0;
   std::uint64_t loads = 0;
   std::uint64_t stores = 0;
-  std::uint64_t queue_occupancy_sum = 0;  ///< summed per scheduling decision
   std::uint64_t scheduling_decisions = 0;
 
   [[nodiscard]] double row_hit_rate() const noexcept {
@@ -47,17 +46,11 @@ struct DramStats {
     return total == 0 ? 0.0
                       : static_cast<double>(row_hits) / static_cast<double>(total);
   }
-  [[nodiscard]] double mean_queue_depth() const noexcept {
-    return scheduling_decisions == 0
-               ? 0.0
-               : static_cast<double>(queue_occupancy_sum) /
-                     static_cast<double>(scheduling_decisions);
-  }
 };
 
 class DramChannel {
  public:
-  DramChannel(const GpuConfig& config, std::uint32_t channel_id);
+  explicit DramChannel(const GpuConfig& config);
 
   void push(const DramRequest& request);
 
@@ -69,7 +62,6 @@ class DramChannel {
     return queued_ > 0 || !pending_.empty();
   }
   [[nodiscard]] const DramStats& stats() const noexcept { return stats_; }
-  void reset();
 
   /// Attaches a queue-depth histogram sampled once per FR-FCFS scheduling
   /// decision (null detaches); channels of one simulator share one
@@ -116,7 +108,6 @@ class DramSystem {
 
   [[nodiscard]] bool busy() const noexcept;
   [[nodiscard]] DramStats aggregate_stats() const noexcept;
-  void reset();
 
   /// Forwards to every channel (they share the one histogram).
   void set_queue_depth_histogram(obs::Histogram* hist) noexcept;

@@ -1,8 +1,9 @@
 // Top-level GPU simulator: greedy global thread-block dispatcher, the SM
 // array, the memory hierarchy, and sampling-unit metering.  One call to
 // run_launch simulates one kernel launch (the unit at which all of the
-// paper's sampling operates); caches and queues are reset between launches
-// so launch simulations compose independently.
+// paper's sampling operates) on a machine built for that call alone: cold
+// caches, empty MSHRs and queues, zeroed counters.  Nothing carries over
+// from one launch to the next, so launch simulations compose independently.
 #pragma once
 
 #include <cstdint>

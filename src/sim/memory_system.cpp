@@ -218,23 +218,4 @@ MemoryStats MemorySystem::stats() const {
   return out;
 }
 
-void MemorySystem::reset() {
-  for (SmPort& port : ports_) {
-    port.l1.reset();
-    port.mshr.clear();
-    port.overflow.clear();
-    port.hit_wait.clear();
-    port.mshr_merges = 0;
-    port.mshr_stalls = 0;
-  }
-  l2_.reset();
-  dram_.reset();
-  l2_queue_.clear();
-  l2_mshr_.clear();
-  while (!l1_fills_.empty()) l1_fills_.pop();
-  fill_seq_ = 0;
-  l2_mshr_merges_ = 0;
-  l2_mshr_overflows_ = 0;
-}
-
 }  // namespace tbp::sim

@@ -70,10 +70,6 @@ class MemorySystem {
 
   [[nodiscard]] MemoryStats stats() const;
 
-  /// Clears caches, MSHRs and queues (between independently simulated
-  /// launches).
-  void reset();
-
   /// Attaches the DRAM FR-FCFS queue-depth histogram (see DramChannel).
   void set_queue_depth_histogram(obs::Histogram* hist) noexcept {
     dram_.set_queue_depth_histogram(hist);

@@ -102,10 +102,6 @@ class SmCore {
 
   [[nodiscard]] std::uint64_t warp_insts() const noexcept { return warp_insts_; }
   [[nodiscard]] std::uint64_t thread_insts() const noexcept { return thread_insts_; }
-  void reset_stats() noexcept {
-    warp_insts_ = 0;
-    thread_insts_ = 0;
-  }
 
   /// Scheduling-state snapshot for deadlock diagnostics (cheap: one pass
   /// over the warp contexts; called only when the watchdog fires).

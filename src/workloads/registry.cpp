@@ -6,6 +6,26 @@
 
 namespace tbp::workloads {
 
+namespace {
+
+using Builder = Workload (*)(const WorkloadScale&);
+struct Entry {
+  std::string_view name;
+  Builder builder;
+};
+constexpr Entry kRegistry[] = {
+    {"bfs", detail::make_bfs},         {"sssp", detail::make_sssp},
+    {"mst", detail::make_mst},         {"mri", detail::make_mri},
+    {"spmv", detail::make_spmv},       {"lbm", detail::make_lbm},
+    {"cfd", detail::make_cfd},         {"kmeans", detail::make_kmeans},
+    {"hotspot", detail::make_hotspot}, {"stream", detail::make_stream},
+    {"black", detail::make_black},     {"conv", detail::make_conv},
+    // Fig. 11 companion (single-launch, like hotspot); opt-in by name.
+    {"binomial", detail::make_binomial},
+};
+
+}  // namespace
+
 std::vector<const trace::LaunchTraceSource*> Workload::sources() const {
   std::vector<const trace::LaunchTraceSource*> out;
   out.reserve(launches.size());
@@ -27,6 +47,12 @@ const std::vector<std::string>& workload_names() {
   return names;
 }
 
+std::vector<std::string> buildable_workload_names() {
+  std::vector<std::string> out;
+  for (const Entry& entry : kRegistry) out.emplace_back(entry.name);
+  return out;
+}
+
 Workload make_workload(std::string_view name, const WorkloadScale& scale) {
   // Strict: a zero divisor is a caller bug (the CLI layers reject it with a
   // Status before it gets here); aborting matches the unknown-name policy
@@ -35,21 +61,6 @@ Workload make_workload(std::string_view name, const WorkloadScale& scale) {
     std::fprintf(stderr, "make_workload: scale divisor must be >= 1\n");
     std::abort();
   }
-  using Builder = Workload (*)(const WorkloadScale&);
-  struct Entry {
-    std::string_view name;
-    Builder builder;
-  };
-  static constexpr Entry kRegistry[] = {
-      {"bfs", detail::make_bfs},         {"sssp", detail::make_sssp},
-      {"mst", detail::make_mst},         {"mri", detail::make_mri},
-      {"spmv", detail::make_spmv},       {"lbm", detail::make_lbm},
-      {"cfd", detail::make_cfd},         {"kmeans", detail::make_kmeans},
-      {"hotspot", detail::make_hotspot}, {"stream", detail::make_stream},
-      {"black", detail::make_black},     {"conv", detail::make_conv},
-      // Fig. 11 companion (single-launch, like hotspot); opt-in by name.
-      {"binomial", detail::make_binomial},
-  };
   for (const Entry& entry : kRegistry) {
     if (entry.name == name) return entry.builder(scale);
   }

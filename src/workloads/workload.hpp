@@ -47,6 +47,9 @@ struct WorkloadScale {
 /// Names in the paper's Table VI order.
 [[nodiscard]] const std::vector<std::string>& workload_names();
 
+/// Every name make_workload builds: the 12 Table VI names, then "binomial".
+[[nodiscard]] std::vector<std::string> buildable_workload_names();
+
 /// Builds one benchmark model; aborts on an unknown name.
 [[nodiscard]] Workload make_workload(std::string_view name,
                                      const WorkloadScale& scale = {});

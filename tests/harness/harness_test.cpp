@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
+#include <optional>
 #include <sstream>
 #include <filesystem>
 #include <string>
@@ -351,12 +353,18 @@ TEST(TableTest, GeomeanPct) {
 
 // ---- cli ----
 
+/// An Args over `tokens`, as a binary named "prog" would see them.
+[[nodiscard]] Args args_of(std::initializer_list<const char*> tokens) {
+  std::vector<char*> argv = {const_cast<char*>("prog")};
+  for (const char* token : tokens) argv.push_back(const_cast<char*>(token));
+  return Args(static_cast<int>(argv.size()), argv.data(), "prog", "[flags]");
+}
+
 TEST(CliTest, ParsesCommonFlags) {
-  const char* argv[] = {"prog", "--scale", "8",       "--seed",
-                        "42",   "--benchmarks", "bfs,mst", "--no-cache",
-                        "--jobs", "4"};
-  const CommonFlags flags =
-      parse_common_flags(10, const_cast<char**>(argv));
+  Args args = args_of({"--scale", "8", "--seed", "42", "--benchmarks",
+                       "bfs,mst", "--no-cache", "--jobs", "4"});
+  const CommonFlags flags = parse_common_flags(args);
+  args.finish();
   EXPECT_EQ(flags.scale.divisor, 8u);
   EXPECT_EQ(flags.scale.seed, 42u);
   EXPECT_EQ(flags.benchmarks, (std::vector<std::string>{"bfs", "mst"}));
@@ -365,15 +373,15 @@ TEST(CliTest, ParsesCommonFlags) {
 }
 
 TEST(CliTest, JobsDefaultsToHardwareConcurrency) {
-  const char* argv[] = {"prog"};
-  const CommonFlags flags = parse_common_flags(1, const_cast<char**>(argv));
+  Args args = args_of({});
+  const CommonFlags flags = parse_common_flags(args);
   EXPECT_GE(flags.jobs, 1u);
   EXPECT_EQ(flags.jobs, par::default_jobs());
 }
 
 TEST(CliTest, DefaultsToAllBenchmarks) {
-  const char* argv[] = {"prog"};
-  const CommonFlags flags = parse_common_flags(1, const_cast<char**>(argv));
+  Args args = args_of({});
+  const CommonFlags flags = parse_common_flags(args);
   EXPECT_EQ(flags.benchmark_list().size(), 12u);
   EXPECT_EQ(flags.cache_dir, "tbpoint_cache");
 }
@@ -392,11 +400,14 @@ TEST(CliTest, ValidateScaleRejectsZeroDivisor) {
 }
 
 TEST(CliTest, ScaleZeroExitsWithUsageError) {
-  // parse_common_flags exits(2) on --scale 0, so drive it in a death test;
-  // the message names the flag so the user knows what to fix.
-  const char* argv[] = {"prog", "--scale", "0"};
-  EXPECT_EXIT((void)parse_common_flags(3, const_cast<char**>(argv)),
-              testing::ExitedWithCode(2), "invalid value for --scale");
+  // read_scale exits(2) on --scale 0, so drive it in a death test; the
+  // message names the flag so the user knows what to fix.
+  EXPECT_EXIT(
+      {
+        Args args = args_of({"--scale", "0"});
+        (void)read_scale(args);
+      },
+      testing::ExitedWithCode(2), "invalid value for --scale");
 }
 
 TEST(CliTest, StrictU64Parsing) {
@@ -427,13 +438,134 @@ TEST(CliTest, StrictDoubleParsing) {
   }
 }
 
-TEST(CliTest, HasFlagAndFlagValue) {
-  const char* argv[] = {"prog", "--full", "--mode", "fast"};
-  char** args = const_cast<char**>(argv);
-  EXPECT_TRUE(has_flag(4, args, "--full"));
-  EXPECT_FALSE(has_flag(4, args, "--quick"));
-  EXPECT_EQ(flag_value(4, args, "--mode", "slow"), "fast");
-  EXPECT_EQ(flag_value(4, args, "--other", "slow"), "slow");
+TEST(CliTest, GpuSizeBounds) {
+  EXPECT_TRUE(validate_gpu_size(1).ok());
+  EXPECT_TRUE(validate_gpu_size(1024).ok());
+  for (const std::uint64_t bad : {std::uint64_t{0}, std::uint64_t{1025},
+                                  std::uint64_t{4294967310}}) {
+    const Status st = validate_gpu_size(bad);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(st.message(), "must be in [1, 1024]");
+  }
+}
+
+TEST(ArgsTest, ValueFlagTakesBothSpellings) {
+  Args args = args_of({"--scale", "8", "--seed=0x10", "--cache-dir=a=b"});
+  const workloads::WorkloadScale scale = read_scale(args);
+  EXPECT_EQ(scale.divisor, 8u);
+  EXPECT_EQ(scale.seed, 16u);
+  EXPECT_EQ(args.value("--cache-dir"), "a=b");
+  EXPECT_EQ(args.value("--csv"), std::nullopt);
+  EXPECT_EQ(args.u32("--sms"), std::nullopt);
+  args.finish();
+}
+
+TEST(ArgsTest, PositionalsLeadAndSwitchesTakeNoValue) {
+  Args args = args_of({"run", "stream", "--gto", "--p", "-0.5"});
+  EXPECT_EQ(args.positional(), "run");
+  EXPECT_EQ(args.positional(), "stream");
+  EXPECT_EQ(args.positional(), "");
+  EXPECT_TRUE(args.flag("--gto"));
+  EXPECT_FALSE(args.flag("--no-inter"));
+  EXPECT_EQ(args.real("--p"), -0.5);
+  args.finish();
+}
+
+TEST(ArgsTest, SwitchGivenAValueExits) {
+  EXPECT_EXIT(
+      {
+        Args args = args_of({"--no-inter=1"});
+        (void)args.flag("--no-inter");
+      },
+      testing::ExitedWithCode(2), "--no-inter takes no value(.|\n)*usage: prog");
+}
+
+TEST(ArgsTest, MissingValueExits) {
+  EXPECT_EXIT(
+      {
+        Args args = args_of({"--csv"});
+        (void)args.value("--csv");
+      },
+      testing::ExitedWithCode(2), "prog: missing value for --csv");
+  // A `--` token is never a value: `--csv --no-cache` must not write a
+  // file named --no-cache.
+  EXPECT_EXIT(
+      {
+        Args args = args_of({"--csv", "--no-cache"});
+        (void)args.flag("--no-cache");
+        (void)args.value("--csv");
+      },
+      testing::ExitedWithCode(2), "missing value for --csv");
+  EXPECT_EXIT(
+      {
+        Args args = args_of({"--manifest="});
+        (void)args.value("--manifest");
+      },
+      testing::ExitedWithCode(2), "missing value for --manifest");
+}
+
+TEST(ArgsTest, RepeatedFlagExits) {
+  EXPECT_EXIT(
+      {
+        Args args = args_of({"--jobs", "2", "--jobs=3"});
+        (void)read_jobs(args);
+      },
+      testing::ExitedWithCode(2), "--jobs given twice(.|\n)*usage: prog");
+}
+
+TEST(ArgsTest, UnreadFlagExits) {
+  EXPECT_EXIT(
+      {
+        Args args = args_of({"--scael", "64"});
+        (void)read_scale(args);
+        args.finish();
+      },
+      testing::ExitedWithCode(2), "unknown flag --scael(.|\n)*usage: prog");
+  EXPECT_EXIT(
+      {
+        Args args = args_of({"--launch=0"});
+        args.finish();
+      },
+      testing::ExitedWithCode(2), "unknown flag --launch\n");
+}
+
+TEST(ArgsTest, StrayPositionalExits) {
+  EXPECT_EXIT(
+      {
+        Args args = args_of({"--no-cache", "extra"});
+        (void)args.flag("--no-cache");
+        args.finish();
+      },
+      testing::ExitedWithCode(2), "unexpected argument 'extra'");
+  EXPECT_EXIT(
+      {
+        Args args = args_of({"replay", "5", "6"});
+        (void)args.positional();
+        (void)args.positional();
+        args.finish();
+      },
+      testing::ExitedWithCode(2), "unexpected argument '6'");
+}
+
+TEST(ArgsTest, MalformedNumbersExit) {
+  EXPECT_EXIT(
+      {
+        Args args = args_of({"--jobs", "0"});
+        (void)read_jobs(args);
+      },
+      testing::ExitedWithCode(2), "prog: invalid value for --jobs: must be >= 1");
+  EXPECT_EXIT(
+      {
+        Args args = args_of({"--sms=4294967310"});
+        (void)args.u32("--sms");
+      },
+      testing::ExitedWithCode(2), "invalid value for --sms: .*out of range");
+  EXPECT_EXIT(
+      {
+        Args args = args_of({"--benchmarks", "bfs,nosuch"});
+        (void)read_benchmarks(args, {});
+      },
+      testing::ExitedWithCode(2), "unknown benchmark 'nosuch'");
 }
 
 }  // namespace

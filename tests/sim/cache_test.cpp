@@ -78,16 +78,6 @@ TEST(CacheTest, DoubleFillDoesNotDuplicate) {
   EXPECT_TRUE(cache.contains(4));
 }
 
-TEST(CacheTest, ResetClearsEverything) {
-  SetAssocCache cache(tiny_cache());
-  cache.fill(0);
-  (void)cache.access(0);
-  cache.reset();
-  EXPECT_FALSE(cache.contains(0));
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-}
-
 TEST(CacheTest, HitRateMath) {
   CacheStats stats;
   stats.hits = 3;

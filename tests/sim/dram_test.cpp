@@ -24,7 +24,7 @@ std::vector<DramReply> drain(DramChannel& channel, std::size_t n,
 }
 
 TEST(DramTest, SingleLoadCompletes) {
-  DramChannel channel(config(), 0);
+  DramChannel channel(config());
   channel.push({.line = 0, .is_store = false, .arrival = 0});
   const auto replies = drain(channel, 1);
   ASSERT_EQ(replies.size(), 1u);
@@ -36,7 +36,7 @@ TEST(DramTest, SingleLoadCompletes) {
 }
 
 TEST(DramTest, StoreProducesNoReply) {
-  DramChannel channel(config(), 0);
+  DramChannel channel(config());
   channel.push({.line = 0, .is_store = true, .arrival = 0});
   const auto replies = drain(channel, 1, 0, 1000);
   EXPECT_TRUE(replies.empty());
@@ -46,7 +46,7 @@ TEST(DramTest, StoreProducesNoReply) {
 
 TEST(DramTest, RowHitIsFasterThanRowMiss) {
   const GpuConfig cfg = config();
-  DramChannel channel(cfg, 0);
+  DramChannel channel(cfg);
   // Same page: second access is a row hit.
   channel.push({.line = 0, .is_store = false, .arrival = 0});
   channel.push({.line = cfg.n_channels, .is_store = false, .arrival = 0});
@@ -61,7 +61,7 @@ TEST(DramTest, RowHitIsFasterThanRowMiss) {
 
 TEST(DramTest, FrFcfsPrefersRowHitOverOlderMiss) {
   const GpuConfig cfg = config();
-  DramChannel channel(cfg, 0);
+  DramChannel channel(cfg);
   const std::uint64_t lines_per_page = cfg.lines_per_dram_page();
   // Open a row in bank 0.
   channel.push({.line = 0, .is_store = false, .arrival = 0});
@@ -89,7 +89,7 @@ TEST(DramTest, FrFcfsPrefersRowHitOverOlderMiss) {
 
 TEST(DramTest, BusSerializesBankParallelism) {
   const GpuConfig cfg = config();
-  DramChannel channel(cfg, 0);
+  DramChannel channel(cfg);
   // Four requests to four different banks, all arriving at cycle 0: banks
   // overlap their row activations but the data bursts serialize.
   const std::uint64_t bank_stride = cfg.lines_per_dram_page() * cfg.n_channels;
@@ -138,21 +138,12 @@ TEST(DramTest, StatsAccumulate) {
   EXPECT_EQ(stats.loads, 10u);
   EXPECT_EQ(stats.row_hits + stats.row_misses, 10u);
   EXPECT_GE(stats.row_hits, 9u);  // same line: everything after the opener hits
-  EXPECT_GT(stats.mean_queue_depth(), 0.0);
-}
-
-TEST(DramTest, ResetClearsState) {
-  DramSystem dram(config());
-  dram.push(0, false, 0);
-  dram.reset();
-  EXPECT_FALSE(dram.busy());
-  EXPECT_EQ(dram.aggregate_stats().loads, 0u);
 }
 
 TEST(DramTest, DeterministicReplies) {
   const GpuConfig cfg = config();
   auto run = [&] {
-    DramChannel channel(cfg, 0);
+    DramChannel channel(cfg);
     for (std::uint64_t i = 0; i < 20; ++i) {
       channel.push({.line = i * 37 % 64 * cfg.n_channels, .is_store = i % 3 == 0,
                     .arrival = i / 2});

@@ -127,16 +127,6 @@ TEST(MemorySystemTest, BusyReflectsInFlightWork) {
   EXPECT_FALSE(memory.busy());
 }
 
-TEST(MemorySystemTest, ResetRestoresColdState) {
-  MemorySystem memory(config());
-  (void)memory.load(0, 100, 1, 0);
-  (void)drain(memory, 1);
-  memory.reset();
-  EXPECT_FALSE(memory.busy());
-  EXPECT_EQ(memory.stats().l1.hits + memory.stats().l1.misses, 0u);
-  EXPECT_FALSE(memory.load(0, 100, 1, 0));  // cold again
-}
-
 TEST(MemorySystemTest, CompletionLatencyIncludesInterconnectBothWays) {
   const GpuConfig cfg = config();
   MemorySystem memory(cfg);

@@ -86,6 +86,19 @@ TEST(ReportCliTest, BadUsageExitsUnreadable) {
   EXPECT_EQ(run({"compare", path, path, "--max-regress"}), kExitUnreadable);
 }
 
+// The CI perf gate passes --max-regress: a negative, empty or non-finite
+// threshold is a usage error, never a gate that fails or passes everything.
+TEST(ReportCliTest, MaxRegressMustBeAFiniteNonNegativeNumber) {
+  const std::string dir = temp_dir("tbp_report_threshold");
+  const std::string path = write_perf(dir + "/a.json", 1.0, 1e6, 0.5);
+  for (const char* bad : {"-5", "", "1e999", "inf", "nan"}) {
+    EXPECT_EQ(run({"compare", path, path, "--max-regress", bad}),
+              kExitUnreadable)
+        << "--max-regress '" << bad << "'";
+  }
+  EXPECT_EQ(run({"compare", path, path, "--max-regress", "0"}), kExitOk);
+}
+
 TEST(ReportCliTest, IdenticalManifestsCompareClean) {
   const std::string dir = temp_dir("tbp_report_same");
   const std::string a = write_perf(dir + "/a.json", 2.0, 5e6, 1.0);

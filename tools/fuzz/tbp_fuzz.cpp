@@ -11,75 +11,43 @@
 //       minimized.  Each failing seed's shrunk spec is written to
 //       <out>/repro-<seed16hex>.json as a sealed tbp-fuzz-repro-v1 file.
 //       Exit 0 when every seed passes, 1 on any violation, 2 on usage error.
-//   tbp-fuzz replay  <repro.json|seed> [--sms S] [--err-bound PCT] ...
+//   tbp-fuzz replay  <repro.json|seed> [run flags but --seeds/--base-seed/--jobs]
 //       Re-checks one reproducer file (or one literal seed, 0x-prefixed or
 //       decimal) and prints the violations.  Exit codes as above.
-//   tbp-fuzz corpus  <seeds.txt> [--sms S] [--err-bound PCT] ...
+//   tbp-fuzz corpus  <seeds.txt> [the flags of replay]
 //       Replays every seed listed in a corpus file (one seed per line,
 //       0x-prefixed or decimal, '#' comments) — the pinned regression
 //       corpus tests/fuzz/corpus/pinned_seeds.txt runs under ctest.
+//
+// --sms S (default 4) must be in [1, 1024], --jobs N (default: hardware
+// concurrency) >= 1.  Any flag not listed for the subcommand, a malformed
+// number or a stray argument is a usage error (exit 2) before any seed runs.
 //
 // Everything is deterministic: the same flags produce the same verdicts,
 // the same reproducer bytes and the same --json output for every --jobs
 // value (the campaign writes per-seed indexed slots; each seed's oracle
 // work fixes its own internal jobs values independently of --jobs).
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fuzz/campaign.hpp"
 #include "fuzz/spec_io.hpp"
 #include "harness/cli.hpp"
 #include "sim/config.hpp"
-#include "support/parallel.hpp"
 
 namespace {
 
 using namespace tbp;
 
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage: tbp-fuzz <run|replay|corpus> [args...]\n"
-               "(see the header of tools/fuzz/tbp_fuzz.cpp)\n");
-  std::exit(2);
-}
+constexpr std::string_view kSynopsis =
+    "<run|replay|corpus> [args...]\n"
+    "(see the header of tools/fuzz/tbp_fuzz.cpp)";
 
-[[noreturn]] void bad_flag_value(const std::string& name, const Status& status) {
-  std::fprintf(stderr, "tbp-fuzz: invalid value for %s: %s\n", name.c_str(),
-               status.message().c_str());
-  std::exit(2);
-}
-
-std::uint32_t flag_u32(int argc, char** argv, const std::string& name,
-                       std::uint32_t fb) {
-  const std::string v = harness::flag_value(argc, argv, name, "");
-  if (v.empty()) return fb;
-  const Result<std::uint32_t> parsed = harness::parse_u32(v);
-  if (!parsed.has_value()) bad_flag_value(name, parsed.status());
-  return *parsed;
-}
-
-std::uint64_t flag_u64(int argc, char** argv, const std::string& name,
-                       std::uint64_t fb, int base = 10) {
-  const std::string v = harness::flag_value(argc, argv, name, "");
-  if (v.empty()) return fb;
-  const Result<std::uint64_t> parsed = harness::parse_u64(v, base);
-  if (!parsed.has_value()) bad_flag_value(name, parsed.status());
-  return *parsed;
-}
-
-double flag_double(int argc, char** argv, const std::string& name, double fb) {
-  const std::string v = harness::flag_value(argc, argv, name, "");
-  if (v.empty()) return fb;
-  const Result<double> parsed = harness::parse_double(v);
-  if (!parsed.has_value()) bad_flag_value(name, parsed.status());
-  return *parsed;
-}
-
-/// Flags shared by all three subcommands.
+/// The flags of every subcommand.
 struct FuzzFlags {
   sim::GpuConfig config;
   fuzz::CampaignOptions options;
@@ -87,30 +55,23 @@ struct FuzzFlags {
   std::string json_path;
 };
 
-FuzzFlags parse_flags(int argc, char** argv) {
+/// Reads the flags replay and corpus take; run reads these too.
+FuzzFlags read_check_flags(harness::Args& args) {
   FuzzFlags flags;
   // A small configuration keeps each seed's two full simulations cheap;
   // determinism and accuracy contracts are SM-count independent.
-  flags.config = sim::scaled_config(48, flag_u32(argc, argv, "--sms", 4));
-  flags.options.n_seeds = flag_u64(argc, argv, "--seeds", 25);
-  flags.options.base_seed =
-      flag_u64(argc, argv, "--base-seed", 0x7b90147, /*base=*/0);
-  flags.options.jobs =
-      flag_u64(argc, argv, "--jobs", par::default_jobs());
-  if (flags.options.jobs == 0) flags.options.jobs = 1;
-  flags.options.bounds.max_tbpoint_err_pct =
-      flag_double(argc, argv, "--err-bound",
-                  flags.options.bounds.max_tbpoint_err_pct);
-  flags.options.bounds.parallel_jobs =
-      flag_u64(argc, argv, "--parallel-jobs", 4);
-  if (harness::has_flag(argc, argv, "--no-parallel")) {
-    flags.options.bounds.run_parallel = false;
-  }
-  if (harness::has_flag(argc, argv, "--no-shrink")) {
-    flags.options.shrink_failures = false;
-  }
-  flags.out_dir = harness::flag_value(argc, argv, "--out", ".");
-  flags.json_path = harness::flag_value(argc, argv, "--json", "");
+  const std::uint32_t sms = args.u32("--sms").value_or(4);
+  args.check("--sms", harness::validate_gpu_size(sms));
+  flags.config = sim::scaled_config(48, sms);
+  fuzz::OracleBounds& bounds = flags.options.bounds;
+  bounds.max_tbpoint_err_pct =
+      args.real("--err-bound").value_or(bounds.max_tbpoint_err_pct);
+  bounds.parallel_jobs =
+      args.u64("--parallel-jobs").value_or(bounds.parallel_jobs);
+  bounds.run_parallel = !args.flag("--no-parallel");
+  flags.options.shrink_failures = !args.flag("--no-shrink");
+  flags.out_dir = args.value("--out").value_or(flags.out_dir);
+  flags.json_path = args.value("--json").value_or("");
   return flags;
 }
 
@@ -172,8 +133,13 @@ int report_and_exit_code(const FuzzFlags& flags,
   return failures == 0 ? 0 : 1;
 }
 
-int cmd_run(int argc, char** argv) {
-  const FuzzFlags flags = parse_flags(argc, argv);
+int cmd_run(harness::Args& args) {
+  FuzzFlags flags = read_check_flags(args);
+  flags.options.n_seeds = args.u64("--seeds").value_or(flags.options.n_seeds);
+  flags.options.base_seed =
+      args.u64("--base-seed", /*base=*/0).value_or(flags.options.base_seed);
+  flags.options.jobs = harness::read_jobs(args);
+  args.finish();
   const fuzz::CampaignResult result =
       fuzz::run_campaign(flags.config, flags.options);
   return report_and_exit_code(flags, result);
@@ -184,10 +150,11 @@ fuzz::SeedOutcome replay_seed(std::uint64_t seed, const FuzzFlags& flags) {
   return fuzz::check_seed(seed, flags.config, flags.options);
 }
 
-int cmd_replay(int argc, char** argv) {
-  if (argc < 3) usage();
-  const std::string target = argv[2];
-  const FuzzFlags flags = parse_flags(argc, argv);
+int cmd_replay(harness::Args& args) {
+  const std::string target = args.positional();
+  if (target.empty()) args.usage_error();
+  const FuzzFlags flags = read_check_flags(args);
+  args.finish();
 
   // A bare seed replays through the generator; a file replays its pinned
   // spec (which survives generator evolution).
@@ -218,13 +185,16 @@ int cmd_replay(int argc, char** argv) {
   return report_and_exit_code(flags, result);
 }
 
-int cmd_corpus(int argc, char** argv) {
-  if (argc < 3) usage();
-  const FuzzFlags flags = parse_flags(argc, argv);
+int cmd_corpus(harness::Args& args) {
+  const std::string path = args.positional();
+  if (path.empty()) args.usage_error();
+  const FuzzFlags flags = read_check_flags(args);
+  args.finish();
 
-  std::ifstream in(argv[2]);
+  std::ifstream in(path);
   if (!in) {
-    std::fprintf(stderr, "tbp-fuzz: cannot open corpus file %s\n", argv[2]);
+    std::fprintf(stderr, "tbp-fuzz: cannot open corpus file %s\n",
+                 path.c_str());
     return 2;
   }
   std::vector<std::uint64_t> seeds;
@@ -254,10 +224,10 @@ int cmd_corpus(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage();
-  const std::string command = argv[1];
-  if (command == "run") return cmd_run(argc, argv);
-  if (command == "replay") return cmd_replay(argc, argv);
-  if (command == "corpus") return cmd_corpus(argc, argv);
-  usage();
+  harness::Args args(argc, argv, "tbp-fuzz", kSynopsis);
+  const std::string command = args.positional();
+  if (command == "run") return cmd_run(args);
+  if (command == "replay") return cmd_replay(args);
+  if (command == "corpus") return cmd_corpus(args);
+  args.usage_error();
 }

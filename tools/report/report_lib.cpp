@@ -9,6 +9,7 @@
 #include <string_view>
 #include <utility>
 
+#include "harness/cli.hpp"
 #include "harness/table.hpp"
 #include "obs/report.hpp"
 #include "prof/sidecar.hpp"
@@ -477,12 +478,14 @@ int run_report(const std::vector<std::string>& args, std::FILE* out) {
           std::fputs("tbp-report: --max-regress needs a value\n", stderr);
           return kExitUnreadable;
         }
-        char* end = nullptr;
-        options.max_regress_pct = std::strtod(args[++i].c_str(), &end);
-        if (end == nullptr || *end != '\0') {
-          std::fputs("tbp-report: --max-regress: not a number\n", stderr);
+        const Result<double> pct = harness::parse_double(args[++i]);
+        if (!pct.has_value() || !std::isfinite(*pct) || *pct < 0.0) {
+          std::fprintf(stderr, "tbp-report: invalid value for --max-regress: %s\n",
+                       pct.has_value() ? "must be a finite number >= 0"
+                                       : pct.status().message().c_str());
           return kExitUnreadable;
         }
+        options.max_regress_pct = *pct;
       } else {
         positional.push_back(args[i]);
       }

@@ -10,6 +10,9 @@
 //   tbp-client wait <id> --spool DIR [--timeout-s N] [-o PATH]
 //       Collect the response for a previously submitted id.
 //
+// The spec flags are read as tbpoint_cli reads them (--sms and --warps in
+// [1, 1024]); any other flag or a stray argument is a usage error.
+//
 // Exit codes: 0 response delivered, 1 service reported an error (the error
 // document is still written), 2 usage error or timeout.
 #include <unistd.h>
@@ -17,8 +20,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "harness/cli.hpp"
@@ -31,27 +35,27 @@ namespace {
 
 using namespace tbp;
 
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage: tbp-client submit <workload> --spool DIR [--scale N] "
-               "[--seed S] [--sms N] [--warps N] [--gto] [--id ID] [--wait] "
-               "[--timeout-s N] [-o PATH]\n"
-               "       tbp-client wait <id> --spool DIR [--timeout-s N] "
-               "[-o PATH]\n");
-  std::exit(2);
-}
+constexpr std::string_view kSynopsis =
+    "submit <workload> --spool DIR [--scale N] [--seed S] [--sms N] "
+    "[--warps N] [--gto] [--id ID] [--wait] [--timeout-s N] [-o PATH]\n"
+    "       tbp-client wait <id> --spool DIR [--timeout-s N] [-o PATH]";
 
-std::uint64_t flag_u64_or_die(int argc, char** argv, const std::string& name,
-                              std::uint64_t fallback, int base = 10) {
-  const std::string v = harness::flag_value(argc, argv, name, "");
-  if (v.empty()) return fallback;
-  const Result<std::uint64_t> parsed = harness::parse_u64(v, base);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "tbp-client: invalid value for %s: %s\n",
-                 name.c_str(), parsed.status().message().c_str());
-    std::exit(2);
-  }
-  return *parsed;
+/// Where and how long to wait for a response: --spool DIR (required),
+/// --timeout-s N and -o PATH.
+struct WaitFlags {
+  std::string spool;
+  double timeout_s = 0;
+  std::string out_path;
+};
+
+WaitFlags read_wait_flags(harness::Args& args) {
+  WaitFlags flags;
+  const std::optional<std::string> spool = args.value("--spool");
+  if (!spool) args.usage_error();
+  flags.spool = *spool;
+  flags.timeout_s = static_cast<double>(args.u64("--timeout-s").value_or(300));
+  flags.out_path = args.value("-o").value_or("");
+  return flags;
 }
 
 /// Unique-enough default request id: fingerprint prefix (groups related
@@ -64,8 +68,7 @@ std::string default_request_id(const std::string& fingerprint) {
 
 /// Delivers response bytes to -o PATH or stdout; exit code 1 when the
 /// response is a service error document.
-int deliver_response(int argc, char** argv, const std::string& bytes) {
-  const std::string out_path = harness::flag_value(argc, argv, "-o", "");
+int deliver_response(const std::string& out_path, const std::string& bytes) {
   if (!out_path.empty()) {
     const Status wrote =
         io::write_file_atomic(std::filesystem::path(out_path), bytes);
@@ -87,47 +90,36 @@ int deliver_response(int argc, char** argv, const std::string& bytes) {
 }
 
 /// Polls the spool outbox until the response lands or the timeout passes.
-int wait_for_response(int argc, char** argv, const std::string& spool,
-                      const std::string& id) {
-  const double timeout_s = static_cast<double>(
-      flag_u64_or_die(argc, argv, "--timeout-s", 300));
+int wait_for_response(const WaitFlags& flags, const std::string& id) {
   const timing::WallTimer timer;
   for (;;) {
     Result<std::string> response =
-        service::try_read_response(std::filesystem::path(spool), id);
+        service::try_read_response(std::filesystem::path(flags.spool), id);
     if (response.has_value()) {
-      return deliver_response(argc, argv, *response);
+      return deliver_response(flags.out_path, *response);
     }
     if (response.status().code() != StatusCode::kNotFound) {
       std::fprintf(stderr, "tbp-client: %s\n",
                    response.status().to_string().c_str());
       return 2;
     }
-    if (timer.seconds() > timeout_s) {
+    if (timer.seconds() > flags.timeout_s) {
       std::fprintf(stderr, "tbp-client: timed out after %.0fs waiting for %s\n",
-                   timeout_s, id.c_str());
+                   flags.timeout_s, id.c_str());
       return 2;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 }
 
-int cmd_submit(int argc, char** argv) {
-  if (argc < 3) usage();
-  const std::string spool = harness::flag_value(argc, argv, "--spool", "");
-  if (spool.empty()) usage();
-
-  service::RequestSpec spec;
-  spec.workload = argv[2];
-  spec.scale.divisor = static_cast<std::uint32_t>(
-      flag_u64_or_die(argc, argv, "--scale", spec.scale.divisor));
-  spec.scale.seed =
-      flag_u64_or_die(argc, argv, "--seed", spec.scale.seed, /*base=*/0);
-  spec.sms = static_cast<std::uint32_t>(
-      flag_u64_or_die(argc, argv, "--sms", spec.sms));
-  spec.warps = static_cast<std::uint32_t>(
-      flag_u64_or_die(argc, argv, "--warps", spec.warps));
-  spec.gto = harness::has_flag(argc, argv, "--gto");
+int cmd_submit(harness::Args& args) {
+  const std::string workload = args.positional();
+  if (workload.empty()) args.usage_error();
+  const service::RequestSpec spec = service::read_spec(args, workload);
+  std::string id = args.value("--id").value_or("");
+  const bool wait = args.flag("--wait");
+  const WaitFlags wait_flags = read_wait_flags(args);
+  args.finish();
 
   // Validate locally (round-trip through the wire parser) so typos fail
   // here with a message instead of as a spooled error response.
@@ -140,7 +132,6 @@ int cmd_submit(int argc, char** argv) {
     return 2;
   }
 
-  std::string id = harness::flag_value(argc, argv, "--id", "");
   if (id.empty()) id = default_request_id(service::spec_store_key(spec).id);
   if (!service::valid_request_id(id)) {
     std::fprintf(stderr, "tbp-client: invalid request id '%s'\n", id.c_str());
@@ -148,7 +139,8 @@ int cmd_submit(int argc, char** argv) {
   }
 
   const Status submitted =
-      service::submit_request(std::filesystem::path(spool), id, line);
+      service::submit_request(std::filesystem::path(wait_flags.spool), id,
+                              line);
   if (!submitted.ok()) {
     std::fprintf(stderr, "tbp-client: %s\n", submitted.to_string().c_str());
     return 2;
@@ -156,28 +148,28 @@ int cmd_submit(int argc, char** argv) {
   std::printf("submitted %s\n", id.c_str());
   std::fflush(stdout);
 
-  if (!harness::has_flag(argc, argv, "--wait")) return 0;
-  return wait_for_response(argc, argv, spool, id);
+  if (!wait) return 0;
+  return wait_for_response(wait_flags, id);
 }
 
-int cmd_wait(int argc, char** argv) {
-  if (argc < 3) usage();
-  const std::string spool = harness::flag_value(argc, argv, "--spool", "");
-  if (spool.empty()) usage();
-  const std::string id = argv[2];
+int cmd_wait(harness::Args& args) {
+  const std::string id = args.positional();
+  if (id.empty()) args.usage_error();
+  const WaitFlags flags = read_wait_flags(args);
+  args.finish();
   if (!service::valid_request_id(id)) {
     std::fprintf(stderr, "tbp-client: invalid request id '%s'\n", id.c_str());
     return 2;
   }
-  return wait_for_response(argc, argv, spool, id);
+  return wait_for_response(flags, id);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage();
-  const std::string command = argv[1];
-  if (command == "submit") return cmd_submit(argc, argv);
-  if (command == "wait") return cmd_wait(argc, argv);
-  usage();
+  harness::Args args(argc, argv, "tbp-client", kSynopsis);
+  const std::string command = args.positional();
+  if (command == "submit") return cmd_submit(args);
+  if (command == "wait") return cmd_wait(args);
+  args.usage_error();
 }

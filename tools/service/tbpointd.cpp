@@ -19,6 +19,10 @@
 //   --prof PATH       wall-clock self-profiling: attach a ProfSession and
 //                     write the sealed tbp-prof-v1 sidecar on exit
 //
+// --jobs (default: hardware concurrency) and --poll-ms must be >= 1.  Any
+// other flag, a malformed number or a stray argument is a usage error
+// (exit 2) before the spool or the store is opened.
+//
 // On exit the daemon prints its ledger as one sealed tbp-service-stats-v1
 // line on stdout (render it with `tbp-report show`).
 //
@@ -30,7 +34,9 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "harness/cli.hpp"
 #include "obs/export.hpp"
@@ -48,51 +54,33 @@ std::atomic<bool> g_stop{false};
 
 void handle_stop_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage: tbpointd --spool DIR [--store DIR] "
-               "[--store-max-bytes N] [--jobs N] "
-               "[--poll-ms N] [--max-requests N] [--once] [--metrics PATH] "
-               "[--stats PATH] [--prof PATH]\n");
-  std::exit(2);
-}
-
-std::uint64_t flag_u64_or_die(int argc, char** argv, const std::string& name,
-                              std::uint64_t fallback) {
-  const std::string v = harness::flag_value(argc, argv, name, "");
-  if (v.empty()) return fallback;
-  const Result<std::uint64_t> parsed = harness::parse_u64(v);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "tbpointd: invalid value for %s: %s\n", name.c_str(),
-                 parsed.status().message().c_str());
-    std::exit(2);
-  }
-  return *parsed;
-}
+constexpr std::string_view kSynopsis =
+    "--spool DIR [--store DIR] [--store-max-bytes N] [--jobs N] "
+    "[--poll-ms N] [--max-requests N] [--once] [--metrics PATH] "
+    "[--stats PATH] [--prof PATH]";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string spool = harness::flag_value(argc, argv, "--spool", "");
-  if (spool.empty()) usage();
-
+  harness::Args args(argc, argv, "tbpointd", kSynopsis);
   service::DaemonOptions options;
-  options.spool_dir = spool;
-  options.store_dir = harness::flag_value(argc, argv, "--store", "");
-  options.store_max_bytes = flag_u64_or_die(argc, argv, "--store-max-bytes",
-                                            options.store_max_bytes);
-  options.jobs = static_cast<std::size_t>(flag_u64_or_die(
-      argc, argv, "--jobs", static_cast<std::uint64_t>(par::default_jobs())));
-  options.poll_ms = static_cast<std::uint32_t>(
-      flag_u64_or_die(argc, argv, "--poll-ms", options.poll_ms));
-  options.max_requests = flag_u64_or_die(argc, argv, "--max-requests", 0);
-  if (options.jobs == 0 || options.poll_ms == 0) {
-    std::fprintf(stderr, "tbpointd: --jobs and --poll-ms must be >= 1\n");
-    return 2;
-  }
+  const std::optional<std::string> spool = args.value("--spool");
+  if (!spool) args.usage_error();
+  options.spool_dir = *spool;
+  options.store_dir = args.value("--store").value_or("");
+  options.store_max_bytes =
+      args.u64("--store-max-bytes").value_or(options.store_max_bytes);
+  options.jobs = harness::read_jobs(args);
+  options.poll_ms = args.u32("--poll-ms").value_or(options.poll_ms);
+  if (options.poll_ms == 0) args.bad_value("--poll-ms", "must be >= 1");
+  options.max_requests = args.u64("--max-requests").value_or(0);
+  const bool once = args.flag("--once");
+  const std::string metrics_path = args.value("--metrics").value_or("");
+  const std::string stats_path = args.value("--stats").value_or("");
+  const std::string prof_path = args.value("--prof").value_or("");
+  args.finish();
   par::set_global_jobs(options.jobs);
 
-  const std::string prof_path = harness::flag_value(argc, argv, "--prof", "");
   std::unique_ptr<prof::ProfSession> prof_session;
   if (!prof_path.empty()) {
     prof_session = std::make_unique<prof::ProfSession>();
@@ -113,7 +101,7 @@ int main(int argc, char** argv) {
               daemon.response_store().dir().string().c_str(), options.jobs);
   std::fflush(stdout);
 
-  if (harness::has_flag(argc, argv, "--once")) {
+  if (once) {
     Result<std::size_t> drained = daemon.drain_once();
     if (!drained.has_value()) {
       std::fprintf(stderr, "tbpointd: %s\n",
@@ -135,9 +123,7 @@ int main(int argc, char** argv) {
       daemon.stats(), daemon.response_store().stats(), prof_session.get());
   std::printf("%s\n", service::service_stats_line(stats_body).c_str());
 
-  if (const std::string stats_path =
-          harness::flag_value(argc, argv, "--stats", "");
-      !stats_path.empty()) {
+  if (!stats_path.empty()) {
     const Status wrote = service::write_service_stats(stats_body, stats_path);
     if (!wrote.ok()) {
       std::fprintf(stderr, "tbpointd: cannot write %s: %s\n",
@@ -157,9 +143,7 @@ int main(int argc, char** argv) {
     std::printf("tbpointd: wrote prof sidecar %s\n", prof_path.c_str());
   }
 
-  if (const std::string metrics_path =
-          harness::flag_value(argc, argv, "--metrics", "");
-      !metrics_path.empty()) {
+  if (!metrics_path.empty()) {
     obs::MetricsShard shard;
     daemon.flush_metrics(&shard);
     obs::MetricsSnapshot snapshot;

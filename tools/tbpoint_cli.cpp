@@ -2,56 +2,58 @@
 //
 //   tbpoint_cli list
 //       Available benchmark models.
-//   tbpoint_cli run      <workload> [--scale N] [--sms S] [--warps W]
-//                        [--inter-sigma X] [--intra-sigma X] [--vf X]
-//                        [--no-inter] [--no-intra] [--gto] [--validate]
-//                        [--jobs N]
+//   tbpoint_cli run      <workload> [machine flags] [--inter-sigma X]
+//                        [--intra-sigma X] [--vf X] [--no-inter]
+//                        [--no-intra] [--bbv] [common flags]
 //       Full TBPoint pipeline; prints predicted IPC and sample size.
-//   tbpoint_cli compare  <workload> [--scale N] [--sms S] [--warps W]
-//                        [--validate] [--jobs N]
+//   tbpoint_cli compare  <workload> [machine flags] [common flags]
 //       Four-way Full / Random / Ideal-SimPoint / TBPoint comparison.
-//   tbpoint_cli simulate <workload> [--launch N] [--scale N] [--sms S]
-//                        [--warps W] [--gto] [--max-cycles N]
-//                        [--stall-limit N] [--validate]
+//   tbpoint_cli simulate <workload> [machine flags] [--launch N]
+//                        [--max-cycles N] [--stall-limit N] [common flags]
 //       Plain full simulation (all launches, or one with --launch),
 //       printing per-launch cycles and IPC.  A deadlocked or over-budget
 //       launch prints the watchdog diagnostic (stall age, dispatch
 //       progress, per-SM warp scheduling states) instead of aborting.
 //   tbpoint_cli lemma41  [--p X] [--m X] [--warps N] [--samples N]
-//       Markov-chain Monte-Carlo check of the paper's Lemma 4.1 (--samples
-//       defaults to 10000 and must be >= 1).
+//       Markov-chain Monte-Carlo check of the paper's Lemma 4.1 (p in [0, 1],
+//       M > 0, N >= 1; --samples defaults to 10000 and must be >= 1).
 //
-// run, compare and simulate accept --metrics PATH and --trace PATH
-// (--name=value also works): --metrics writes the merged counters and
-// histograms (per-SM stall-cause breakdown, cache/DRAM counters, DRAM
-// queue-depth histogram) as JSON; --trace writes a chrome://tracing
-// timeline (open in Perfetto) with thread-block spans per SM, fixed-unit
-// boundaries and the region sampler's warm-up/fast-forward phases.
+// Machine flags: --scale N --seed S --sms S --warps W (each in [1, 1024];
+// default the 14-SM, 48-warp Fermi) --gto.  <workload>: a Table VI name or
+// binomial.  Common flags: --validate --jobs N --metrics PATH --trace PATH
+// --manifest PATH (--name=value also works).  --metrics writes the merged
+// counters and histograms (per-SM stall-cause breakdown, cache/DRAM
+// counters, DRAM queue-depth histogram) as JSON; --trace writes a
+// chrome://tracing timeline (open in Perfetto) with thread-block spans per
+// SM, fixed-unit boundaries and the region sampler's warm-up/fast-forward
+// phases.
 //
-// run, compare and simulate also accept --manifest PATH: a sealed
-// tbp-manifest-v1 run manifest (flags, seed, results, error attribution,
-// metrics snapshot; render with `tbp-report show`).  The body contains no
-// wall-clock data and no --jobs value, so the bytes are identical for every
-// --jobs setting.  `simulate` without --launch additionally runs the
-// TBPoint pipeline against the just-computed full-simulation ground truth
-// and prints the error-decomposition summary (inter/warmup/reconstruction
-// components; DESIGN.md "Accuracy attribution"); with --metrics the
-// decomposition is also exported as core.attr.* counters.
+// --manifest PATH writes a sealed tbp-manifest-v1 run manifest (flags,
+// seed, results, error attribution, metrics snapshot; render with
+// `tbp-report show`).  The body contains no wall-clock data and no --jobs
+// value, so the bytes are identical for every --jobs setting.  `simulate`
+// without --launch additionally runs the TBPoint pipeline against the
+// just-computed full-simulation ground truth and prints the error-
+// decomposition summary (inter/warmup/reconstruction components; DESIGN.md
+// "Accuracy attribution"); with --metrics the decomposition is also
+// exported as core.attr.* counters.
 //
 // --validate runs trace::validate_launch over every launch of the workload
 // before simulating and fails with the violation report if a trace breaks
-// the simulator's contract.  All numeric flag values are parsed strictly:
-// malformed numbers are a usage error (exit 2), never silently zero.
-// --jobs N (default: hardware concurrency) bounds the parallelism of the
-// independent launch profiles/simulations; every value produces the same
-// numbers — only wall-clock changes.
+// the simulator's contract.  --jobs N (default: hardware concurrency, >= 1)
+// bounds the parallelism of the independent launch profiles/simulations;
+// every value produces the same numbers — only wall-clock changes.  A
+// malformed or out-of-range value, an unknown workload or a flag the
+// subcommand does not read is a usage error (exit 2) before any work.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -78,44 +80,38 @@ namespace {
 
 using namespace tbp;
 
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage: tbpoint_cli "
-               "<list|run|compare|simulate|lemma41> "
-               "[args...]\n(see the header of tools/tbpoint_cli.cpp)\n");
-  std::exit(2);
-}
+constexpr std::string_view kSynopsis =
+    "<list|run|compare|simulate|lemma41> [args...]\n"
+    "(see the header of tools/tbpoint_cli.cpp)";
 
-[[noreturn]] void bad_flag_value(const std::string& name, const Status& status) {
-  std::fprintf(stderr, "tbpoint_cli: invalid value for %s: %s\n", name.c_str(),
-               status.message().c_str());
-  std::exit(2);
-}
+/// The flags run, compare and simulate share: the workload and machine (a
+/// tbpointd request spec) and the common flags.
+struct WorkloadFlags {
+  service::RequestSpec spec;
+  bool validate = false;
+  std::size_t jobs = 1;
+  std::string metrics_path;
+  std::string trace_path;
+  std::string manifest_path;
+};
 
-double flag_double(int argc, char** argv, const std::string& name, double fb) {
-  const std::string v = harness::flag_value(argc, argv, name, "");
-  if (v.empty()) return fb;
-  const Result<double> parsed = harness::parse_double(v);
-  if (!parsed.has_value()) bad_flag_value(name, parsed.status());
-  return *parsed;
-}
-
-std::uint32_t flag_u32(int argc, char** argv, const std::string& name,
-                       std::uint32_t fb) {
-  const std::string v = harness::flag_value(argc, argv, name, "");
-  if (v.empty()) return fb;
-  const Result<std::uint32_t> parsed = harness::parse_u32(v);
-  if (!parsed.has_value()) bad_flag_value(name, parsed.status());
-  return *parsed;
-}
-
-std::uint64_t flag_u64(int argc, char** argv, const std::string& name,
-                       std::uint64_t fb) {
-  const std::string v = harness::flag_value(argc, argv, name, "");
-  if (v.empty()) return fb;
-  const Result<std::uint64_t> parsed = harness::parse_u64(v);
-  if (!parsed.has_value()) bad_flag_value(name, parsed.status());
-  return *parsed;
+WorkloadFlags read_workload_flags(harness::Args& args) {
+  const std::string name = args.positional();
+  if (name.empty()) args.usage_error();
+  const std::vector<std::string> known = workloads::buildable_workload_names();
+  if (std::find(known.begin(), known.end(), name) == known.end()) {
+    std::string list;
+    for (const std::string& k : known) list += (list.empty() ? "" : ", ") + k;
+    args.die("unknown workload '" + name + "' (accepted: " + list + ")");
+  }
+  WorkloadFlags flags;
+  flags.spec = service::read_spec(args, name);
+  flags.validate = args.flag("--validate");
+  flags.jobs = harness::read_jobs(args);
+  flags.metrics_path = args.value("--metrics").value_or("");
+  flags.trace_path = args.value("--trace").value_or("");
+  flags.manifest_path = args.value("--manifest").value_or("");
+  return flags;
 }
 
 /// The --metrics/--trace session for one subcommand; `session` is null when
@@ -125,16 +121,13 @@ struct CliObservation {
   std::string trace_path;
   std::unique_ptr<obs::Observation> session;
 
-  static CliObservation from_flags(int argc, char** argv) {
-    CliObservation out;
-    out.metrics_path = harness::flag_value(argc, argv, "--metrics", "");
-    out.trace_path = harness::flag_value(argc, argv, "--trace", "");
-    if (!out.metrics_path.empty() || !out.trace_path.empty()) {
-      out.session = std::make_unique<obs::Observation>(
-          /*metrics_on=*/!out.metrics_path.empty(),
-          /*trace_on=*/!out.trace_path.empty());
+  explicit CliObservation(const WorkloadFlags& flags)
+      : metrics_path(flags.metrics_path), trace_path(flags.trace_path) {
+    if (!metrics_path.empty() || !trace_path.empty()) {
+      session = std::make_unique<obs::Observation>(
+          /*metrics_on=*/!metrics_path.empty(),
+          /*trace_on=*/!trace_path.empty());
     }
-    return out;
   }
 
   [[nodiscard]] obs::Observation* get() const noexcept { return session.get(); }
@@ -171,40 +164,12 @@ struct CliObservation {
   }
 };
 
-/// Strict --jobs parsing (default: hardware concurrency); also sizes the
-/// process-wide pool so nested parallel sections share one thread budget.
-std::size_t jobs_from_flags(int argc, char** argv) {
-  const std::uint32_t jobs = flag_u32(
-      argc, argv, "--jobs", static_cast<std::uint32_t>(par::default_jobs()));
-  if (jobs == 0) {
-    std::fprintf(stderr, "tbpoint_cli: invalid value for --jobs: must be >= 1\n");
-    std::exit(2);
-  }
-  par::set_global_jobs(jobs);
-  return jobs;
-}
-
-workloads::WorkloadScale scale_from_flags(int argc, char** argv) {
-  workloads::WorkloadScale scale;
-  scale.divisor = flag_u32(argc, argv, "--scale", 4);
-  if (const Status st = harness::validate_scale(scale); !st.ok()) {
-    std::fprintf(stderr, "tbpoint_cli: invalid value for --scale: %s\n",
-                 st.message().c_str());
-    std::exit(2);
-  }
-  const Result<std::uint64_t> seed = harness::parse_u64(
-      harness::flag_value(argc, argv, "--seed", "0x7b90147"), /*base=*/0);
-  if (!seed.has_value()) bad_flag_value("--seed", seed.status());
-  scale.seed = *seed;
-  return scale;
-}
-
 /// When --validate was passed, checks every launch trace of the workload
 /// against the simulator's contract; returns false (after printing the
 /// violation report) if any launch is malformed.
-bool validate_if_requested(int argc, char** argv,
+bool validate_if_requested(const WorkloadFlags& flags,
                            const workloads::Workload& workload) {
-  if (!harness::has_flag(argc, argv, "--validate")) return true;
+  if (!flags.validate) return true;
   bool ok = true;
   const auto sources = workload.sources();
   for (std::size_t i = 0; i < sources.size(); ++i) {
@@ -218,54 +183,21 @@ bool validate_if_requested(int argc, char** argv,
   return ok;
 }
 
-sim::GpuConfig config_from_flags(int argc, char** argv) {
-  const std::uint32_t sms = flag_u32(argc, argv, "--sms", 14);
-  const std::uint32_t warps = flag_u32(argc, argv, "--warps", 48);
-  sim::GpuConfig config = (sms == 14 && warps == 48)
-                              ? sim::fermi_config()
-                              : sim::scaled_config(warps, sms);
-  if (harness::has_flag(argc, argv, "--gto")) {
-    config.scheduler = sim::WarpScheduler::kGreedyThenOldest;
-  }
-  return config;
-}
-
-/// The "config" member of a --manifest document: the flags that determine
-/// the results.  Deliberately excludes --jobs and anything wall-clock-
-/// dependent, so the manifest bytes are identical for every --jobs value.
-obs::JsonValue cli_config_value(int argc, char** argv,
-                                const workloads::Workload& workload,
-                                const sim::GpuConfig& config) {
-  obs::JsonValue out = obs::JsonValue::object();
-  out.set("workload", workload.name);
-  const workloads::WorkloadScale scale = scale_from_flags(argc, argv);
-  out.set("scale_divisor", std::uint64_t{scale.divisor});
-  out.set("seed", scale.seed);
-  obs::JsonValue gpu = obs::JsonValue::object();
-  gpu.set("n_sms", std::uint64_t{config.n_sms});
-  gpu.set("max_warps_per_sm", std::uint64_t{config.max_warps_per_sm()});
-  gpu.set("scheduler",
-          config.scheduler == sim::WarpScheduler::kRoundRobin
-              ? std::string("round_robin")
-              : std::string("greedy_then_oldest"));
-  out.set("gpu", std::move(gpu));
-  return out;
-}
-
 /// Honors --manifest PATH for one subcommand; returns false after printing
-/// on a write failure (no-op without the flag).
-bool write_cli_manifest(int argc, char** argv, const std::string& command,
-                        obs::JsonValue config,
+/// on a write failure (no-op without the flag).  The "config" member is the
+/// request spec: the flags that determine the results, never --jobs.
+bool write_cli_manifest(const WorkloadFlags& flags, const std::string& command,
                         std::span<const harness::ExperimentRow> rows,
                         const obs::Observation* session) {
-  const std::string path = harness::flag_value(argc, argv, "--manifest", "");
+  const std::string& path = flags.manifest_path;
   if (path.empty()) return true;
   obs::MetricsSnapshot metrics;
   if (session != nullptr && session->metrics_on()) {
     metrics = session->merged_metrics();
   }
   const Status st = harness::write_manifest(
-      harness::manifest_body("tbpoint_cli", command, std::move(config), rows,
+      harness::manifest_body("tbpoint_cli", command,
+                             service::spec_config_value(flags.spec), rows,
                              metrics),
       path);
   if (!st.ok()) {
@@ -278,7 +210,8 @@ bool write_cli_manifest(int argc, char** argv, const std::string& command,
   return true;
 }
 
-int cmd_list() {
+int cmd_list(const harness::Args& args) {
+  args.finish();
   for (const std::string& name : workloads::workload_names()) {
     std::printf("%s\n", name.c_str());
   }
@@ -286,31 +219,35 @@ int cmd_list() {
   return 0;
 }
 
-int cmd_run(int argc, char** argv) {
-  if (argc < 3) usage();
-  const std::size_t jobs = jobs_from_flags(argc, argv);
+int cmd_run(harness::Args& args) {
+  const WorkloadFlags flags = read_workload_flags(args);
+  core::TBPointOptions options;
+  options.jobs = flags.jobs;
+  options.inter.distance_threshold =
+      args.real("--inter-sigma").value_or(options.inter.distance_threshold);
+  options.intra.distance_threshold =
+      args.real("--intra-sigma").value_or(options.intra.distance_threshold);
+  options.intra.variation_factor_threshold =
+      args.real("--vf").value_or(options.intra.variation_factor_threshold);
+  options.enable_inter = !args.flag("--no-inter");
+  options.enable_intra = !args.flag("--no-intra");
+  options.inter.include_bbv = args.flag("--bbv");
+  args.finish();
+
+  par::set_global_jobs(flags.jobs);
   const workloads::Workload workload =
-      workloads::make_workload(argv[2], scale_from_flags(argc, argv));
-  if (!validate_if_requested(argc, argv, workload)) return 1;
-  const sim::GpuConfig config = config_from_flags(argc, argv);
+      workloads::make_workload(flags.spec.workload, flags.spec.scale);
+  if (!validate_if_requested(flags, workload)) return 1;
+  const sim::GpuConfig config = service::spec_gpu_config(flags.spec);
 
   const auto sources = workload.sources();
   profile::ApplicationProfile app;
   app.launches.resize(sources.size());
-  par::parallel_for(sources.size(), jobs, [&](std::size_t i) {
+  par::parallel_for(sources.size(), flags.jobs, [&](std::size_t i) {
     app.launches[i] = profile::profile_launch(*sources[i]);
   });
 
-  core::TBPointOptions options;
-  options.jobs = jobs;
-  options.inter.distance_threshold = flag_double(argc, argv, "--inter-sigma", 0.1);
-  options.intra.distance_threshold = flag_double(argc, argv, "--intra-sigma", 0.2);
-  options.intra.variation_factor_threshold = flag_double(argc, argv, "--vf", 0.3);
-  options.enable_inter = !harness::has_flag(argc, argv, "--no-inter");
-  options.enable_intra = !harness::has_flag(argc, argv, "--no-intra");
-  options.inter.include_bbv = harness::has_flag(argc, argv, "--bbv");
-
-  const CliObservation observation = CliObservation::from_flags(argc, argv);
+  const CliObservation observation(flags);
   options.observe = observation.get();
   options.observe_key_prefix = workload.name + "/";
 
@@ -342,35 +279,30 @@ int cmd_run(int argc, char** argv) {
   row.tbpoint.sample_pct = 100.0 * run.app.sample_fraction();
   row.inter_skip_share = run.app.inter_skip_share();
   row.tbp_clusters = run.inter.clusters.size();
-  bool ok = write_cli_manifest(argc, argv, "run",
-                               cli_config_value(argc, argv, workload, config),
-                               std::span(&row, 1), observation.get());
+  bool ok = write_cli_manifest(flags, "run", std::span(&row, 1),
+                               observation.get());
   ok = observation.write() && ok;
   return ok ? 0 : 1;
 }
 
-int cmd_compare(int argc, char** argv) {
-  if (argc < 3) usage();
-  harness::ComparisonOptions options;
-  options.jobs = jobs_from_flags(argc, argv);
-  // The compare flags are exactly a tbpointd request spec; building one and
-  // deriving the config/manifest from it keeps this command byte-identical
-  // to the service's responses by construction (the service smoke test cmps
-  // the two outputs).
-  service::RequestSpec spec;
-  spec.workload = argv[2];
-  spec.scale = scale_from_flags(argc, argv);
-  spec.sms = flag_u32(argc, argv, "--sms", 14);
-  spec.warps = flag_u32(argc, argv, "--warps", 48);
-  spec.gto = harness::has_flag(argc, argv, "--gto");
+int cmd_compare(harness::Args& args) {
+  // The compare flags are exactly a tbpointd request spec; deriving the
+  // config/manifest from it keeps this command byte-identical to the
+  // service's responses by construction (the service smoke test cmps the
+  // two outputs).
+  const WorkloadFlags flags = read_workload_flags(args);
+  args.finish();
+
+  par::set_global_jobs(flags.jobs);
   const workloads::Workload workload =
-      workloads::make_workload(spec.workload, spec.scale);
-  if (!validate_if_requested(argc, argv, workload)) return 1;
-  const sim::GpuConfig config = service::spec_gpu_config(spec);
-  const CliObservation observation = CliObservation::from_flags(argc, argv);
+      workloads::make_workload(flags.spec.workload, flags.spec.scale);
+  if (!validate_if_requested(flags, workload)) return 1;
+  const CliObservation observation(flags);
+  harness::ComparisonOptions options;
+  options.jobs = flags.jobs;
   options.observe = observation.get();
-  const harness::ExperimentRow row =
-      harness::run_comparison(workload, config, options);
+  const harness::ExperimentRow row = harness::run_comparison(
+      workload, service::spec_gpu_config(flags.spec), options);
 
   harness::TablePrinter table({"method", "IPC", "error%", "sample%"});
   table.add_row({"Full", harness::fmt(row.full_ipc, 4), "-", "100"});
@@ -397,43 +329,42 @@ int cmd_compare(int argc, char** argv) {
                 row.attribution.warmup_error_pct(),
                 row.attribution.reconstruction_error_pct());
   }
-  bool ok = write_cli_manifest(argc, argv, "compare",
-                               service::spec_config_value(spec),
-                               std::span(&row, 1), observation.get());
+  bool ok = write_cli_manifest(flags, "compare", std::span(&row, 1),
+                               observation.get());
   ok = observation.write() && ok;
   return ok ? 0 : 1;
 }
 
-int cmd_simulate(int argc, char** argv) {
-  if (argc < 3) usage();
+int cmd_simulate(harness::Args& args) {
   // Launches run serially here so diagnostics print in order; --jobs only
   // bounds the attribution pipeline that follows a full-application run.
-  const std::size_t jobs = jobs_from_flags(argc, argv);
-  const workloads::Workload workload =
-      workloads::make_workload(argv[2], scale_from_flags(argc, argv));
-  if (!validate_if_requested(argc, argv, workload)) return 1;
-  const sim::GpuConfig config = config_from_flags(argc, argv);
-  const CliObservation observation = CliObservation::from_flags(argc, argv);
-
+  const WorkloadFlags flags = read_workload_flags(args);
+  const std::size_t jobs = flags.jobs;
+  const std::optional<std::uint64_t> only_launch = args.u64("--launch");
   sim::RunOptions base_options;
   base_options.max_cycles =
-      flag_u64(argc, argv, "--max-cycles", base_options.max_cycles);
+      args.u64("--max-cycles").value_or(base_options.max_cycles);
   base_options.stall_cycle_limit =
-      flag_u64(argc, argv, "--stall-limit", base_options.stall_cycle_limit);
+      args.u64("--stall-limit").value_or(base_options.stall_cycle_limit);
+  args.finish();
+
+  par::set_global_jobs(jobs);
+  const workloads::Workload workload =
+      workloads::make_workload(flags.spec.workload, flags.spec.scale);
+  if (!validate_if_requested(flags, workload)) return 1;
+  const sim::GpuConfig config = service::spec_gpu_config(flags.spec);
+  const CliObservation observation(flags);
 
   const auto sources = workload.sources();
   std::size_t first = 0;
   std::size_t last = sources.size();
-  if (const std::string sel = harness::flag_value(argc, argv, "--launch", "");
-      !sel.empty()) {
-    const Result<std::uint64_t> index = harness::parse_u64(sel);
-    if (!index.has_value()) bad_flag_value("--launch", index.status());
-    if (*index >= sources.size()) {
+  if (only_launch.has_value()) {
+    if (*only_launch >= sources.size()) {
       std::fprintf(stderr, "simulate: --launch %llu out of range (%zu launches)\n",
-                   static_cast<unsigned long long>(*index), sources.size());
+                   static_cast<unsigned long long>(*only_launch), sources.size());
       return 2;
     }
-    first = static_cast<std::size_t>(*index);
+    first = static_cast<std::size_t>(*only_launch);
     last = first + 1;
   }
 
@@ -543,26 +474,30 @@ int cmd_simulate(int argc, char** argv) {
       manifest_rows.push_back(std::move(row));
     }
   }
-  if (!write_cli_manifest(argc, argv, "simulate",
-                          cli_config_value(argc, argv, workload, config),
-                          manifest_rows, observation.get())) {
+  if (!write_cli_manifest(flags, "simulate", manifest_rows,
+                          observation.get())) {
     exit_code = exit_code == 0 ? 1 : exit_code;
   }
   if (!observation.write()) exit_code = exit_code == 0 ? 1 : exit_code;
   return exit_code;
 }
 
-int cmd_lemma41(int argc, char** argv) {
+int cmd_lemma41(harness::Args& args) {
   markov::MonteCarloConfig config;
-  config.stall_probability = flag_double(argc, argv, "--p", 0.1);
-  config.mean_stall_cycles = flag_double(argc, argv, "--m", 400.0);
-  config.n_warps = flag_u32(argc, argv, "--warps", 4);
-  config.n_samples = flag_u32(argc, argv, "--samples", 10000);
-  if (config.n_samples == 0) {
-    std::fprintf(stderr,
-                 "tbpoint_cli: invalid value for --samples: must be >= 1\n");
-    return 2;
+  config.stall_probability = args.real("--p").value_or(0.1);
+  if (!(config.stall_probability >= 0.0 && config.stall_probability <= 1.0)) {
+    args.bad_value("--p", "must be in [0, 1]");
   }
+  config.mean_stall_cycles = args.real("--m").value_or(400.0);
+  if (!std::isfinite(config.mean_stall_cycles) ||
+      config.mean_stall_cycles <= 0.0) {
+    args.bad_value("--m", "must be a finite number > 0");
+  }
+  config.n_warps = args.u32("--warps").value_or(4);
+  if (config.n_warps == 0) args.bad_value("--warps", "must be >= 1");
+  config.n_samples = args.u32("--samples").value_or(10000);
+  if (config.n_samples == 0) args.bad_value("--samples", "must be >= 1");
+  args.finish();
   const markov::MonteCarloResult result = markov::run_ipc_variation(config);
   std::printf("p=%.3f M=%.0f N=%zu: mean IPC %.4f, %.1f%% of samples within "
               "10%% of mean -> Lemma 4.1 %s\n",
@@ -575,12 +510,12 @@ int cmd_lemma41(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage();
-  const std::string command = argv[1];
-  if (command == "list") return cmd_list();
-  if (command == "run") return cmd_run(argc, argv);
-  if (command == "compare") return cmd_compare(argc, argv);
-  if (command == "simulate") return cmd_simulate(argc, argv);
-  if (command == "lemma41") return cmd_lemma41(argc, argv);
-  usage();
+  harness::Args args(argc, argv, "tbpoint_cli", kSynopsis);
+  const std::string command = args.positional();
+  if (command == "list") return cmd_list(args);
+  if (command == "run") return cmd_run(args);
+  if (command == "compare") return cmd_compare(args);
+  if (command == "simulate") return cmd_simulate(args);
+  if (command == "lemma41") return cmd_lemma41(args);
+  args.usage_error();
 }
