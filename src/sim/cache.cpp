@@ -38,13 +38,13 @@ bool SetAssocCache::contains(std::uint64_t line) const noexcept {
   return false;
 }
 
-void SetAssocCache::fill(std::uint64_t line) noexcept {
+std::optional<std::uint64_t> SetAssocCache::fill(std::uint64_t line) noexcept {
   Way* set = &ways_[std::size_t{set_of(line)} * associativity_];
   Way* victim = set;
   for (std::uint32_t w = 0; w < associativity_; ++w) {
     if (set[w].valid && set[w].tag == line) {
       set[w].last_use = ++use_clock_;  // already present (race with a fill)
-      return;
+      return std::nullopt;
     }
     if (!set[w].valid) {
       victim = &set[w];
@@ -52,10 +52,15 @@ void SetAssocCache::fill(std::uint64_t line) noexcept {
     }
     if (set[w].last_use < victim->last_use) victim = &set[w];
   }
-  if (victim->valid) ++stats_.evictions;
+  std::optional<std::uint64_t> evicted;
+  if (victim->valid) {
+    ++stats_.evictions;
+    evicted = victim->tag;
+  }
   victim->valid = true;
   victim->tag = line;
   victim->last_use = ++use_clock_;
+  return evicted;
 }
 
 }  // namespace tbp::sim

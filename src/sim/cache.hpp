@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -36,8 +37,10 @@ class SetAssocCache {
   /// Read-only probe: no LRU update, no stats.
   [[nodiscard]] bool contains(std::uint64_t line) const noexcept;
 
-  /// Installs `line`, evicting the LRU way of its set if needed.
-  void fill(std::uint64_t line) noexcept;
+  /// Installs `line`, evicting the LRU way of its set if needed.  Returns
+  /// the evicted line, or nothing when an invalid way took `line` or `line`
+  /// was already present.
+  std::optional<std::uint64_t> fill(std::uint64_t line) noexcept;
 
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 

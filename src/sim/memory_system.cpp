@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 
 namespace tbp::sim {
 namespace {
 
-/// Bounded overflow-retry work per SM per cycle: a saturated launch can
-/// hold hundreds of overflowed loads, and rescanning all of them every
-/// cycle dominated simulation time.  Entries that still find a full MSHR
-/// rotate to the back and are retried on a later cycle.
+/// The overflow-retry window: each cycle an SM retries at most this many
+/// loads from the front of its overflow queue, and entries that still find
+/// every MSHR busy rotate to the back.  The window is part of the model: it
+/// decides which waiting load takes a freed MSHR, and so every later cycle.
+/// A pass that can only rotate the window is not probed at all (see
+/// `retry_overflow`).
 constexpr std::size_t kOverflowRetryBudget = 64;
 
 }  // namespace
@@ -32,11 +35,14 @@ bool MemorySystem::load(std::uint32_t sm_id, std::uint64_t line, WarpToken token
   }
   if (port.mshr.size() >= config_.l1_mshrs) {
     ++port.mshr_stalls;
+    port.settle();
     port.overflow.push_back(TimedRequest{
         .ready = cycle, .line = line, .sm_id = sm_id, .token = token});
+    ++port.queued[line];
     return false;
   }
   port.mshr.emplace(line, L1Mshr{.waiters = {token}});
+  port.ready += port.queued_of(line);
   emit_request(line, sm_id, /*is_store=*/false, cycle);
   return false;
 }
@@ -120,7 +126,9 @@ void MemorySystem::process_dram_replies(std::uint64_t cycle) {
 void MemorySystem::apply_fill(SmPort& port, std::uint32_t sm_id,
                               std::uint64_t line,
                               std::vector<MemCompletion>& completions) {
-  port.l1.fill(line);
+  // `line` moves from the MSHR table to the L1, so its queued entries stay
+  // ready; the victim's leave both.
+  if (const auto victim = port.l1.fill(line)) port.ready -= port.queued_of(*victim);
   auto it = port.mshr.find(line);
   assert(it != port.mshr.end());
   for (WarpToken token : it->second.waiters) {
@@ -138,9 +146,36 @@ void MemorySystem::deliver_l1_fills(std::uint64_t cycle,
   }
 }
 
+void MemorySystem::SmPort::settle() {
+  if (owed_rotation == 0) return;
+  std::rotate(overflow.begin(),
+              overflow.begin() + static_cast<std::ptrdiff_t>(owed_rotation),
+              overflow.end());
+  owed_rotation = 0;
+}
+
+std::uint32_t MemorySystem::SmPort::unqueue(std::uint64_t line) {
+  auto it = queued.find(line);
+  assert(it != queued.end());
+  const std::uint32_t left = --it->second;
+  if (left == 0) queued.erase(it);
+  return left;
+}
+
+std::uint32_t MemorySystem::SmPort::queued_of(std::uint64_t line) const {
+  if (queued.empty()) return 0;
+  const auto it = queued.find(line);
+  return it == queued.end() ? 0 : it->second;
+}
+
+// Probes the window front to back.  Once `retry_blocked` holds, every
+// unprobed entry of the window would find every MSHR busy and rotate to the
+// back, so the rest of the window is owed as a rotation instead of probed;
+// nothing in a pass frees an MSHR, so it holds to the end of the pass.
 void MemorySystem::retry_overflow(SmPort& port, std::uint64_t cycle) {
   std::size_t n = std::min(port.overflow.size(), kOverflowRetryBudget);
-  while (n-- > 0) {
+  if (!retry_blocked(port)) port.settle();
+  for (; n > 0 && !retry_blocked(port); --n) {
     const TimedRequest req = port.overflow.front();
     port.overflow.pop_front();
     // The line may have been filled while this request waited; probe again.
@@ -152,11 +187,15 @@ void MemorySystem::retry_overflow(SmPort& port, std::uint64_t cycle) {
     if (port.l1.contains(req.line)) {
       (void)port.l1.access(req.line);
       port.hit_wait.push_back(TimedWakeup{.ready = cycle + 1, .token = req.token});
+      (void)port.unqueue(req.line);
+      --port.ready;
       continue;
     }
     if (auto it = port.mshr.find(req.line); it != port.mshr.end()) {
       it->second.waiters.push_back(req.token);
       ++port.mshr_merges;
+      (void)port.unqueue(req.line);
+      --port.ready;
       continue;
     }
     if (port.mshr.size() >= config_.l1_mshrs) {
@@ -164,8 +203,10 @@ void MemorySystem::retry_overflow(SmPort& port, std::uint64_t cycle) {
       continue;
     }
     port.mshr.emplace(req.line, L1Mshr{.waiters = {req.token}});
+    port.ready += port.unqueue(req.line);
     emit_request(req.line, req.sm_id, /*is_store=*/false, cycle);
   }
+  if (n > 0) port.owed_rotation = (port.owed_rotation + n) % port.overflow.size();
 }
 
 void MemorySystem::drain_hit_waits(SmPort& port, std::uint32_t sm_id,

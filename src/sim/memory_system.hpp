@@ -15,6 +15,7 @@
 // queue, L2, L2 MSHRs, DRAM and the fill heap are shared.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <queue>
@@ -108,9 +109,26 @@ class MemorySystem {
   /// counters.
   struct SmPort {
     explicit SmPort(const CacheGeometry& l1_geometry) : l1(l1_geometry) {}
+
+    /// Applies `owed_rotation` to `overflow`.
+    void settle();
+    /// Removes one overflowed entry of `line` from `queued`; returns how
+    /// many entries of `line` are still queued.
+    std::uint32_t unqueue(std::uint64_t line);
+    /// Overflowed entries of `line`.
+    [[nodiscard]] std::uint32_t queued_of(std::uint64_t line) const;
+
     SetAssocCache l1;
     std::unordered_map<std::uint64_t, L1Mshr> mshr;
     std::deque<TimedRequest> overflow;
+    /// Overflowed entries per line.
+    std::unordered_map<std::uint64_t, std::uint32_t> queued;
+    /// Overflowed entries whose line is in `l1` or `mshr` (never both), so
+    /// that a retry would hit or merge.
+    std::size_t ready = 0;
+    /// Entries owed a move from the front of `overflow` to its back by
+    /// retry passes that did not probe them.
+    std::size_t owed_rotation = 0;
     std::deque<TimedWakeup> hit_wait;
     std::uint64_t mshr_merges = 0;
     std::uint64_t mshr_stalls = 0;
@@ -130,6 +148,11 @@ class MemorySystem {
   void apply_fill(SmPort& port, std::uint32_t sm_id, std::uint64_t line,
                   std::vector<MemCompletion>& completions);
   void retry_overflow(SmPort& port, std::uint64_t cycle);
+  /// True when a retry pass could only rotate `port`'s overflow queue:
+  /// every MSHR is busy and no queued line is resident.
+  [[nodiscard]] bool retry_blocked(const SmPort& port) const noexcept {
+    return port.ready == 0 && port.mshr.size() >= config_.l1_mshrs;
+  }
   void drain_hit_waits(SmPort& port, std::uint32_t sm_id, std::uint64_t cycle,
                        std::vector<MemCompletion>& completions);
 

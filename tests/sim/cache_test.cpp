@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+
 namespace tbp::sim {
 namespace {
 
@@ -44,6 +47,18 @@ TEST(CacheTest, LruEvictionWithinSet) {
   EXPECT_TRUE(cache.contains(0));
   EXPECT_FALSE(cache.contains(4));
   EXPECT_TRUE(cache.contains(8));
+}
+
+TEST(CacheTest, FillReportsTheEvictedLine) {
+  SetAssocCache cache(tiny_cache());
+  // Lines 0, 4, 8 and 12 all map to set 0 (4 sets).  Two ways.
+  EXPECT_EQ(cache.fill(0), std::nullopt);  // invalid way
+  EXPECT_EQ(cache.fill(4), std::nullopt);  // invalid way
+  EXPECT_EQ(cache.fill(4), std::nullopt);  // already present
+  EXPECT_TRUE(cache.access(0));            // 4 is now LRU
+  EXPECT_EQ(cache.fill(8), std::optional<std::uint64_t>{4});
+  EXPECT_EQ(cache.fill(12), std::optional<std::uint64_t>{0});
+  EXPECT_EQ(cache.stats().evictions, 2u);
 }
 
 TEST(CacheTest, AccessRefreshesLru) {

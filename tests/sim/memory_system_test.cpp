@@ -2,12 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 namespace tbp::sim {
 namespace {
 
 GpuConfig config() { return fermi_config(); }
+
+/// One load completion: the cycle whose `tick` returned it, its SM and its
+/// token.
+struct Completion {
+  std::uint64_t cycle = 0;
+  std::uint32_t sm = 0;
+  WarpToken token = 0;
+  bool operator==(const Completion&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Completion& c) {
+  return os << "{" << c.cycle << ", " << c.sm << ", " << c.token << "}";
+}
+
+/// Every counter of `MemoryStats`, in declaration order.
+std::vector<std::uint64_t> stat_fields(const MemoryStats& s) {
+  return {s.l1.hits,       s.l1.misses,         s.l1.evictions,
+          s.l2.hits,       s.l2.misses,         s.l2.evictions,
+          s.dram.row_hits, s.dram.row_misses,   s.dram.loads,
+          s.dram.stores,   s.dram.scheduling_decisions,
+          s.l1_mshr_merges, s.l2_mshr_merges,   s.l1_mshr_stalls,
+          s.l2_mshr_overflows};
+}
 
 /// Advances the memory system until `n` completions arrive.
 std::vector<MemCompletion> drain(MemorySystem& memory, std::size_t n,
@@ -218,6 +242,102 @@ TEST(MemorySystemTest, HitAfterWaitCompletesEachWaiterExactlyOnce) {
   // And the hit path ran at all: the only L1 hits possible here are retry
   // probes finding the hot line filled (every issue-time probe missed).
   EXPECT_GE(memory.stats().l1.hits, 2u);
+}
+
+// Pins the overflow queue's retry order: which waiting load takes a freed
+// MSHR, and when each one completes.  SM 0 has 2 MSHRs and a one-set,
+// two-way L1, and an L2 hit refills its L1 within the tick that sends the
+// request.  Two DRAM-bound misses take both MSHRs; 130 loads of six
+// L2-warm lines then queue behind them, 26 per cycle, so the queue grows
+// past the 64-entry retry window while every retry pass is blocked.  After
+// each tick that wakes one of SM 0's loads, one of 4 fresh loads follows.
+// The run covers repeated lines, a fresh load allocating a line that still
+// has queued entries, hit-after-wait completions, and an L1 eviction of a
+// line that still has queued entries.  The expected values were recorded
+// from a retry loop that probed the whole window on every cycle.
+TEST(MemorySystemTest, OverflowRetryOrderIsPinned) {
+  GpuConfig cfg = config();
+  cfg.l1 = CacheGeometry{.bytes = 256, .line_bytes = 128, .associativity = 2};
+  cfg.l1_mshrs = 2;
+  cfg.lat.interconnect = 0;
+  cfg.lat.l2_hit = 0;
+  MemorySystem memory(cfg);
+
+  std::vector<Completion> got;
+  std::vector<MemCompletion> out;
+  std::uint64_t cycle = 0;
+  bool woke_sm0 = false;
+  const auto tick = [&] {
+    out.clear();
+    memory.tick(cycle, out);
+    woke_sm0 = false;
+    for (const MemCompletion& c : out) {
+      got.push_back(Completion{.cycle = cycle, .sm = c.sm_id, .token = c.token});
+      woke_sm0 = woke_sm0 || c.sm_id == 0;
+    }
+    ++cycle;
+  };
+
+  // SM 1 warms lines 0-5 into the shared L2.
+  for (std::uint32_t line = 0; line < 6; ++line) {
+    (void)memory.load(1, line, 1000 + line, cycle);
+  }
+  while (memory.busy()) tick();
+
+  WarpToken token = 0;
+  (void)memory.load(0, 100, token++, cycle);
+  (void)memory.load(0, 101, token++, cycle);
+  for (std::uint32_t i = 0; i < 130; ++i) {
+    (void)memory.load(0, (i * 3 + i / 7) % 6, token++, cycle);
+    if (i % 26 == 25) tick();
+  }
+  std::uint64_t fresh_line = 0;
+  for (int fresh = 0; memory.busy();) {
+    if (woke_sm0 && fresh < 4) {
+      (void)memory.load(0, fresh_line, token++, cycle);
+      fresh_line = (fresh_line + 3) % 6;
+      ++fresh;
+    }
+    tick();
+  }
+
+  const std::vector<Completion> expected = {
+      {60, 1, 1000}, {60, 1, 1001}, {121, 1, 1002}, {121, 1, 1003},
+      {182, 1, 1004}, {182, 1, 1005}, {243, 0, 0}, {243, 0, 1}, {244, 0, 132},
+      {244, 0, 65}, {244, 0, 86}, {244, 0, 88}, {244, 0, 90}, {244, 0, 92},
+      {244, 0, 67}, {244, 0, 69}, {244, 0, 71}, {244, 0, 2}, {244, 0, 4},
+      {244, 0, 6}, {244, 0, 8}, {244, 0, 60}, {244, 0, 62}, {244, 0, 64},
+      {244, 0, 81}, {244, 0, 83}, {244, 0, 85}, {244, 0, 100}, {244, 0, 102},
+      {244, 0, 104}, {244, 0, 79}, {244, 0, 16}, {244, 0, 18}, {245, 0, 133},
+      {245, 0, 24}, {245, 0, 26}, {245, 0, 28}, {245, 0, 45}, {245, 0, 47},
+      {245, 0, 49}, {245, 0, 108}, {245, 0, 110}, {245, 0, 112}, {245, 0, 129},
+      {245, 0, 131}, {245, 0, 21}, {245, 0, 38}, {245, 0, 40}, {245, 0, 42},
+      {245, 0, 122}, {245, 0, 124}, {245, 0, 126}, {246, 0, 134}, {246, 0, 58},
+      {246, 0, 20}, {246, 0, 22}, {246, 0, 23}, {246, 0, 25}, {246, 0, 27},
+      {246, 0, 29}, {246, 0, 37}, {246, 0, 39}, {246, 0, 41}, {246, 0, 43},
+      {246, 0, 44}, {246, 0, 46}, {246, 0, 48}, {246, 0, 50}, {246, 0, 106},
+      {246, 0, 107}, {246, 0, 109}, {246, 0, 111}, {246, 0, 113}, {246, 0, 121},
+      {246, 0, 123}, {246, 0, 125}, {246, 0, 127}, {246, 0, 128}, {246, 0, 130},
+      {247, 0, 135}, {247, 0, 93}, {247, 0, 95}, {247, 0, 97}, {247, 0, 99},
+      {247, 0, 72}, {247, 0, 74}, {247, 0, 76}, {247, 0, 78}, {247, 0, 9},
+      {247, 0, 11}, {247, 0, 13}, {247, 0, 15}, {247, 0, 30}, {247, 0, 32},
+      {247, 0, 34}, {247, 0, 36}, {247, 0, 51}, {247, 0, 114}, {247, 0, 116},
+      {247, 0, 118}, {247, 0, 120}, {247, 0, 53}, {247, 0, 55}, {247, 0, 57},
+      {247, 0, 59}, {247, 0, 61}, {247, 0, 63}, {247, 0, 80}, {247, 0, 82},
+      {247, 0, 84}, {247, 0, 87}, {247, 0, 89}, {247, 0, 91}, {247, 0, 101},
+      {247, 0, 103}, {247, 0, 105}, {247, 0, 66}, {247, 0, 68}, {247, 0, 70},
+      {247, 0, 3}, {247, 0, 5}, {247, 0, 7}, {247, 0, 17}, {247, 0, 19},
+      {248, 0, 94}, {248, 0, 96}, {248, 0, 98}, {248, 0, 73}, {248, 0, 75},
+      {248, 0, 77}, {248, 0, 10}, {248, 0, 12}, {248, 0, 14}, {248, 0, 31},
+      {248, 0, 33}, {248, 0, 35}, {248, 0, 115}, {248, 0, 117}, {248, 0, 119},
+      {248, 0, 52}, {248, 0, 54}, {248, 0, 56},
+  };
+  EXPECT_EQ(got, expected);
+  // L1 and L2 hits, misses and evictions; DRAM row hits, row misses, loads,
+  // stores and scheduling decisions; then the four MSHR counters.
+  const std::vector<std::uint64_t> expected_stats = {
+      45, 142, 13, 9, 8, 0, 0, 8, 8, 0, 8, 80, 0, 134, 0};
+  EXPECT_EQ(stat_fields(memory.stats()), expected_stats);
 }
 
 // Regression: the L2 MSHR pool is a soft capacity knob — requests past the
