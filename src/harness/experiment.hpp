@@ -106,15 +106,15 @@ struct ExperimentRow {
 };
 
 /// Version of the simulator model behind every ExperimentRow: the crc32 of
-/// bench/baselines/fig9_manifest.json.  The fig9_baseline_manifest test
-/// forces that file to be regenerated whenever a result of its stream/bfs
-/// slice moves, and tests/harness pins this constant to its digest, so the
-/// version changes with them.  Keys of stored results mix it in
+/// bench/baselines/model_fingerprint.json, which records the profile of
+/// every launch of all 12 workloads and the first blocks of each one's first
+/// and largest launch under both schedulers.  The model_fingerprint test
+/// forces that file to be regenerated whenever one of those numbers moves,
+/// and tests/harness pins this constant to its digest, so the version
+/// changes with them.  Keys of stored results mix it in
 /// (experiment_store_key, service::spec_store_key), so a result computed
-/// by another model is a miss, never a stale hit.  A change the slice
-/// cannot see (another workload's model, the GTO scheduler alone) leaves
-/// the version as it is; recompute with --no-cache after one.
-inline constexpr std::uint32_t kModelVersion = 0x3e1b7478;
+/// by another model is a miss, never a stale hit.
+inline constexpr std::uint32_t kModelVersion = 0xd1d03f40;
 
 /// Runs the full four-way comparison.  Deterministic for fixed inputs:
 /// every field except the wall-clock `*_seconds` measurements is

@@ -298,8 +298,7 @@ void LaunchEngine::dispatch() {
     }
     if (target == n_sms) return;  // all slots busy; the cached action waits
     pending_action.reset();
-    sms[target].dispatch_block(next_block, launch.block_trace(next_block),
-                               cycle);
+    sms[target].dispatch_block(next_block, launch.block_trace(next_block));
     units.on_dispatch(next_block, cycle, meter);
     if (timeline != nullptr) {
       tb_dispatch[next_block] = TbDispatch{.cycle = cycle, .sm = target};
@@ -413,7 +412,7 @@ Status LaunchEngine::run() {
     completions.clear();
     memory.tick(cycle, completions);
     for (const MemCompletion& c : completions) {
-      sms[c.sm_id].on_mem_complete(c.token, cycle);
+      sms[c.sm_id].on_mem_complete(c.token);
     }
 
     for (SmCore& sm : sms) {

@@ -18,9 +18,11 @@ constexpr std::size_t kOverflowRetryBudget = 64;
 }  // namespace
 
 MemorySystem::MemorySystem(const GpuConfig& config)
-    : config_(config), l2_(config.l2), dram_(config) {
+    : config_(config), l2_(config.l2), dram_(config), l2_mshr_(config.l2_mshrs) {
   ports_.reserve(config.n_sms);
-  for (std::uint32_t s = 0; s < config.n_sms; ++s) ports_.emplace_back(config.l1);
+  for (std::uint32_t s = 0; s < config.n_sms; ++s) {
+    ports_.emplace_back(config.l1, config.l1_mshrs);
+  }
 }
 
 bool MemorySystem::load(std::uint32_t sm_id, std::uint64_t line, WarpToken token,
@@ -28,8 +30,8 @@ bool MemorySystem::load(std::uint32_t sm_id, std::uint64_t line, WarpToken token
   SmPort& port = ports_[sm_id];
   if (port.l1.access(line)) return true;
 
-  if (auto it = port.mshr.find(line); it != port.mshr.end()) {
-    it->second.waiters.push_back(token);
+  if (std::vector<WarpToken>* waiters = port.mshr.find(line)) {
+    waiters->push_back(token);
     ++port.mshr_merges;
     return false;
   }
@@ -41,7 +43,7 @@ bool MemorySystem::load(std::uint32_t sm_id, std::uint64_t line, WarpToken token
     ++port.queued[line];
     return false;
   }
-  port.mshr.emplace(line, L1Mshr{.waiters = {token}});
+  port.mshr.insert(line).push_back(token);
   port.ready += port.queued_of(line);
   emit_request(line, sm_id, /*is_store=*/false, cycle);
   return false;
@@ -89,8 +91,8 @@ void MemorySystem::process_l2(std::uint64_t cycle) {
       });
       continue;
     }
-    if (auto it = l2_mshr_.find(req.line); it != l2_mshr_.end()) {
-      it->second.push_back(req.sm_id);
+    if (std::vector<std::uint32_t>* waiters = l2_mshr_.find(req.line)) {
+      waiters->push_back(req.sm_id);
       ++l2_mshr_merges_;
       continue;
     }
@@ -99,7 +101,7 @@ void MemorySystem::process_l2(std::uint64_t cycle) {
     // otherwise need a second overflow queue) but counted, so configs that
     // undersize the MSHRs are visible in stats.
     if (l2_mshr_.size() >= config_.l2_mshrs) ++l2_mshr_overflows_;
-    l2_mshr_.emplace(req.line, std::vector<std::uint32_t>{req.sm_id});
+    l2_mshr_.insert(req.line).push_back(req.sm_id);
     dram_.push(req.line, /*is_store=*/false, cycle);
   }
 }
@@ -109,9 +111,9 @@ void MemorySystem::process_dram_replies(std::uint64_t cycle) {
   dram_.tick(cycle, dram_replies_scratch_);
   for (const DramReply& reply : dram_replies_scratch_) {
     l2_.fill(reply.line);
-    auto it = l2_mshr_.find(reply.line);
-    assert(it != l2_mshr_.end());
-    for (std::uint32_t sm_id : it->second) {
+    const std::vector<std::uint32_t>* waiters = l2_mshr_.find(reply.line);
+    assert(waiters != nullptr);
+    for (std::uint32_t sm_id : *waiters) {
       l1_fills_.push(TimedFill{
           .ready = cycle + config_.lat.l2_hit + config_.lat.interconnect,
           .line = reply.line,
@@ -119,7 +121,7 @@ void MemorySystem::process_dram_replies(std::uint64_t cycle) {
           .seq = fill_seq_++,
       });
     }
-    l2_mshr_.erase(it);
+    l2_mshr_.erase(reply.line);
   }
 }
 
@@ -129,12 +131,12 @@ void MemorySystem::apply_fill(SmPort& port, std::uint32_t sm_id,
   // `line` moves from the MSHR table to the L1, so its queued entries stay
   // ready; the victim's leave both.
   if (const auto victim = port.l1.fill(line)) port.ready -= port.queued_of(*victim);
-  auto it = port.mshr.find(line);
-  assert(it != port.mshr.end());
-  for (WarpToken token : it->second.waiters) {
+  const std::vector<WarpToken>* waiters = port.mshr.find(line);
+  assert(waiters != nullptr);
+  for (WarpToken token : *waiters) {
     completions.push_back(MemCompletion{.sm_id = sm_id, .token = token});
   }
-  port.mshr.erase(it);
+  port.mshr.erase(line);
 }
 
 void MemorySystem::deliver_l1_fills(std::uint64_t cycle,
@@ -180,7 +182,7 @@ void MemorySystem::retry_overflow(SmPort& port, std::uint64_t cycle) {
     port.overflow.pop_front();
     // The line may have been filled while this request waited; probe again.
     // A hit here completes directly next cycle: the waiter must NOT be
-    // re-registered in the MSHR map (no fill is outstanding for it), since
+    // re-registered in the MSHR table (no fill is outstanding for it), since
     // that would bypass the capacity check and a synthetic fill erasing the
     // entry would collide with an in-flight fill — or a second hit-path
     // retry — for the same line, dropping waiters.
@@ -191,8 +193,8 @@ void MemorySystem::retry_overflow(SmPort& port, std::uint64_t cycle) {
       --port.ready;
       continue;
     }
-    if (auto it = port.mshr.find(req.line); it != port.mshr.end()) {
-      it->second.waiters.push_back(req.token);
+    if (std::vector<WarpToken>* waiters = port.mshr.find(req.line)) {
+      waiters->push_back(req.token);
       ++port.mshr_merges;
       (void)port.unqueue(req.line);
       --port.ready;
@@ -202,7 +204,7 @@ void MemorySystem::retry_overflow(SmPort& port, std::uint64_t cycle) {
       port.overflow.push_back(req);  // still full; retry next cycle
       continue;
     }
-    port.mshr.emplace(req.line, L1Mshr{.waiters = {req.token}});
+    port.mshr.insert(req.line).push_back(req.token);
     port.ready += port.unqueue(req.line);
     emit_request(req.line, req.sm_id, /*is_store=*/false, cycle);
   }

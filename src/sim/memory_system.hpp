@@ -25,6 +25,7 @@
 #include "sim/cache.hpp"
 #include "sim/config.hpp"
 #include "sim/dram.hpp"
+#include "sim/line_table.hpp"
 
 namespace tbp::sim {
 
@@ -77,9 +78,6 @@ class MemorySystem {
   }
 
  private:
-  struct L1Mshr {
-    std::vector<WarpToken> waiters;
-  };
   struct TimedRequest {
     std::uint64_t ready = 0;
     std::uint64_t line = 0;
@@ -89,7 +87,7 @@ class MemorySystem {
   };
   /// A hit-after-wait wakeup: an overflowed load whose line was already in
   /// the L1 when it retried.  It completes directly (next cycle) without
-  /// ever touching the MSHR map — re-registering there would bypass the
+  /// ever touching the MSHR table — re-registering there would bypass the
   /// capacity check and collide with in-flight fills for the same line.
   struct TimedWakeup {
     std::uint64_t ready = 0;
@@ -108,7 +106,8 @@ class MemorySystem {
   /// retry queue, its hit-after-wait wakeups, and its slice of the MSHR
   /// counters.
   struct SmPort {
-    explicit SmPort(const CacheGeometry& l1_geometry) : l1(l1_geometry) {}
+    SmPort(const CacheGeometry& l1_geometry, std::uint32_t n_mshrs)
+        : l1(l1_geometry), mshr(n_mshrs) {}
 
     /// Applies `owed_rotation` to `overflow`.
     void settle();
@@ -119,7 +118,7 @@ class MemorySystem {
     [[nodiscard]] std::uint32_t queued_of(std::uint64_t line) const;
 
     SetAssocCache l1;
-    std::unordered_map<std::uint64_t, L1Mshr> mshr;
+    LineTable<WarpToken> mshr;  ///< at most l1_mshrs lines
     std::deque<TimedRequest> overflow;
     /// Overflowed entries per line.
     std::unordered_map<std::uint64_t, std::uint32_t> queued;
@@ -162,7 +161,7 @@ class MemorySystem {
   DramSystem dram_;
 
   std::deque<TimedRequest> l2_queue_;  ///< arrival-ordered (uniform latency)
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> l2_mshr_;
+  LineTable<std::uint32_t> l2_mshr_;   ///< waiting SM ids; may exceed l2_mshrs
 
   std::priority_queue<TimedFill, std::vector<TimedFill>, LaterFill> l1_fills_;
   std::vector<DramReply> dram_replies_scratch_;

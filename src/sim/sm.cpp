@@ -1,10 +1,20 @@
 #include "sim/sm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
 namespace tbp::sim {
+namespace {
+
+/// The warp context of the lowest set bit of mask word `word`.
+std::uint32_t lowest_context(std::size_t word, std::uint64_t bits) noexcept {
+  return static_cast<std::uint32_t>(word * 64) +
+         static_cast<std::uint32_t>(std::countr_zero(bits));
+}
+
+}  // namespace
 
 SmCore::SmCore(std::uint32_t sm_id, const GpuConfig& config, MemorySystem& memory,
                GlobalMeter& meter)
@@ -21,14 +31,15 @@ void SmCore::configure_launch(std::uint32_t n_slots, std::uint32_t warps_per_blo
   state_count_.fill(0);
   state_count_[static_cast<std::size_t>(WarpState::kDone)] =
       static_cast<std::uint32_t>(warps_.size());
+  ready_.assign((warps_.size() + 63) / 64, 0);
+  waiting_.assign(ready_.size(), 0);
+  next_wake_ = ~std::uint64_t{0};
   rr_cursor_ = 0;
   gto_current_ = ~0u;
   retired_.clear();
-  earliest_ready_ = ~std::uint64_t{0};  // nothing to issue until a dispatch
 }
 
-void SmCore::dispatch_block(std::uint32_t block_id, trace::BlockTrace trace,
-                            std::uint64_t cycle) {
+void SmCore::dispatch_block(std::uint32_t block_id, trace::BlockTrace trace) {
   assert(free_slots_ > 0);
   assert(trace.warps.size() == warps_per_block_);
   for (std::uint32_t s = 0; s < slots_.size(); ++s) {
@@ -43,12 +54,10 @@ void SmCore::dispatch_block(std::uint32_t block_id, trace::BlockTrace trace,
     for (std::uint32_t w = 0; w < warps_per_block_; ++w) {
       WarpContext& ctx = warps_[token_of(s, w)];
       ctx.pc = 0;
-      set_state(ctx, WarpState::kReady);
-      ctx.ready_cycle = cycle;
       ctx.outstanding = 0;
+      set_state(token_of(s, w), WarpState::kReady);
     }
     --free_slots_;
-    earliest_ready_ = std::min(earliest_ready_, cycle);
     return;
   }
   assert(false && "dispatch_block called with no free slot");
@@ -91,65 +100,62 @@ void SmCore::account_cycle(bool issued) noexcept {
   }
 }
 
-void SmCore::issue_impl(std::uint64_t cycle) {
-  if (cycle < earliest_ready_) return;
-  const std::uint32_t n_contexts = static_cast<std::uint32_t>(warps_.size());
-  if (n_contexts == 0) return;
-
-  std::uint64_t min_pending = ~std::uint64_t{0};
-  std::uint32_t chosen = n_contexts;  // sentinel: nothing issueable
-
-  const auto refresh = [&](std::uint32_t idx) -> bool {
-    // Converts an expired latency wait into Ready; returns issueability.
-    WarpContext& ctx = warps_[idx];
-    if (ctx.state == WarpState::kWaitLatency) {
-      if (ctx.ready_cycle <= cycle) {
-        set_state(ctx, WarpState::kReady);
+void SmCore::wake_expired(std::uint64_t cycle) noexcept {
+  std::uint64_t next = ~std::uint64_t{0};
+  for (std::size_t word = 0; word < waiting_.size(); ++word) {
+    for (std::uint64_t bits = waiting_[word]; bits != 0; bits &= bits - 1) {
+      const std::uint32_t idx = lowest_context(word, bits);
+      const std::uint64_t ready_cycle = warps_[idx].ready_cycle;
+      if (ready_cycle <= cycle) {
+        set_state(idx, WarpState::kReady);
       } else {
-        min_pending = std::min(min_pending, ctx.ready_cycle);
+        next = std::min(next, ready_cycle);
       }
     }
-    return ctx.state == WarpState::kReady;
-  };
+  }
+  next_wake_ = next;
+}
 
+std::uint32_t SmCore::first_ready(std::uint32_t from) const noexcept {
+  const auto n_contexts = static_cast<std::uint32_t>(warps_.size());
+  if (from >= n_contexts) return n_contexts;
+  std::size_t word = from / 64;
+  std::uint64_t bits = ready_[word] & (~std::uint64_t{0} << (from % 64));
+  while (bits == 0) {
+    if (++word == ready_.size()) return n_contexts;
+    bits = ready_[word];
+  }
+  return lowest_context(word, bits);
+}
+
+void SmCore::issue_impl(std::uint64_t cycle) {
+  if (cycle >= next_wake_) wake_expired(cycle);
+  if (state_count_[static_cast<std::size_t>(WarpState::kReady)] == 0) return;
+  const auto n_contexts = static_cast<std::uint32_t>(warps_.size());
+
+  std::uint32_t chosen = n_contexts;
   if (config_->scheduler == WarpScheduler::kGreedyThenOldest) {
     // Greedy: stick with the last-issued warp while it can issue.
-    if (gto_current_ < n_contexts &&
-        slots_[gto_current_ / warps_per_block_].active &&
-        refresh(gto_current_)) {
+    if (gto_current_ != ~0u && warps_[gto_current_].state == WarpState::kReady) {
       chosen = gto_current_;
     } else {
-      // Oldest: the ready warp whose block was dispatched earliest
-      // (warp index breaks ties within a block).
+      // Oldest: the ready warp whose block was dispatched earliest (warp
+      // index breaks ties within a block), visiting each block's first
+      // ready warp only.
       std::uint64_t best_age = ~std::uint64_t{0};
-      for (std::uint32_t idx = 0; idx < n_contexts; ++idx) {
+      for (std::uint32_t idx = first_ready(0); idx < n_contexts;) {
         const std::uint32_t slot_idx = idx / warps_per_block_;
-        if (!slots_[slot_idx].active) continue;
-        if (!refresh(idx)) continue;
         if (slots_[slot_idx].dispatch_seq < best_age) {
           best_age = slots_[slot_idx].dispatch_seq;
           chosen = idx;
         }
+        idx = first_ready((slot_idx + 1) * warps_per_block_);
       }
     }
   } else {
-    // Loose round-robin: first issueable warp after the last issued.
-    for (std::uint32_t probe = 0; probe < n_contexts; ++probe) {
-      const std::uint32_t idx = (rr_cursor_ + probe) % n_contexts;
-      if (!slots_[idx / warps_per_block_].active) continue;
-      if (refresh(idx)) {
-        chosen = idx;
-        break;
-      }
-    }
-  }
-
-  if (chosen == n_contexts) {
-    // Nothing issueable: sleep until the nearest latency expiry.  Memory
-    // completions, dispatches and barrier releases wake the SM earlier.
-    // (The failed scan covered every context, so min_pending is complete.)
-    earliest_ready_ = min_pending;
-    return;
+    // Loose round-robin: first ready warp after the last issued.
+    chosen = first_ready(rr_cursor_);
+    if (chosen == n_contexts) chosen = first_ready(0);
   }
 
   const std::uint32_t slot_idx = chosen / warps_per_block_;
@@ -162,7 +168,7 @@ void SmCore::issue_impl(std::uint64_t cycle) {
     // it permanently instead of reading past the stream; the block can never
     // retire, so the launch-level watchdog reports the wedge as a
     // structured deadlock diagnostic rather than this being UB.
-    set_state(ctx, WarpState::kWedged);
+    set_state(chosen, WarpState::kWedged);
     return;
   }
   const auto& stream = streams[warp_idx];
@@ -174,51 +180,42 @@ void SmCore::issue_impl(std::uint64_t cycle) {
   // Advance the cursors *before* execute: a kExit that retires the block
   // invalidates gto_current_ inside retire_block, and assigning it here
   // afterwards would resurrect the stale cursor it just killed.
-  rr_cursor_ = (chosen + 1) % n_contexts;
+  rr_cursor_ = chosen + 1;
   gto_current_ = chosen;
   execute(slot_idx, warp_idx, inst, cycle);
-  // Another warp may already be ready, so scan again next cycle.
-  earliest_ready_ = cycle + 1;
 }
 
 void SmCore::execute(std::uint32_t slot_idx, std::uint32_t warp_idx,
                      const trace::WarpInst& inst, std::uint64_t cycle) {
-  WarpContext& ctx = warps_[token_of(slot_idx, warp_idx)];
+  const WarpToken token = token_of(slot_idx, warp_idx);
   BlockSlot& slot = slots_[slot_idx];
   const Latencies& lat = config_->lat;
 
   switch (inst.op) {
     case trace::Op::kIntAlu:
-      set_state(ctx, WarpState::kWaitLatency);
-      ctx.ready_cycle = cycle + lat.int_alu;
+      wait_until(token, cycle + lat.int_alu);
       break;
     case trace::Op::kFloatAlu:
-      set_state(ctx, WarpState::kWaitLatency);
-      ctx.ready_cycle = cycle + lat.float_alu;
+      wait_until(token, cycle + lat.float_alu);
       break;
     case trace::Op::kSfu:
-      set_state(ctx, WarpState::kWaitLatency);
-      ctx.ready_cycle = cycle + lat.sfu;
+      wait_until(token, cycle + lat.sfu);
       break;
     case trace::Op::kLoadShared:
-      set_state(ctx, WarpState::kWaitLatency);
-      ctx.ready_cycle = cycle + lat.shared_mem;
+      wait_until(token, cycle + lat.shared_mem);
       break;
     case trace::Op::kLoadGlobal: {
       std::uint32_t misses = 0;
       for (std::uint32_t i = 0; i < inst.mem.n_lines; ++i) {
         const std::uint64_t line =
             inst.mem.base_line + std::uint64_t{i} * inst.mem.line_stride;
-        if (!memory_->load(sm_id_, line, token_of(slot_idx, warp_idx), cycle)) {
-          ++misses;
-        }
+        if (!memory_->load(sm_id_, line, token, cycle)) ++misses;
       }
       if (misses == 0) {
-        set_state(ctx, WarpState::kWaitLatency);
-        ctx.ready_cycle = cycle + lat.l1_hit;
+        wait_until(token, cycle + lat.l1_hit);
       } else {
-        set_state(ctx, WarpState::kWaitMem);
-        ctx.outstanding = misses;
+        set_state(token, WarpState::kWaitMem);
+        warps_[token].outstanding = misses;
       }
       break;
     }
@@ -228,16 +225,15 @@ void SmCore::execute(std::uint32_t slot_idx, std::uint32_t warp_idx,
             inst.mem.base_line + std::uint64_t{i} * inst.mem.line_stride;
         memory_->store(sm_id_, line, cycle);
       }
-      set_state(ctx, WarpState::kWaitLatency);
-      ctx.ready_cycle = cycle + lat.store_issue;
+      wait_until(token, cycle + lat.store_issue);
       break;
     case trace::Op::kBarrier:
-      set_state(ctx, WarpState::kWaitBarrier);
+      set_state(token, WarpState::kWaitBarrier);
       ++slot.barrier_waiting;
       release_barrier_if_ready(slot, slot_idx, cycle);
       break;
     case trace::Op::kExit:
-      set_state(ctx, WarpState::kDone);
+      set_state(token, WarpState::kDone);
       assert(slot.live_warps > 0);
       --slot.live_warps;
       if (slot.live_warps == 0) {
@@ -253,14 +249,11 @@ void SmCore::release_barrier_if_ready(BlockSlot& slot, std::uint32_t slot_idx,
                                       std::uint64_t cycle) {
   if (slot.barrier_waiting == 0 || slot.barrier_waiting != slot.live_warps) return;
   for (std::uint32_t w = 0; w < warps_per_block_; ++w) {
-    WarpContext& ctx = warps_[token_of(slot_idx, w)];
-    if (ctx.state == WarpState::kWaitBarrier) {
-      set_state(ctx, WarpState::kWaitLatency);
-      ctx.ready_cycle = cycle + 1;
+    if (warps_[token_of(slot_idx, w)].state == WarpState::kWaitBarrier) {
+      wait_until(token_of(slot_idx, w), cycle + 1);
     }
   }
   slot.barrier_waiting = 0;
-  earliest_ready_ = std::min(earliest_ready_, cycle + 1);
 }
 
 void SmCore::retire_block(std::uint32_t slot_idx) {
@@ -298,15 +291,12 @@ SmDebugState SmCore::debug_state() const {
   return state;
 }
 
-void SmCore::on_mem_complete(WarpToken token, std::uint64_t cycle) {
+void SmCore::on_mem_complete(WarpToken token) {
   WarpContext& ctx = warps_[token];
   assert(ctx.outstanding > 0);
   --ctx.outstanding;
   if (ctx.outstanding == 0 && ctx.state == WarpState::kWaitMem) {
-    set_state(ctx, WarpState::kReady);
-    // Completions are delivered after this cycle's issue phase, so the
-    // earliest the warp can actually issue is the next cycle.
-    earliest_ready_ = std::min(earliest_ready_, cycle + 1);
+    set_state(token, WarpState::kReady);
   }
 }
 

@@ -5,6 +5,7 @@
 // the load/store unit that expands coalesced footprints into line requests.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -82,8 +83,8 @@ class SmCore {
     return free_slots_ == static_cast<std::uint32_t>(slots_.size());
   }
 
-  void dispatch_block(std::uint32_t block_id, trace::BlockTrace trace,
-                      std::uint64_t cycle);
+  /// Dispatches a block into a free slot; its warps issue from this cycle.
+  void dispatch_block(std::uint32_t block_id, trace::BlockTrace trace);
 
   /// Issues at most one warp instruction this cycle.
   void issue(std::uint64_t cycle);
@@ -95,7 +96,10 @@ class SmCore {
     stall_ = out;
   }
 
-  void on_mem_complete(WarpToken token, std::uint64_t cycle);
+  /// One of `token`'s line fills arrived.  Completions are delivered after
+  /// the cycle's issue phase, so a warp woken here issues next cycle at the
+  /// earliest.
+  void on_mem_complete(WarpToken token);
 
   /// Blocks that retired since the last drain (in retirement order).
   [[nodiscard]] std::vector<std::uint32_t>& retired() noexcept { return retired_; }
@@ -139,15 +143,33 @@ class SmCore {
   }
 
   /// Every warp-state transition funnels through here so the per-state
-  /// population counts stay exact.
-  void set_state(WarpContext& ctx, WarpState next) noexcept {
+  /// population counts and the Ready and latency-wait masks stay exact.
+  void set_state(std::uint32_t idx, WarpState next) noexcept {
+    WarpContext& ctx = warps_[idx];
     --state_count_[static_cast<std::size_t>(ctx.state)];
     ++state_count_[static_cast<std::size_t>(next)];
+    const std::size_t word = idx / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+    if (ctx.state == WarpState::kReady) ready_[word] &= ~bit;
+    if (ctx.state == WarpState::kWaitLatency) waiting_[word] &= ~bit;
+    if (next == WarpState::kReady) ready_[word] |= bit;
+    if (next == WarpState::kWaitLatency) waiting_[word] |= bit;
     ctx.state = next;
+  }
+
+  /// Parks warp context `idx` in a latency wait that expires at `ready_cycle`.
+  void wait_until(std::uint32_t idx, std::uint64_t ready_cycle) noexcept {
+    set_state(idx, WarpState::kWaitLatency);
+    warps_[idx].ready_cycle = ready_cycle;
+    next_wake_ = std::min(next_wake_, ready_cycle);
   }
 
   void issue_impl(std::uint64_t cycle);
   void account_cycle(bool issued) noexcept;
+  /// Turns every latency wait that has expired by `cycle` into Ready.
+  void wake_expired(std::uint64_t cycle) noexcept;
+  /// The first Ready context at or after `from`, or the context count.
+  [[nodiscard]] std::uint32_t first_ready(std::uint32_t from) const noexcept;
 
   void execute(std::uint32_t slot_idx, std::uint32_t warp_idx,
                const trace::WarpInst& inst, std::uint64_t cycle);
@@ -162,14 +184,17 @@ class SmCore {
 
   std::uint32_t warps_per_block_ = 0;
   std::uint32_t free_slots_ = 0;
-  /// Earliest cycle at which any warp could possibly issue; lets issue()
-  /// skip the context scan entirely while every warp is stalled (the common
-  /// case in memory-bound phases).  Conservative: never later than the true
-  /// earliest issue cycle.
-  std::uint64_t earliest_ready_ = 0;
   std::vector<BlockSlot> slots_;
   std::vector<WarpContext> warps_;  ///< slots * warps_per_block, slot-major
-  std::uint32_t rr_cursor_ = 0;     ///< round-robin scan start
+  /// One bit per warp context, 64 contexts to a word: the kReady contexts
+  /// and the kWaitLatency contexts.  Only an active slot holds either
+  /// state, since a block retires only when all its warps are kDone.
+  std::vector<std::uint64_t> ready_;
+  std::vector<std::uint64_t> waiting_;
+  /// No latency wait expires before this cycle: at most the earliest
+  /// ready_cycle of the kWaitLatency contexts.
+  std::uint64_t next_wake_ = ~std::uint64_t{0};
+  std::uint32_t rr_cursor_ = 0;     ///< round-robin search start
   std::uint32_t gto_current_ = ~0u; ///< last-issued warp for GTO
   std::uint64_t dispatch_counter_ = 0;
   std::vector<std::uint32_t> retired_;

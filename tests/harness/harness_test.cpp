@@ -188,19 +188,20 @@ TEST(CacheTest, FlatRowFilesAreNeverServed) {
   }
 }
 
-TEST(ModelVersionTest, IsTheFig9BaselineDigest) {
-  // Moving a simulated result means regenerating the fig9 baseline (the
-  // fig9_baseline_manifest test), and this pin then forces kModelVersion to
-  // follow, so rows cached by the old model stop being served.
-  std::ifstream in(TBP_FIG9_BASELINE, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "cannot read " << TBP_FIG9_BASELINE;
+TEST(ModelVersionTest, IsTheModelFingerprintDigest) {
+  // Moving a simulated result or a profile means regenerating the model
+  // fingerprint (the model_fingerprint test), and this pin then forces
+  // kModelVersion to follow, so rows cached by the old model stop being
+  // served.
+  std::ifstream in(TBP_MODEL_FINGERPRINT, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "cannot read " << TBP_MODEL_FINGERPRINT;
   std::ostringstream bytes;
   bytes << in.rdbuf();
   const std::uint32_t digest = crc32(bytes.str());
   char hex[16];
   std::snprintf(hex, sizeof hex, "0x%08x", digest);
   EXPECT_EQ(digest, kModelVersion)
-      << TBP_FIG9_BASELINE << " changed: set harness::kModelVersion in "
+      << TBP_MODEL_FINGERPRINT << " changed: set harness::kModelVersion in "
       << "src/harness/experiment.hpp to " << hex;
 }
 

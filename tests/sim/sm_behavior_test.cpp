@@ -3,6 +3,9 @@
 // latency arithmetic of individual instructions.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "obs/metrics.hpp"
 #include "sim/gpu.hpp"
 #include "trace/kernel.hpp"
 
@@ -236,6 +239,71 @@ TEST(SmBehaviorTest, WideBlocksUseAllWarpContexts) {
       GpuSimulator(one_sm_config()).run_launch(FixedTrace(k, 2, trace));
   EXPECT_EQ(result.sim_warp_insts, 2u * 32u * 2u);
   EXPECT_EQ(result.sm_occupancy, 1u);  // 1536 threads cap
+}
+
+/// Cycles, warp instructions and the SM's stall buckets of one launch.
+struct Schedule {
+  std::uint64_t cycles = 0;
+  std::uint64_t warp_insts = 0;
+  std::vector<std::uint64_t> stalls;  ///< issued, memory, scoreboard, barrier, idle
+
+  bool operator==(const Schedule&) const = default;
+};
+
+Schedule run_schedule(const GpuConfig& config,
+                      const trace::LaunchTraceSource& launch) {
+  obs::MetricsShard shard;
+  RunOptions options;
+  options.observe.metrics = &shard;
+  const LaunchResult result = GpuSimulator(config).run_launch(launch, options);
+  Schedule out{.cycles = result.cycles, .warp_insts = result.sim_warp_insts,
+               .stalls = {}};
+  for (const char* bucket :
+       {"issued_cycles", "stall.memory", "stall.scoreboard", "stall.barrier",
+        "stall.idle"}) {
+    out.stalls.push_back(shard.counters().at(std::string("sim.sm.00.") + bucket));
+  }
+  return out;
+}
+
+// 16-warp blocks, 8 resident: 128 warp contexts, two words of each ready
+// mask.  The expected schedules were recorded with the context scan the
+// masks replaced.
+TEST(SmBehaviorTest, TwoWordReadyMasksKeepTheSchedule) {
+  KernelInfo k = one_warp_kernel();
+  k.threads_per_block = 512;
+  k.registers_per_thread = 8;
+  std::vector<BlockTrace> traces(24);
+  for (std::uint32_t b = 0; b < traces.size(); ++b) {
+    traces[b].warps.resize(16);
+    for (std::uint32_t w = 0; w < 16; ++w) {
+      auto& stream = traces[b].warps[w];
+      for (std::uint32_t i = 0; i < 3 + (b + w) % 4; ++i) {
+        stream.push_back(make_inst(Op::kIntAlu));
+        stream.push_back(load_lines(std::uint64_t{b} * 977 + w * 31 + i * 7,
+                                    static_cast<std::uint8_t>(1 + w % 3)));
+        stream.push_back(make_inst((w + i) % 3 == 0 ? Op::kSfu : Op::kFloatAlu));
+      }
+      stream.push_back(make_inst(Op::kBarrier));
+      for (std::uint32_t i = 0; i < w % 5; ++i) {
+        stream.push_back(make_inst(Op::kLoadShared));
+      }
+      stream.push_back(make_inst(Op::kExit));
+    }
+  }
+  const VaryingTrace launch(k, traces);
+  GpuConfig config = scaled_config(200, 1);
+  ASSERT_EQ(GpuSimulator(config).run_launch(launch).sm_occupancy, 8u);
+
+  const Schedule rr = run_schedule(config, launch);
+  config.scheduler = WarpScheduler::kGreedyThenOldest;
+  const Schedule gto = run_schedule(config, launch);
+  EXPECT_EQ(rr, (Schedule{.cycles = 8915,
+                           .warp_insts = 6672,
+                           .stalls = {6672, 2209, 34, 0, 0}}));
+  EXPECT_EQ(gto, (Schedule{.cycles = 9009,
+                            .warp_insts = 6672,
+                            .stalls = {6672, 2236, 101, 0, 0}}));
 }
 
 }  // namespace
