@@ -51,19 +51,19 @@ sim::BlockAction RegionSampler::on_block_dispatch(std::uint32_t block_id,
       }
       // Fall through to simulate the tail block; the fast-forward record
       // stays open for accounting and is flushed at exit/finalize.
-      running_.emplace(block_id, region);
-      return sim::BlockAction::kSimulate;
+    } else {
+      // Exit: a block from outside the region arrived.
+      end_phase_span(cycle);
+      skipped_.push_back(open_skip_);
+      open_skip_ = SkippedRegion{};
+      state_ = State::kNormal;
+      current_region_ = RegionTable::kNoRegion;
     }
-    // Exit: a block from outside the region arrived.
-    end_phase_span(cycle);
-    skipped_.push_back(open_skip_);
-    open_skip_ = SkippedRegion{};
-    state_ = State::kNormal;
-    current_region_ = RegionTable::kNoRegion;
   }
 
-  running_.emplace(block_id, region);
-  reevaluate_entry(cycle);
+  ++running_blocks_;
+  if (region != RegionTable::kNoRegion) ++region_counts_[region];
+  reevaluate_entry(cycle);  // a no-op while fast-forwarding
   return sim::BlockAction::kSimulate;
 }
 
@@ -71,21 +71,22 @@ void RegionSampler::on_block_retire(std::uint32_t block_id, std::uint64_t cycle,
                                     bool was_skipped) {
   note_cycle(cycle);
   if (was_skipped) return;
-  running_.erase(block_id);
-  if (!running_.empty()) reevaluate_entry(cycle);
+  assert(running_blocks_ > 0);
+  --running_blocks_;
+  if (const int region = table_->region_of(block_id);
+      region != RegionTable::kNoRegion) {
+    const auto it = region_counts_.find(region);
+    assert(it != region_counts_.end());
+    if (--it->second == 0) region_counts_.erase(it);
+  }
+  if (running_blocks_ != 0) reevaluate_entry(cycle);
 }
 
 void RegionSampler::reevaluate_entry(std::uint64_t cycle) {
   if (state_ == State::kFastForward) return;
 
-  // The dominant region among the running blocks, and its share.  The
-  // tally goes through region_counts_ (a sorted map) so the election below
-  // is independent of running_'s bucket order; with strict '>' the first —
-  // i.e. smallest-id — region wins a tie deterministically.
-  region_counts_.clear();
-  for (const auto& [block, region] : running_) {
-    if (region != RegionTable::kNoRegion) ++region_counts_[region];
-  }
+  // The dominant region among the running blocks, and its share: walking
+  // the sorted tally with strict '>', the smallest-id region wins a tie.
   int dominant = RegionTable::kNoRegion;
   std::size_t dominant_count = 0;
   for (const auto& [region, count] : region_counts_) {
@@ -95,9 +96,9 @@ void RegionSampler::reevaluate_entry(std::uint64_t cycle) {
     }
   }
   const bool entered =
-      !running_.empty() && dominant != RegionTable::kNoRegion &&
+      running_blocks_ != 0 && dominant != RegionTable::kNoRegion &&
       static_cast<double>(dominant_count) >=
-          options_.entry_fraction * static_cast<double>(running_.size());
+          options_.entry_fraction * static_cast<double>(running_blocks_);
 
   if (entered) {
     if (state_ != State::kWarming || current_region_ != dominant) {

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <map>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/region.hpp"
@@ -123,12 +122,13 @@ class RegionSampler final : public sim::SimController {
 
   State state_ = State::kNormal;
   int current_region_ = RegionTable::kNoRegion;
-  std::unordered_map<std::uint32_t, int> running_;  ///< simulated blocks -> region
-  /// Scratch vote tally.  Deliberately a sorted map: the dominant-region
-  /// scan walks it in region-id order, so a tie between regions resolves
-  /// to the smallest id on every platform instead of to whichever entry an
-  /// unordered_map's bucket order yielded first — the elected region fixes
-  /// the predicted IPC, which reaches the reconstructed artifacts.
+  std::size_t running_blocks_ = 0;  ///< simulated blocks in flight
+  /// Running simulated blocks per region (kNoRegion blocks are not
+  /// counted), kept on dispatch and retire; a region leaves the map when
+  /// its count reaches zero.  Deliberately a sorted map: the dominant-region
+  /// scan walks it in region-id order, so a tie between regions resolves to
+  /// the smallest id on every platform — the elected region fixes the
+  /// predicted IPC, which reaches the reconstructed artifacts.
   std::map<int, std::size_t> region_counts_;
   std::vector<double> warm_ipcs_;
   std::uint64_t warming_since_cycle_ = 0;

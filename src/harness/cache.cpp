@@ -132,31 +132,35 @@ std::string experiment_key(const std::string& workload_name,
                            const sim::GpuConfig& config,
                            const ComparisonOptions& options) {
   std::ostringstream dump;
-  dump << static_cast<int>(config.scheduler) << ' ';
-  dump << config.n_sms << ' ' << config.sm_resources.max_threads << ' '
-       << config.sm_resources.max_blocks << ' ' << config.sm_resources.registers
-       << ' ' << config.sm_resources.shared_mem_bytes << ' ' << config.l1.bytes
-       << ' ' << config.l1.associativity << ' ' << config.l1_mshrs << ' '
-       << config.l2.bytes << ' ' << config.l2.associativity << ' '
-       << config.l2_ports << ' ' << config.n_channels << ' '
-       << config.banks_per_channel << ' ' << config.dram.row_hit_cycles << ' '
-       << config.dram.row_miss_cycles << ' ' << config.dram.burst_cycles << ' '
-       << config.lat.int_alu << ' ' << config.lat.sfu << ' ' << config.lat.l1_hit
-       << ' ' << config.lat.l2_hit << ' ' << config.lat.interconnect << ' '
-       << options.tbpoint.inter.distance_threshold << ' '
-       << options.tbpoint.inter.include_bbv << ' '
-       << options.tbpoint.sampler.entry_fraction << ' '
-       << options.tbpoint.sampler.simulate_final_tail_blocks << ' '
-       << options.tbpoint.intra.distance_threshold << ' '
-       << options.tbpoint.intra.variation_factor_threshold << ' '
-       << options.tbpoint.intra.min_region_epochs << ' '
-       << options.tbpoint.sampler.min_warm_units << ' '
-       << options.tbpoint.enable_inter << ' ' << options.tbpoint.enable_intra
-       << ' ' << options.random.sample_fraction << ' ' << options.random.seed
-       << ' ' << options.simpoint.max_k << ' ' << options.simpoint.bic_fraction
-       << ' ' << options.simpoint.seed << ' ' << options.systematic.period << ' '
-       << options.systematic.seed << ' ' << options.target_units << ' '
-       << options.min_unit_insts << ' ' << options.max_unit_insts;
+  dump.precision(17);  // a double that differs in any digit is another key
+  const auto put = [&dump](const auto&... fields) {
+    ((dump << fields << ' '), ...);
+  };
+  // Every GpuConfig field except fixed_unit_insts, which run_comparison
+  // sets itself from the row's unit size.
+  const sim::GpuConfig& c = config;
+  put(static_cast<int>(c.scheduler), c.n_sms, c.sm_resources.max_threads,
+      c.sm_resources.max_blocks, c.sm_resources.registers,
+      c.sm_resources.shared_mem_bytes);
+  put(c.lat.int_alu, c.lat.float_alu, c.lat.sfu, c.lat.shared_mem,
+      c.lat.store_issue, c.lat.l1_hit, c.lat.l2_hit, c.lat.interconnect);
+  put(c.l1.bytes, c.l1.line_bytes, c.l1.associativity, c.l1_mshrs, c.l2.bytes,
+      c.l2.line_bytes, c.l2.associativity, c.l2_mshrs, c.l2_ports);
+  put(c.n_channels, c.banks_per_channel, c.dram.row_hit_cycles,
+      c.dram.row_miss_cycles, c.dram.burst_cycles, c.dram.scheduler_window,
+      c.dram_page_bytes);
+  const core::TBPointOptions& tbp = options.tbpoint;
+  put(tbp.inter.distance_threshold, tbp.inter.include_bbv,
+      tbp.sampler.entry_fraction, tbp.sampler.simulate_final_tail_blocks,
+      tbp.sampler.min_warm_units, tbp.intra.distance_threshold,
+      tbp.intra.variation_factor_threshold, tbp.intra.min_region_epochs,
+      tbp.enable_inter, tbp.enable_intra);
+  put(options.random.sample_fraction, options.random.seed,
+      options.simpoint.max_k, options.simpoint.bic_fraction,
+      options.simpoint.seed, options.simpoint.kmeans.max_iterations,
+      options.simpoint.kmeans.restarts, options.systematic.period,
+      options.systematic.seed, options.target_units, options.min_unit_insts,
+      options.max_unit_insts);
 
   std::ostringstream key;
   key << workload_name << "_d" << scale.divisor << "_s" << std::hex << scale.seed

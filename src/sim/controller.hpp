@@ -18,8 +18,9 @@ enum class BlockAction : std::uint8_t {
 
 /// One thread-block-delimited sampling unit (paper Section IV-B2): the
 /// interval between the start and retirement of a designated block.  The
-/// designated block is the oldest running simulated block; a new one is
-/// designated as soon as the previous retires.
+/// first designated block is the launch's first dispatched block; after a
+/// designated block retires, the next block dispatched is designated (see
+/// DESIGN.md "Known deviations from the paper").
 struct SamplingUnit {
   std::uint64_t start_cycle = 0;
   std::uint64_t end_cycle = 0;

@@ -447,13 +447,6 @@ Result<LaunchResult> LaunchEngine::collect_result() {
   result.cycles = cycle;
   result.sim_warp_insts = meter.warp_insts;
   result.sim_thread_insts = meter.thread_insts;
-  result.per_sm.reserve(sms.size());
-  for (const SmCore& sm : sms) {
-    result.per_sm.push_back(SmLaunchStats{
-        .warp_insts = sm.warp_insts(),
-        .thread_insts = sm.thread_insts(),
-    });
-  }
   result.mem = memory.stats();
 
   // Flush the accumulated struct counters into named metrics — once per

@@ -40,16 +40,10 @@ struct FixedUnit {
   }
 };
 
-struct SmLaunchStats {
-  std::uint64_t warp_insts = 0;
-  std::uint64_t thread_insts = 0;
-};
-
 struct LaunchResult {
   std::uint64_t cycles = 0;
   std::uint64_t sim_warp_insts = 0;    ///< issued (not fast-forwarded)
   std::uint64_t sim_thread_insts = 0;
-  std::vector<SmLaunchStats> per_sm;
   std::vector<std::uint32_t> skipped_blocks;  ///< fast-forwarded block ids
   std::vector<SamplingUnit> tb_units;         ///< block-delimited units
   std::vector<FixedUnit> fixed_units;         ///< when fixed_unit_insts > 0

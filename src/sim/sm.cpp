@@ -65,9 +65,10 @@ void SmCore::dispatch_block(std::uint32_t block_id, trace::BlockTrace trace) {
 
 void SmCore::issue(std::uint64_t cycle) {
   if (stall_ != nullptr) {
-    const std::uint64_t before = warp_insts_;
+    // SMs issue one after another, so only this SM can move the meter here.
+    const std::uint64_t before = meter_->warp_insts;
     issue_impl(cycle);
-    account_cycle(/*issued=*/warp_insts_ != before);
+    account_cycle(/*issued=*/meter_->warp_insts != before);
     return;
   }
   issue_impl(cycle);
@@ -174,8 +175,6 @@ void SmCore::issue_impl(std::uint64_t cycle) {
   const auto& stream = streams[warp_idx];
   const trace::WarpInst& inst = stream[ctx.pc];
   ++ctx.pc;
-  ++warp_insts_;
-  thread_insts_ += inst.active_threads;
   meter_->record(inst);
   // Advance the cursors *before* execute: a kExit that retires the block
   // invalidates gto_current_ inside retire_block, and assigning it here

@@ -104,9 +104,6 @@ class SmCore {
   /// Blocks that retired since the last drain (in retirement order).
   [[nodiscard]] std::vector<std::uint32_t>& retired() noexcept { return retired_; }
 
-  [[nodiscard]] std::uint64_t warp_insts() const noexcept { return warp_insts_; }
-  [[nodiscard]] std::uint64_t thread_insts() const noexcept { return thread_insts_; }
-
   /// Scheduling-state snapshot for deadlock diagnostics (cheap: one pass
   /// over the warp contexts; called only when the watchdog fires).
   [[nodiscard]] SmDebugState debug_state() const;
@@ -198,9 +195,6 @@ class SmCore {
   std::uint32_t gto_current_ = ~0u; ///< last-issued warp for GTO
   std::uint64_t dispatch_counter_ = 0;
   std::vector<std::uint32_t> retired_;
-
-  std::uint64_t warp_insts_ = 0;
-  std::uint64_t thread_insts_ = 0;
 
   /// Warp-context population per WarpState (6 states), maintained
   /// incrementally by set_state so stalled cycles classify in O(1) instead

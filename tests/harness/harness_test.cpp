@@ -93,6 +93,39 @@ TEST(CacheTest, KeyChangesWithInputs) {
   other_options.tbpoint.intra.distance_threshold = 0.4;
   EXPECT_NE(base, experiment_key("bfs", scale, config, other_options));
 
+  // Inputs the simulator or Ideal-SimPoint reads, changed one at a time.
+  using ConfigEdit = void (*)(sim::GpuConfig&);
+  const std::vector<std::pair<const char*, ConfigEdit>> config_edits = {
+      {"lat.float_alu", [](sim::GpuConfig& c) { ++c.lat.float_alu; }},
+      {"lat.shared_mem", [](sim::GpuConfig& c) { ++c.lat.shared_mem; }},
+      {"lat.store_issue", [](sim::GpuConfig& c) { ++c.lat.store_issue; }},
+      {"l1.line_bytes", [](sim::GpuConfig& c) { c.l1.line_bytes *= 2; }},
+      {"l2.line_bytes", [](sim::GpuConfig& c) { c.l2.line_bytes *= 2; }},
+      {"l2_mshrs", [](sim::GpuConfig& c) { ++c.l2_mshrs; }},
+      {"dram.scheduler_window",
+       [](sim::GpuConfig& c) { ++c.dram.scheduler_window; }},
+      {"dram_page_bytes", [](sim::GpuConfig& c) { c.dram_page_bytes *= 2; }},
+  };
+  for (const auto& [field, edit] : config_edits) {
+    sim::GpuConfig edited = config;
+    edit(edited);
+    EXPECT_NE(base, experiment_key("bfs", scale, edited, options)) << field;
+  }
+  using OptionsEdit = void (*)(ComparisonOptions&);
+  const std::vector<std::pair<const char*, OptionsEdit>> options_edits = {
+      {"simpoint.kmeans.max_iterations",
+       [](ComparisonOptions& o) { ++o.simpoint.kmeans.max_iterations; }},
+      {"simpoint.kmeans.restarts",
+       [](ComparisonOptions& o) { ++o.simpoint.kmeans.restarts; }},
+      {"a double past its 6th digit",
+       [](ComparisonOptions& o) { o.tbpoint.sampler.entry_fraction += 1e-9; }},
+  };
+  for (const auto& [field, edit] : options_edits) {
+    ComparisonOptions edited = options;
+    edit(edited);
+    EXPECT_NE(base, experiment_key("bfs", scale, config, edited)) << field;
+  }
+
   EXPECT_NE(base, experiment_key("sssp", scale, config, options));
 
   // The store address also covers the simulator model: the same

@@ -96,16 +96,6 @@ TEST(LintFixtures, UnorderedIterationFlagsRawLoopsOnly) {
       << "the sorted-intermediate loop must stay exempt";
 }
 
-TEST(LintFixtures, ErrorDisciplineFlagsDeclAndCallSite) {
-  const auto diags = lint_fixture("error_discipline_violation.cpp");
-  const std::vector<std::pair<std::string, int>> expected = {
-      {"nodiscard-status", 10},
-      {"discarded-status", 15},
-  };
-  EXPECT_EQ(rule_lines(diags), expected)
-      << "[[nodiscard]] decls and (void) discards must stay clean";
-}
-
 TEST(LintFixtures, HygieneFlagsMissingPragmaOnceAndNakedNew) {
   const auto diags = lint_fixture("hygiene_violation.hpp");
   const std::vector<std::pair<std::string, int>> expected = {
@@ -356,9 +346,9 @@ TEST(LintOutput, RuleRegistryHasUniqueIdsCoveringEmittedRules) {
   }
   for (const char* emitted :
        {"determinism-rand", "determinism-clock", "determinism-time",
-        "determinism-getenv", "unordered-iter", "nodiscard-status",
-        "discarded-status", "pragma-once", "naked-new", "lint-suppression",
-        "guarded-by", "layering", "prof-isolation", "prof-quarantine"}) {
+        "determinism-getenv", "unordered-iter", "pragma-once", "naked-new",
+        "lint-suppression", "guarded-by", "layering", "prof-isolation",
+        "prof-quarantine"}) {
     EXPECT_EQ(ids.count(emitted), 1u) << emitted;
   }
 }

@@ -3,6 +3,10 @@
 // properties must hold regardless of the parameter draw.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string_view>
+
+#include "obs/metrics.hpp"
 #include "profile/profiler.hpp"
 #include "sim/gpu.hpp"
 #include "stats/rng.hpp"
@@ -71,14 +75,25 @@ TEST_P(GpuInvariants, InstructionConservation) {
   EXPECT_EQ(result.sim_thread_insts, profile.total_thread_insts());
 }
 
+// An SM issues at most one warp instruction per cycle, so its exported
+// issued-cycle counter is its instruction count, and the per-SM counters
+// decompose the launch total.
 TEST_P(GpuInvariants, PerSmDecomposition) {
   const Draw d = draw(GetParam());
+  obs::MetricsShard metrics;
+  RunOptions options;
+  options.observe.metrics = &metrics;
   GpuSimulator simulator(d.config);
-  const LaunchResult result = simulator.run_launch(d.launch);
-  std::uint64_t warp_sum = 0;
-  for (const SmLaunchStats& sm : result.per_sm) warp_sum += sm.warp_insts;
-  EXPECT_EQ(warp_sum, result.sim_warp_insts);
-  EXPECT_EQ(result.per_sm.size(), d.config.n_sms);
+  const LaunchResult result = simulator.run_launch(d.launch, options);
+  std::uint64_t issued = 0;
+  for (std::uint32_t s = 0; s < d.config.n_sms; ++s) {
+    char name[40];
+    std::snprintf(name, sizeof name, "sim.sm.%02u.issued_cycles", s);
+    const auto it = metrics.counters().find(std::string_view(name));
+    ASSERT_NE(it, metrics.counters().end()) << name;
+    issued += it->second;
+  }
+  EXPECT_EQ(issued, result.sim_warp_insts);
 }
 
 TEST_P(GpuInvariants, UnitsTileTheRun) {

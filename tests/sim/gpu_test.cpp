@@ -50,20 +50,6 @@ TEST(GpuTest, SimulatesEveryInstructionOfEveryBlock) {
   EXPECT_GT(result.cycles, 0u);
 }
 
-TEST(GpuTest, PerSmStatsSumToTotal) {
-  const trace::SyntheticLaunch launch = make_launch(16);
-  GpuSimulator simulator(small_config());
-  const LaunchResult result = simulator.run_launch(launch);
-  std::uint64_t warp_sum = 0;
-  std::uint64_t thread_sum = 0;
-  for (const SmLaunchStats& sm : result.per_sm) {
-    warp_sum += sm.warp_insts;
-    thread_sum += sm.thread_insts;
-  }
-  EXPECT_EQ(warp_sum, result.sim_warp_insts);
-  EXPECT_EQ(thread_sum, result.sim_thread_insts);
-}
-
 TEST(GpuTest, MachineIpcWithinPhysicalBounds) {
   const trace::SyntheticLaunch launch = make_launch(12);
   const GpuConfig config = small_config();

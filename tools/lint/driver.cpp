@@ -76,28 +76,17 @@ void sort_diagnostics(std::vector<Diagnostic>* diags) {
             });
 }
 
-/// Cross passes + suppression application over a complete summary set.
-/// Shared by run_lint and lint_source so both see identical semantics.
-void finish_lint(const std::vector<FileSummary>& summaries,
-                 const LintConfig& config, std::size_t* suppressions_used,
-                 std::vector<Diagnostic>* out) {
-  const StatusIndex index = build_status_index(summaries);
-  std::map<std::string, std::vector<Diagnostic>> by_file;
-  for (const FileSummary& summary : summaries) {
-    std::vector<Diagnostic>& diags = by_file[summary.path];
-    diags = summary.local;
-    run_status_rules(summary, index, &diags);
-    run_layering(summary, config, &diags);
-  }
-
-  for (const FileSummary& summary : summaries) {
-    std::vector<Diagnostic>& diags = by_file[summary.path];
-    std::vector<Diagnostic> meta;
-    apply_suppressions(summary, &diags, suppressions_used, &meta);
-    out->insert(out->end(), diags.begin(), diags.end());
-    out->insert(out->end(), meta.begin(), meta.end());
-  }
-  sort_diagnostics(out);
+/// Layering plus suppression application for one file's finished summary,
+/// appended to `out`.  Shared by run_lint and lint_source so both see
+/// identical semantics.
+void finish_file(const FileSummary& summary, const LintConfig& config,
+                 std::size_t* suppressions_used, std::vector<Diagnostic>* out) {
+  std::vector<Diagnostic> diags = summary.local;
+  run_layering(summary, config, &diags);
+  std::vector<Diagnostic> meta;
+  apply_suppressions(summary, &diags, suppressions_used, &meta);
+  out->insert(out->end(), diags.begin(), diags.end());
+  out->insert(out->end(), meta.begin(), meta.end());
 }
 
 }  // namespace
@@ -145,8 +134,8 @@ LintResult run_lint(const LintOptions& options) {
   }
   result.files_scanned = files.size();
 
-  // Pass 1b: pair rules, once every summary exists so that a .cpp sees its
-  // paired header's (cpp -> hpp).
+  // Pass two, once every summary exists so that a .cpp sees its paired
+  // header's (cpp -> hpp): pair rules, layering, suppressions.
   for (std::size_t i = 0; i < files.size(); ++i) {
     const FileSummary* companion = nullptr;
     if (files[i].ends_with(".cpp")) {
@@ -159,10 +148,10 @@ LintResult run_lint(const LintOptions& options) {
     }
     run_pair_rules(files[i], lexed[i], options.config, companion,
                    &summaries[i]);
+    finish_file(summaries[i], options.config, &result.suppressions_used,
+                &result.diagnostics);
   }
-
-  finish_lint(summaries, options.config, &result.suppressions_used,
-              &result.diagnostics);
+  sort_diagnostics(&result.diagnostics);
   return result;
 }
 
@@ -170,12 +159,12 @@ std::vector<Diagnostic> lint_source(const std::string& path,
                                     const std::string& source,
                                     const LintConfig& config) {
   const LexedFile lexed = lex(source);
-  std::vector<FileSummary> summaries;
-  summaries.push_back(build_file_summary(path, lexed, config));
-  run_pair_rules(path, lexed, config, nullptr, &summaries.back());
+  FileSummary summary = build_file_summary(path, lexed, config);
+  run_pair_rules(path, lexed, config, nullptr, &summary);
   std::vector<Diagnostic> out;
   std::size_t used = 0;
-  finish_lint(summaries, config, &used, &out);
+  finish_file(summary, config, &used, &out);
+  sort_diagnostics(&out);
   return out;
 }
 

@@ -2,8 +2,9 @@
 // inline suppressions and renders reports.
 //
 // Pipeline: pass one builds a FileSummary per file — local rules plus the
-// symbol facts; pass two runs the cross-file passes (error discipline,
-// layering) over the summary set.
+// symbol facts; pass two runs, file by file, the pair rules (a .cpp with
+// its header's summary) and the layering check, then applies that file's
+// suppressions.
 //
 // Suppression syntax, checked by the `lint-suppression` meta-rule:
 //
@@ -45,9 +46,8 @@ struct LintResult {
 [[nodiscard]] LintResult run_lint(const LintOptions& options);
 
 /// Lints one in-memory source as repo-relative `path` under `config` —
-/// single-file analysis with all passes (including the cross passes, run
-/// over the one-file summary set) and suppressions applied; used by the
-/// fixture tests.
+/// every rule (the pair rules without a companion header) and suppressions
+/// applied; used by the fixture tests.
 [[nodiscard]] std::vector<Diagnostic> lint_source(const std::string& path,
                                                   const std::string& source,
                                                   const LintConfig& config);

@@ -1,7 +1,5 @@
 #include "lint/graph.hpp"
 
-#include <algorithm>
-
 namespace tbp_lint {
 namespace {
 
@@ -34,61 +32,6 @@ void emit(std::vector<Diagnostic>* out, const std::string& path, int line,
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Error discipline
-
-StatusIndex build_status_index(const std::vector<FileSummary>& summaries) {
-  StatusIndex index;
-  for (const FileSummary& summary : summaries) {
-    for (const StatusFunction& f : summary.status_functions) {
-      index.function_names.push_back(f.name);
-      if (f.is_declaration) index.declared_names.push_back(f.name);
-    }
-  }
-  const auto finish = [](std::vector<std::string>* v) {
-    std::sort(v->begin(), v->end());
-    v->erase(std::unique(v->begin(), v->end()), v->end());
-  };
-  finish(&index.function_names);
-  finish(&index.declared_names);
-  return index;
-}
-
-void run_status_rules(const FileSummary& summary, const StatusIndex& index,
-                      std::vector<Diagnostic>* out) {
-  const bool header = is_header(summary.path);
-  for (const StatusFunction& f : summary.status_functions) {
-    if (f.has_nodiscard) continue;
-    if (!f.is_declaration) {
-      // A definition needs its own [[nodiscard]] only when it *is* the
-      // declaration: out-of-line member bodies and .cpp definitions of
-      // header-declared functions inherit the attribute from the prototype.
-      if (f.qualified) continue;
-      if (!header && std::binary_search(index.declared_names.begin(),
-                                        index.declared_names.end(), f.name)) {
-        continue;
-      }
-    }
-    emit(out, summary.path, f.line, "nodiscard-status",
-         "'" + f.name +
-             "' returns Status/Result but is not [[nodiscard]]; a dropped "
-             "error here silently un-does the PR-1 error discipline");
-  }
-  for (const CodeRef& c : summary.discard_candidates) {
-    if (!std::binary_search(index.function_names.begin(),
-                            index.function_names.end(), c.name)) {
-      continue;
-    }
-    emit(out, summary.path, c.line, "discarded-status",
-         "result of '" + c.name +
-             "' (returns Status/Result) is discarded; handle it or cast "
-             "to void with a reason");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Layering
 
 std::string module_of_file(const std::string& path, const LintConfig& config) {
   const std::vector<std::string> parts = split_path(path);

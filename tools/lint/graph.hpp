@@ -1,10 +1,6 @@
-// Cross-file passes for tbp_lint: everything that needs more than one
-// file's summary.  These run over the full summary set every invocation.
-//
-//  - Error discipline: the Status/Result name index feeds the
-//    nodiscard-status inheritance check and discarded-status call check.
-//  - Layering: the include graph against the module rank table; an edge is
-//    legal within a module or from a higher rank to a strictly lower one.
+// The layering pass for tbp_lint: the include graph against the module
+// rank table.  An edge is legal within a module or from a higher rank to a
+// strictly lower one.  It reads one file's summary at a time.
 #pragma once
 
 #include <string>
@@ -13,19 +9,6 @@
 #include "lint/symbols.hpp"
 
 namespace tbp_lint {
-
-/// Tree-wide Status/Result-returning function names (sorted, unique).
-struct StatusIndex {
-  std::vector<std::string> function_names;  ///< any declarator
-  std::vector<std::string> declared_names;  ///< prototypes only
-};
-
-[[nodiscard]] StatusIndex build_status_index(
-    const std::vector<FileSummary>& summaries);
-
-/// nodiscard-status + discarded-status for one file, against the index.
-void run_status_rules(const FileSummary& summary, const StatusIndex& index,
-                      std::vector<Diagnostic>* out);
 
 /// Module of a repo-relative path: "src/X/..." → "X", otherwise the first
 /// path segment ("tools", "bench", "tests").  Second segment wins when it

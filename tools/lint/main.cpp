@@ -17,8 +17,8 @@ void print_usage(std::ostream& out) {
   out << "usage: tbp_lint [--root DIR] [--format=text|github|sarif]\n"
          "                [--werror] [--list-rules] [subdir...]\n"
          "\n"
-         "Static determinism / error-discipline / lock / layering checks for\n"
-         "the tbpoint tree.  Default subdirs: src tools bench tests\n"
+         "Static determinism / lock / layering checks for the tbpoint\n"
+         "tree.  Default subdirs: src tools bench tests\n"
          "(relative to --root).  Suppress a finding inline with\n"
          "  // tbp-lint: allow(<rule>) -- <justification>\n";
 }

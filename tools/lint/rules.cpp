@@ -145,127 +145,6 @@ void check_determinism(const std::string& path, const LexedFile& lexed,
 }
 
 // ---------------------------------------------------------------------------
-// nodiscard-status / discarded-status building blocks
-
-/// Matches `[[nodiscard]]? [tbp::]Status|Result<...> name(args) suffix ;|{`
-/// at any scope.  `fn` receives every match.
-template <typename Fn>
-void for_each_status_function(const Tokens& toks, Fn&& fn) {
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokKind::kIdentifier ||
-        (t.text != "Status" && t.text != "Result")) {
-      continue;
-    }
-    // Rewind over namespace qualifiers so context checks see the real
-    // predecessor of the return type.
-    std::size_t start = i;
-    while (start >= 2 && is_punct(toks[start - 1], "::") &&
-           toks[start - 2].kind == TokKind::kIdentifier) {
-      start -= 2;
-    }
-    if (start > 0) {
-      const Token& prev = toks[start - 1];
-      static const std::unordered_set<std::string> kExprContext = {
-          "return", "(", ",", "<", "new", "case", "=",  "class",
-          "struct", "enum", ".",  "->",  "co_return"};
-      if (kExprContext.count(prev.text) != 0) continue;
-    }
-
-    std::size_t j = i + 1;
-    if (t.text == "Result") {
-      const Token* open = at(toks, j);
-      if (open == nullptr || !is_punct(*open, "<")) continue;
-      j = skip_balanced(toks, j, "<", ">");
-    }
-    while (j < toks.size() && (is_punct(toks[j], "&") || is_punct(toks[j], "*")))
-      ++j;
-
-    // Optionally-qualified function name.
-    std::size_t segments = 0;
-    std::size_t name_idx = 0;
-    while (true) {
-      const Token* seg = at(toks, j);
-      if (seg == nullptr || seg->kind != TokKind::kIdentifier) break;
-      if (seg->text == "operator") break;
-      name_idx = j;
-      ++segments;
-      const Token* sep = at(toks, j + 1);
-      if (sep != nullptr && is_punct(*sep, "::")) {
-        j += 2;
-        continue;
-      }
-      j += 1;
-      break;
-    }
-    if (segments == 0 || name_idx == 0) continue;
-    const Token* open_paren = at(toks, j);
-    if (open_paren == nullptr || !is_punct(*open_paren, "(")) continue;
-    std::size_t k = skip_balanced(toks, j, "(", ")");
-
-    // Declaration suffix up to ';' (decl) or '{' (definition).
-    bool is_decl = false;
-    bool matched = false;
-    while (k < toks.size()) {
-      const Token& s = toks[k];
-      if (is_punct(s, ";")) {
-        is_decl = true;
-        matched = true;
-        break;
-      }
-      if (is_punct(s, "{")) {
-        matched = true;
-        break;
-      }
-      if (is_ident(s, "const") || is_ident(s, "override") ||
-          is_ident(s, "final") || is_punct(s, "&")) {
-        ++k;
-        continue;
-      }
-      if (is_ident(s, "noexcept")) {
-        ++k;
-        const Token* cond = at(toks, k);
-        if (cond != nullptr && is_punct(*cond, "(")) {
-          k = skip_balanced(toks, k, "(", ")");
-        }
-        continue;
-      }
-      if (is_punct(s, "=")) {
-        // `= 0;` is a pure-virtual declaration; `= delete/default` are
-        // not callable/flaggable.
-        const Token* what = at(toks, k + 1);
-        if (what != nullptr && what->text == "0") {
-          is_decl = true;
-          matched = true;
-        }
-        break;
-      }
-      break;  // anything else: not a function declarator we understand
-    }
-    if (!matched) continue;
-
-    // [[nodiscard]] lookback: collect attribute tokens immediately before
-    // the declaration head.
-    bool has_nodiscard = false;
-    {
-      std::size_t b = start;
-      static const std::unordered_set<std::string> kHeadTokens = {
-          "inline", "static",   "constexpr", "virtual",      "friend",
-          "extern", "explicit", "[",         "]",            "nodiscard",
-          "maybe_unused"};
-      while (b > 0 && kHeadTokens.count(toks[b - 1].text) != 0) {
-        --b;
-        if (toks[b].text == "nodiscard") has_nodiscard = true;
-      }
-    }
-
-    fn(StatusFunction{toks[name_idx].text, t.line, is_decl, segments > 1,
-                      has_nodiscard});
-    i = k;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // prof-isolation / prof-quarantine rules
 
 /// The self-profiling quarantine (DESIGN.md "Self-profiling").  Two checks:
@@ -389,10 +268,6 @@ const std::vector<RuleInfo>& rule_registry() {
        "environment access outside the allowlist"},
       {"unordered-iter", Severity::kError,
        "unordered-container iteration in order-sensitive files"},
-      {"nodiscard-status", Severity::kError,
-       "Status/Result-returning declaration without [[nodiscard]]"},
-      {"discarded-status", Severity::kError,
-       "call site that discards a Status/Result return value"},
       {"guarded-by", Severity::kError,
        "TBP_GUARDED_BY field access outside a scope holding its mutex"},
       {"layering", Severity::kError,
@@ -580,43 +455,6 @@ void check_unordered_iteration(
          "range-for over unordered container '" + ranged +
              "' in an order-sensitive file does not feed a sorted "
              "intermediate; iteration order can reach exported bytes");
-  }
-}
-
-void collect_status_functions(const LexedFile& lexed,
-                              std::vector<StatusFunction>* out) {
-  for_each_status_function(lexed.tokens, [&](const StatusFunction& f) {
-    if (f.name == "Status" || f.name == "Result") return;
-    out->push_back(f);
-  });
-}
-
-void collect_discard_candidates(const LexedFile& lexed,
-                                std::vector<CodeRef>* out) {
-  const Tokens& toks = lexed.tokens;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokKind::kIdentifier) continue;
-    const Token* open = at(toks, i + 1);
-    if (open == nullptr || !is_punct(*open, "(")) continue;
-
-    // Walk back over a `recv.obj->name` chain; the call is a discard only
-    // when the chain starts a statement.
-    std::size_t b = i;
-    while (b >= 2 &&
-           (is_punct(toks[b - 1], ".") || is_punct(toks[b - 1], "->")) &&
-           toks[b - 2].kind == TokKind::kIdentifier) {
-      b -= 2;
-    }
-    const bool statement_start =
-        b == 0 || is_punct(toks[b - 1], ";") || is_punct(toks[b - 1], "{") ||
-        is_punct(toks[b - 1], "}") || toks[b - 1].kind == TokKind::kDirective;
-    if (!statement_start) continue;
-
-    const std::size_t k = skip_balanced(toks, i + 1, "(", ")");
-    const Token* after = at(toks, k);
-    if (after == nullptr || !is_punct(*after, ";")) continue;
-    out->push_back(CodeRef{t.text, t.line});
   }
 }
 

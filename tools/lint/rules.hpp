@@ -3,16 +3,17 @@
 // Each rule protects a repo invariant (DESIGN.md "Static invariants"):
 // determinism rules keep the bit-identical `--jobs`/observation guarantees
 // enforceable at review time instead of only by the runtime property tests;
-// the error-discipline rules keep the Status/Result contract from PR 1
-// un-droppable; the lock-discipline / layering families keep the
-// concurrency and module contracts honest; hygiene rules are cheap
-// tripwires.  Rules are token-pattern heuristics, tuned to this
-// codebase — false positives are handled by the inline suppression syntax
-// (see driver.hpp), which requires a written justification.
+// the lock-discipline / layering families keep the concurrency and module
+// contracts honest; hygiene rules are cheap tripwires.  The Status/Result
+// contract is not a lint rule: both types are [[nodiscard]] and every tree
+// builds with -Werror=unused-result, so the compiler rejects a dropped
+// error.  Rules are token-pattern heuristics, tuned to this codebase —
+// false positives are handled by the inline suppression syntax (see
+// driver.hpp), which requires a written justification.
 //
 // This header holds the shared vocabulary (diagnostics, configuration) and
 // the *local* rules: checks that read one file's tokens, or one file plus
-// its paired header.  Cross-file passes live in graph.hpp and consume the
+// its paired header.  The layering pass lives in graph.hpp and reads the
 // per-file summaries built by symbols.hpp.
 #pragma once
 
@@ -77,22 +78,6 @@ struct LintConfig {
 
 [[nodiscard]] LintConfig default_config();
 
-/// A named source position: a call site, a member access, an include.
-struct CodeRef {
-  std::string name;
-  int line = 0;
-};
-
-/// One `Status`/`Result<...>`-returning function declarator, matched by the
-/// error-discipline rules.
-struct StatusFunction {
-  std::string name;
-  int line = 0;
-  bool is_declaration = false;  ///< prototype (';'-terminated)
-  bool qualified = false;       ///< out-of-line member definition
-  bool has_nodiscard = false;
-};
-
 [[nodiscard]] bool path_matches(const std::string& path,
                                 const std::vector<std::string>& prefixes);
 [[nodiscard]] bool is_header(const std::string& path);
@@ -116,16 +101,5 @@ void check_unordered_iteration(
     const std::unordered_set<std::string>& unordered_names,
     const std::unordered_set<std::string>& sorted_names,
     std::vector<Diagnostic>* out);
-
-/// Every Status/Result declarator in the file (the `Status`/`Result`
-/// constructor-expression false matches are already filtered out).
-void collect_status_functions(const LexedFile& lexed,
-                              std::vector<StatusFunction>* out);
-
-/// Call statements that discard their result: `name(...)`;-at-statement-
-/// start sites, by callee name.  The cross pass flags the subset whose name
-/// resolves to a Status/Result function anywhere in the tree.
-void collect_discard_candidates(const LexedFile& lexed,
-                                std::vector<CodeRef>* out);
 
 }  // namespace tbp_lint

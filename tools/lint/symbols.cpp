@@ -278,8 +278,6 @@ FileSummary build_file_summary(const std::string& path, const LexedFile& lexed,
   run_local_rules(path, lexed, config, &summary.local);
   collect_container_names(lexed, &summary.unordered_names,
                           &summary.sorted_names);
-  collect_status_functions(lexed, &summary.status_functions);
-  collect_discard_candidates(lexed, &summary.discard_candidates);
 
   // Include edges out of the opaque directive tokens.
   for (const Token& t : toks) {

@@ -1,10 +1,10 @@
-// Per-file symbol summaries for tbp_lint's two-pass pipeline.
+// Per-file symbol summaries for tbp_lint's pipeline.
 //
 // Pass one (this header) reduces each translation unit to a `FileSummary`:
-// local diagnostics plus the symbol facts the cross-file passes need —
-// TBP_GUARDED_BY annotations, include edges, Status/Result declarators.
-// A summary is a pure function of (file bytes, paired-header bytes,
-// config).
+// local diagnostics plus the symbol facts the later rules need —
+// TBP_GUARDED_BY annotations and declared container names (a .cpp also
+// reads its paired header's), and include edges for the layering pass.  A
+// summary is a pure function of (file bytes, paired-header bytes, config).
 //
 // Annotation grammar (DESIGN.md "Static invariants"):
 //
@@ -43,16 +43,13 @@ struct Suppression {
 };
 
 /// Everything the pipeline keeps per file.  `local` holds single-file and
-/// pair-rule diagnostics; cross-pass diagnostics are computed over the
-/// whole summary set and merged in by the driver.
+/// pair-rule diagnostics; the driver adds the layering diagnostics.
 struct FileSummary {
   std::string path;
   std::vector<Diagnostic> local;
   std::vector<Suppression> suppressions;
   std::vector<FieldSymbol> fields;
   std::vector<IncludeRef> includes;
-  std::vector<StatusFunction> status_functions;
-  std::vector<CodeRef> discard_candidates;
   std::vector<std::string> unordered_names;
   std::vector<std::string> sorted_names;
 };
