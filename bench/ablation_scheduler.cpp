@@ -47,14 +47,9 @@ int main(int argc, char** argv) {
     const workloads::Workload workload = workloads::make_workload(name, scale);
     const auto sources = workload.sources();
 
-    // One-time profiling, shared by both scheduler columns.  Launches are
-    // independent; slots are indexed by launch so the profile is identical
-    // for every --jobs value.
-    profile::ApplicationProfile profile;
-    profile.launches.resize(sources.size());
-    par::parallel_for(sources.size(), jobs, [&](std::size_t i) {
-      profile.launches[i] = profile::profile_launch(*sources[i]);
-    });
+    // One-time profiling, shared by both scheduler columns.
+    const profile::ApplicationProfile profile =
+        profile::profile_application(sources, jobs);
 
     std::vector<std::string> cells = {name};
     for (const sim::WarpScheduler scheduler :

@@ -113,15 +113,31 @@ void BM_FunctionalProfiling(benchmark::State& state) {
 }
 BENCHMARK(BM_FunctionalProfiling)->Unit(benchmark::kMillisecond);
 
+// One block per iteration, built and then counted: what the simulator
+// generates at dispatch, plus the walk a trace-building profile would take.
 void BM_TraceGeneration(benchmark::State& state) {
   const trace::SyntheticLaunch launch = make_micro_launch(256, true);
+  std::vector<std::uint64_t> bbv(launch.kernel().n_basic_blocks);
   std::uint32_t block = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(launch.block_trace(block).warp_inst_count());
+    benchmark::DoNotOptimize(
+        trace::count_block(launch.block_trace(block), bbv).warp_insts);
     block = (block + 1) % launch.n_blocks();
   }
 }
 BENCHMARK(BM_TraceGeneration);
+
+// The same blocks and counts through the counting sink the profiler uses.
+void BM_BlockStats(benchmark::State& state) {
+  const trace::SyntheticLaunch launch = make_micro_launch(256, true);
+  std::vector<std::uint64_t> bbv(launch.kernel().n_basic_blocks);
+  std::uint32_t block = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(launch.block_stats(block, bbv).warp_insts);
+    block = (block + 1) % launch.n_blocks();
+  }
+}
+BENCHMARK(BM_BlockStats);
 
 }  // namespace
 

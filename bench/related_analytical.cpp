@@ -35,10 +35,8 @@ int main(int argc, char** argv) {
     const workloads::Workload workload =
         workloads::make_workload(row.workload, flags.scale);
 
-    profile::ApplicationProfile profile;
-    for (const auto* source : workload.sources()) {
-      profile.launches.push_back(profile::profile_launch(*source));
-    }
+    const profile::ApplicationProfile profile =
+        profile::profile_application(workload.sources(), flags.jobs);
     const timing::WallTimer timer;
     const double analytical_ipc = analytical::predict_application_ipc(
         profile, workload.launches[0]->kernel(), config);

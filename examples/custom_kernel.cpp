@@ -53,15 +53,15 @@ int main(int argc, char** argv) {
   };
 
   std::vector<std::unique_ptr<tbp::trace::SyntheticLaunch>> launches;
-  tbp::profile::ApplicationProfile profile;
   for (std::size_t l = 0; l < n_launches; ++l) {
     launches.push_back(std::make_unique<tbp::trace::SyntheticLaunch>(
         tbp::trace::make_synthetic_kernel_info("histogram_apply"), n_blocks,
         /*seed=*/0xc0ffee, behavior));
-    profile.launches.push_back(tbp::profile::profile_launch(*launches.back()));
   }
   std::vector<const tbp::trace::LaunchTraceSource*> sources;
   for (const auto& l : launches) sources.push_back(l.get());
+  const tbp::profile::ApplicationProfile profile =
+      tbp::profile::profile_application(sources, /*jobs=*/1);
 
   const tbp::sim::GpuConfig config = tbp::sim::fermi_config();
   const tbp::core::TBPointRun run =

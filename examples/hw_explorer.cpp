@@ -29,10 +29,8 @@ int main(int argc, char** argv) {
 
   // One-time profiling: this is the only pass over every thread block.
   const auto profile_start = Clock::now();
-  tbp::profile::ApplicationProfile profile;
-  for (const auto* source : sources) {
-    profile.launches.push_back(tbp::profile::profile_launch(*source));
-  }
+  const tbp::profile::ApplicationProfile profile =
+      tbp::profile::profile_application(sources, /*jobs=*/1);
   const double profile_seconds =
       std::chrono::duration<double>(Clock::now() - profile_start).count();
   std::printf("%s: profiled once in %.2fs (%llu warp insts)\n\n", name.c_str(),

@@ -35,10 +35,8 @@ int main(int argc, char** argv) {
 
   // 2. One-time functional profiling (GPUOcelot stage): per-block thread
   //    insts, warp insts, memory requests.  No timing model involved.
-  tbp::profile::ApplicationProfile profile;
-  for (const auto* source : sources) {
-    profile.launches.push_back(tbp::profile::profile_launch(*source));
-  }
+  const tbp::profile::ApplicationProfile profile =
+      tbp::profile::profile_application(sources, /*jobs=*/1);
   std::printf("profiled %llu warp instructions\n",
               static_cast<unsigned long long>(profile.total_warp_insts()));
 

@@ -35,14 +35,9 @@ ExperimentRow run_comparison(const workloads::Workload& workload,
   const std::vector<const trace::LaunchTraceSource*> sources = workload.sources();
 
   // ---- One-time functional profiling (the GPUOcelot stage). ----
-  // Launches are profiled independently; slots are indexed by launch so the
-  // profile is identical for every jobs value.
   const timing::WallTimer profile_timer;
-  profile::ApplicationProfile app_profile;
-  app_profile.launches.resize(sources.size());
-  par::parallel_for(sources.size(), options.jobs, [&](std::size_t i) {
-    app_profile.launches[i] = profile::profile_launch(*sources[i]);
-  });
+  const profile::ApplicationProfile app_profile =
+      profile::profile_application(sources, options.jobs);
   const double profile_seconds = profile_timer.seconds();
   row.total_warp_insts = app_profile.total_warp_insts();
 

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "stats/descriptive.hpp"
+#include "support/parallel.hpp"
 
 namespace tbp::profile {
 
@@ -37,20 +38,20 @@ LaunchProfile profile_launch(const trace::LaunchTraceSource& launch) {
   LaunchProfile profile;
   profile.blocks.resize(launch.n_blocks());
   profile.bbv.assign(launch.kernel().n_basic_blocks, 0);
-
   for (std::uint32_t b = 0; b < launch.n_blocks(); ++b) {
-    const trace::BlockTrace block = launch.block_trace(b);
-    BlockStats& stats = profile.blocks[b];
-    for (const auto& stream : block.warps) {
-      for (const trace::WarpInst& inst : stream) {
-        ++stats.warp_insts;
-        stats.thread_insts += inst.active_threads;
-        if (trace::is_global_memory(inst.op)) stats.mem_requests += inst.mem.n_lines;
-        profile.bbv[inst.bb_id] += 1;
-      }
-    }
+    profile.blocks[b] = launch.block_stats(b, profile.bbv);
   }
   return profile;
+}
+
+ApplicationProfile profile_application(
+    std::span<const trace::LaunchTraceSource* const> sources, std::size_t jobs) {
+  ApplicationProfile app;
+  app.launches.resize(sources.size());
+  par::parallel_for(sources.size(), jobs, [&](std::size_t i) {
+    app.launches[i] = profile_launch(*sources[i]);
+  });
+  return app;
 }
 
 std::uint64_t ApplicationProfile::total_warp_insts() const noexcept {

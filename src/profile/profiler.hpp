@@ -9,26 +9,16 @@
 // count or warp count never requires re-profiling, only re-clustering.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "trace/kernel.hpp"
 
 namespace tbp::profile {
 
-struct BlockStats {
-  std::uint64_t thread_insts = 0;
-  std::uint64_t warp_insts = 0;
-  std::uint64_t mem_requests = 0;  ///< line-level global-memory requests
-
-  /// Eq. 5's per-block stall probability approximation:
-  /// memory requests / warp instructions.
-  [[nodiscard]] double stall_probability() const noexcept {
-    return warp_insts == 0
-               ? 0.0
-               : static_cast<double>(mem_requests) / static_cast<double>(warp_insts);
-  }
-};
+using trace::BlockStats;
 
 struct LaunchProfile {
   std::vector<BlockStats> blocks;
@@ -43,7 +33,7 @@ struct LaunchProfile {
   [[nodiscard]] double block_size_cov() const;
 };
 
-/// Profiles one launch by functional traversal of its traces.
+/// Profiles one launch by functional traversal of its blocks.
 [[nodiscard]] LaunchProfile profile_launch(const trace::LaunchTraceSource& launch);
 
 /// A whole application: the profile of every kernel launch, in launch order.
@@ -54,5 +44,10 @@ struct ApplicationProfile {
   [[nodiscard]] std::uint64_t total_thread_insts() const noexcept;
   [[nodiscard]] std::uint64_t total_blocks() const noexcept;
 };
+
+/// Profiles every launch, up to `jobs` at a time.  Slots are indexed by
+/// launch, so the profile is identical for every jobs value.
+[[nodiscard]] ApplicationProfile profile_application(
+    std::span<const trace::LaunchTraceSource* const> sources, std::size_t jobs);
 
 }  // namespace tbp::profile

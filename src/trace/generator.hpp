@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "trace/kernel.hpp"
 
@@ -71,6 +72,10 @@ class SyntheticLaunch final : public LaunchTraceSource {
   [[nodiscard]] const KernelInfo& kernel() const override { return kernel_; }
   [[nodiscard]] std::uint32_t n_blocks() const override { return n_blocks_; }
   [[nodiscard]] BlockTrace block_trace(std::uint32_t block_id) const override;
+  /// Counts the instructions block_trace(block_id) would hold, with the
+  /// same random draws, without building them.
+  [[nodiscard]] BlockStats block_stats(std::uint32_t block_id,
+                                       std::span<std::uint64_t> bbv) const override;
 
   [[nodiscard]] BlockBehavior behavior(std::uint32_t block_id) const {
     return behavior_(block_id);

@@ -2,28 +2,15 @@
 
 namespace tbp::trace {
 
-std::uint64_t BlockTrace::warp_inst_count() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& stream : warps) total += stream.size();
-  return total;
-}
-
-std::uint64_t BlockTrace::thread_inst_count() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& stream : warps) {
-    for (const WarpInst& inst : stream) total += inst.active_threads;
-  }
-  return total;
-}
-
-std::uint64_t BlockTrace::memory_request_count() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& stream : warps) {
+BlockStats count_block(const BlockTrace& block, std::span<std::uint64_t> bbv) {
+  BlockStats stats;
+  for (const auto& stream : block.warps) {
     for (const WarpInst& inst : stream) {
-      if (is_global_memory(inst.op)) total += inst.mem.n_lines;
+      stats.add(inst);
+      if (!bbv.empty()) ++bbv[inst.bb_id];
     }
   }
-  return total;
+  return stats;
 }
 
 }  // namespace tbp::trace

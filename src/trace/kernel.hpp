@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,12 +55,35 @@ struct WarpInst {
 /// All warp streams of one thread block.
 struct BlockTrace {
   std::vector<std::vector<WarpInst>> warps;
-
-  [[nodiscard]] std::uint64_t warp_inst_count() const noexcept;
-  [[nodiscard]] std::uint64_t thread_inst_count() const noexcept;
-  /// Line-level global-memory request count (the paper's "memory requests").
-  [[nodiscard]] std::uint64_t memory_request_count() const noexcept;
 };
+
+/// What the functional profiler records for one thread block.
+struct BlockStats {
+  std::uint64_t thread_insts = 0;
+  std::uint64_t warp_insts = 0;
+  /// Line-level global-memory requests (the paper's "memory requests").
+  std::uint64_t mem_requests = 0;
+
+  /// Counts one warp instruction.
+  void add(const WarpInst& inst) noexcept {
+    ++warp_insts;
+    thread_insts += inst.active_threads;
+    if (is_global_memory(inst.op)) mem_requests += inst.mem.n_lines;
+  }
+
+  /// Eq. 5's per-block stall probability approximation:
+  /// memory requests / warp instructions.
+  [[nodiscard]] double stall_probability() const noexcept {
+    return warp_insts == 0
+               ? 0.0
+               : static_cast<double>(mem_requests) / static_cast<double>(warp_insts);
+  }
+};
+
+/// Counts a built trace and adds one to bbv[bb_id] per warp instruction;
+/// an empty `bbv` counts no basic blocks.
+[[nodiscard]] BlockStats count_block(const BlockTrace& block,
+                                     std::span<std::uint64_t> bbv = {});
 
 /// Static, launch-invariant facts about a kernel; the occupancy calculator
 /// consumes the resource fields.
@@ -87,6 +111,15 @@ class LaunchTraceSource {
   [[nodiscard]] virtual const KernelInfo& kernel() const = 0;
   [[nodiscard]] virtual std::uint32_t n_blocks() const = 0;
   [[nodiscard]] virtual BlockTrace block_trace(std::uint32_t block_id) const = 0;
+
+  /// Block `block_id`'s counts, adding one to bbv[bb_id] per warp
+  /// instruction; `bbv` holds kernel().n_basic_blocks entries.  Must equal
+  /// count_block(block_trace(block_id), bbv), which is the default; a source
+  /// overrides it only to count without building the trace.
+  [[nodiscard]] virtual BlockStats block_stats(std::uint32_t block_id,
+                                               std::span<std::uint64_t> bbv) const {
+    return count_block(block_trace(block_id), bbv);
+  }
 };
 
 }  // namespace tbp::trace

@@ -92,10 +92,8 @@ TEST(ParallelTbpointTest, SerialAndParallelRunsAgree) {
   scale.divisor = 32;
   const workloads::Workload workload = workloads::make_workload("hotspot", scale);
   const auto sources = workload.sources();
-  profile::ApplicationProfile profile;
-  for (const auto* source : sources) {
-    profile.launches.push_back(profile::profile_launch(*source));
-  }
+  const profile::ApplicationProfile profile =
+      profile::profile_application(sources, /*jobs=*/1);
   const sim::GpuConfig config = small_config();
 
   core::TBPointOptions serial_options;

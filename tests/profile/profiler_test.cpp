@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "fuzz/generate.hpp"
 #include "trace/generator.hpp"
+#include "workloads/parametric.hpp"
+#include "workloads/workload.hpp"
 
 namespace tbp::profile {
 namespace {
@@ -103,6 +109,41 @@ TEST(ProfilerTest, ProfileIsIndependentOfHardwareKnobs) {
     EXPECT_EQ(a.blocks[i].warp_insts, b.blocks[i].warp_insts);
     EXPECT_EQ(a.blocks[i].thread_insts, b.blocks[i].thread_insts);
     EXPECT_EQ(a.blocks[i].mem_requests, b.blocks[i].mem_requests);
+  }
+}
+
+/// Every block's counting-sink stats equal the base class's walk over the
+/// block's built trace, field for field and BBV entry for entry.
+void expect_block_stats_equal_trace_walk(const workloads::Workload& workload) {
+  for (std::size_t l = 0; l < workload.launches.size(); ++l) {
+    const trace::SyntheticLaunch& launch = *workload.launches[l];
+    const std::size_t n_bbs = launch.kernel().n_basic_blocks;
+    for (std::uint32_t b = 0; b < launch.n_blocks(); ++b) {
+      std::vector<std::uint64_t> sink_bbv(n_bbs, 0);
+      std::vector<std::uint64_t> walk_bbv(n_bbs, 0);
+      const BlockStats sink = launch.block_stats(b, sink_bbv);
+      const BlockStats walk = launch.LaunchTraceSource::block_stats(b, walk_bbv);
+      ASSERT_EQ(sink.warp_insts, walk.warp_insts)
+          << workload.name << " launch " << l << " block " << b;
+      ASSERT_EQ(sink.thread_insts, walk.thread_insts)
+          << workload.name << " launch " << l << " block " << b;
+      ASSERT_EQ(sink.mem_requests, walk.mem_requests)
+          << workload.name << " launch " << l << " block " << b;
+      ASSERT_EQ(sink_bbv, walk_bbv)
+          << workload.name << " launch " << l << " block " << b;
+    }
+  }
+}
+
+TEST(ProfilerTest, BlockStatsEqualsTraceWalk) {
+  workloads::WorkloadScale scale;
+  scale.divisor = 64;
+  for (const std::string& name : workloads::buildable_workload_names()) {
+    expect_block_stats_equal_trace_walk(workloads::make_workload(name, scale));
+  }
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    expect_block_stats_equal_trace_walk(
+        workloads::build_workload(fuzz::generate_spec(seed)));
   }
 }
 

@@ -41,7 +41,7 @@ TEST(GpuTest, SimulatesEveryInstructionOfEveryBlock) {
   const trace::SyntheticLaunch launch = make_launch(10);
   std::uint64_t expected = 0;
   for (std::uint32_t b = 0; b < launch.n_blocks(); ++b) {
-    expected += launch.block_trace(b).warp_inst_count();
+    expected += trace::count_block(launch.block_trace(b)).warp_insts;
   }
   GpuSimulator simulator(small_config());
   const LaunchResult result = simulator.run_launch(launch);
@@ -155,7 +155,7 @@ TEST(GpuTest, ControllerSkipsRequestedBlocks) {
   std::uint64_t expected = 0;
   for (std::uint32_t b = 0; b < 10; ++b) {
     if (!controller.skip_.contains(b)) {
-      expected += launch.block_trace(b).warp_inst_count();
+      expected += trace::count_block(launch.block_trace(b)).warp_insts;
     }
   }
   EXPECT_EQ(result.sim_warp_insts, expected);

@@ -45,14 +45,14 @@ TEST(GeneratorTest, InstructionCountMatchesBehaviorArithmetic) {
   for (const auto& stream : trace.warps) {
     EXPECT_EQ(stream.size(), expected_per_warp);
   }
-  EXPECT_EQ(trace.warp_inst_count(), expected_per_warp * 8);
+  EXPECT_EQ(count_block(trace).warp_insts, expected_per_warp * 8);
 }
 
 TEST(GeneratorTest, MemoryRequestCountUsesCoalescingDegree) {
   const SyntheticLaunch launch = make_simple_launch();
   const BlockTrace trace = launch.block_trace(0);
   // 5 iterations * (2 loads + 1 store) * 4 lines * 8 warps.
-  EXPECT_EQ(trace.memory_request_count(), 5u * 3u * 4u * 8u);
+  EXPECT_EQ(count_block(trace).mem_requests, 5u * 3u * 4u * 8u);
 }
 
 TEST(GeneratorTest, NoDivergenceMeansFullWarps) {
@@ -63,7 +63,8 @@ TEST(GeneratorTest, NoDivergenceMeansFullWarps) {
       EXPECT_EQ(inst.active_threads, kWarpSize);
     }
   }
-  EXPECT_EQ(trace.thread_inst_count(), trace.warp_inst_count() * kWarpSize);
+  const BlockStats stats = count_block(trace);
+  EXPECT_EQ(stats.thread_insts, stats.warp_insts * kWarpSize);
 }
 
 TEST(GeneratorTest, DeterministicAcrossCalls) {
@@ -110,19 +111,19 @@ TEST(GeneratorTest, DivergenceAddsWarpInstsNotThreadInsts) {
 
   const SyntheticLaunch a = make_simple_launch(1, straight);
   const SyntheticLaunch b = make_simple_launch(1, divergent);
-  const BlockTrace ta = a.block_trace(0);
-  const BlockTrace tb = b.block_trace(0);
+  const BlockStats ta = count_block(a.block_trace(0));
+  const BlockStats tb = count_block(b.block_trace(0));
 
   // The divergent version re-executes the body for the taken side, growing
   // warp instructions substantially...
-  EXPECT_GT(tb.warp_inst_count(), ta.warp_inst_count());
+  EXPECT_GT(tb.warp_insts, ta.warp_insts);
   // ...while thread instructions barely move: the alu/load body covers
   // main + taken = 32 threads across its two copies, and only the stores
   // (which run at reduced width) lose a few lanes.  This is exactly the
   // Eq. 2 signature: control-flow divergence separates the two counts.
-  EXPECT_LE(tb.thread_inst_count(), ta.thread_inst_count());
-  EXPECT_GT(static_cast<double>(tb.thread_inst_count()),
-            0.85 * static_cast<double>(ta.thread_inst_count()));
+  EXPECT_LE(tb.thread_insts, ta.thread_insts);
+  EXPECT_GT(static_cast<double>(tb.thread_insts),
+            0.85 * static_cast<double>(ta.thread_insts));
 }
 
 TEST(GeneratorTest, DivergentActiveCountsComplement) {
@@ -269,7 +270,7 @@ TEST(GeneratorTest, ZeroWorkingSetStreamingPatternIsSafe) {
   behavior.working_set_lines = 0;
   const SyntheticLaunch launch = make_simple_launch(1, behavior);
   const BlockTrace trace = launch.block_trace(0);
-  EXPECT_GT(trace.memory_request_count(), 0u);
+  EXPECT_GT(count_block(trace).mem_requests, 0u);
   EXPECT_TRUE(validate_block_trace(launch.kernel(), trace).ok());
 }
 

@@ -241,11 +241,8 @@ int cmd_run(harness::Args& args) {
   const sim::GpuConfig config = service::spec_gpu_config(flags.spec);
 
   const auto sources = workload.sources();
-  profile::ApplicationProfile app;
-  app.launches.resize(sources.size());
-  par::parallel_for(sources.size(), flags.jobs, [&](std::size_t i) {
-    app.launches[i] = profile::profile_launch(*sources[i]);
-  });
+  const profile::ApplicationProfile app =
+      profile::profile_application(sources, flags.jobs);
 
   const CliObservation observation(flags);
   options.observe = observation.get();
@@ -432,11 +429,8 @@ int cmd_simulate(harness::Args& args) {
   std::vector<harness::ExperimentRow> manifest_rows;
   if (exit_code == 0 && first == 0 && last == sources.size() &&
       !sources.empty()) {
-    profile::ApplicationProfile app;
-    app.launches.resize(sources.size());
-    par::parallel_for(sources.size(), jobs, [&](std::size_t i) {
-      app.launches[i] = profile::profile_launch(*sources[i]);
-    });
+    const profile::ApplicationProfile app =
+        profile::profile_application(sources, jobs);
     core::TBPointOptions tbp_options;
     tbp_options.jobs = jobs;
     tbp_options.observe = observation.get();
