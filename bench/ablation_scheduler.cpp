@@ -61,21 +61,13 @@ int main(int argc, char** argv) {
       options.jobs = jobs;
       const core::TBPointRun run = core::run_tbpoint(sources, profile, config, options);
 
-      // Ground truth: one fresh simulator per launch (explicit isolation),
-      // serial reduction in launch order.
-      std::vector<std::uint64_t> launch_cycles(sources.size(), 0);
-      std::vector<std::uint64_t> launch_insts(sources.size(), 0);
-      par::parallel_for(sources.size(), jobs, [&](std::size_t i) {
-        sim::GpuSimulator simulator(config);
-        const sim::LaunchResult full = simulator.run_launch(*sources[i]);
-        launch_cycles[i] = full.cycles;
-        launch_insts[i] = full.sim_warp_insts;
-      });
+      // Ground truth: the full simulation, reduced in launch order.
       std::uint64_t cycles = 0;
       std::uint64_t insts = 0;
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        cycles += launch_cycles[i];
-        insts += launch_insts[i];
+      for (const sim::LaunchResult& full :
+           sim::simulate_launches(sources, config, jobs)) {
+        cycles += full.cycles;
+        insts += full.sim_warp_insts;
       }
       const double full_ipc =
           static_cast<double>(insts) / static_cast<double>(cycles);

@@ -38,26 +38,14 @@ PreparedWorkload prepare(const std::string& name,
   PreparedWorkload out{.workload = tbp::workloads::make_workload(name, scale),
                        .profile = {},
                        .full_ipc = 0.0};
-  // Launches profile and simulate independently (fresh simulator per
-  // launch); slot-indexed collection + serial reduction keeps the result
-  // identical for every jobs value.
-  const std::size_t n = out.workload.launches.size();
-  out.profile.launches.resize(n);
-  std::vector<std::uint64_t> launch_cycles(n, 0);
-  std::vector<std::uint64_t> launch_insts(n, 0);
-  tbp::par::parallel_for(n, jobs, [&](std::size_t i) {
-    const auto& launch = *out.workload.launches[i];
-    out.profile.launches[i] = tbp::profile::profile_launch(launch);
-    tbp::sim::GpuSimulator simulator(config);
-    const tbp::sim::LaunchResult result = simulator.run_launch(launch);
-    launch_cycles[i] = result.cycles;
-    launch_insts[i] = result.sim_warp_insts;
-  });
+  const auto sources = out.workload.sources();
+  out.profile = tbp::profile::profile_application(sources, jobs);
   std::uint64_t cycles = 0;
   std::uint64_t insts = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    cycles += launch_cycles[i];
-    insts += launch_insts[i];
+  for (const tbp::sim::LaunchResult& result :
+       tbp::sim::simulate_launches(sources, config, jobs)) {
+    cycles += result.cycles;
+    insts += result.sim_warp_insts;
   }
   out.full_ipc = static_cast<double>(insts) / static_cast<double>(cycles);
   return out;

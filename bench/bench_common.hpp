@@ -215,19 +215,13 @@ inline std::vector<harness::ExperimentRow> collect_rows(
   par::set_global_jobs(flags.jobs);
   options.jobs = flags.jobs;
   const std::unique_ptr<obs::Observation> observe = make_observation(flags);
+  if (observe != nullptr) options.observe = observe.get();
   const std::vector<std::string>& names = flags.benchmark_list();
   std::vector<harness::ExperimentRow> rows(names.size());
   par::parallel_for(names.size(), flags.jobs, [&](std::size_t i) {
     std::fprintf(stderr, "[bench] %s ...\n", names[i].c_str());
-    harness::ComparisonOptions row_options = options;
-    if (observe != nullptr) {
-      row_options.observe = observe.get();
-      // Disjoint pid windows keep each row's launch/representative
-      // timelines apart in a shared trace.
-      row_options.observe_pid_base = static_cast<std::uint32_t>(i) * 0x20000u;
-    }
     rows[i] = harness::cached_comparison(names[i], flags.scale, config,
-                                         row_options, flags.cache_dir);
+                                         options, flags.cache_dir);
     if (rows[i].from_cache) {
       // Cached rows carry wall-clock timings from the original run.
       std::fprintf(stderr, "[bench] %s: cached row (timings from original run)\n",

@@ -7,7 +7,9 @@
 // instruction volume at the paper's scale.
 //
 // Flags: --scale N --seed S
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "harness/cli.hpp"
 #include "harness/table.hpp"
@@ -43,11 +45,13 @@ int main(int argc, char** argv) {
   // must run serially and re-time on every invocation (no stale cached
   // wall-clock figures can leak in here).
   const workloads::Workload calib = workloads::make_workload("cfd", scale);
-  sim::GpuSimulator simulator(sim::fermi_config());
+  std::vector<const trace::LaunchTraceSource*> sources = calib.sources();
+  sources.resize(std::min<std::size_t>(5, sources.size()));
   const timing::WallTimer timer;
   std::uint64_t insts = 0;
-  for (std::size_t l = 0; l < 5 && l < calib.launches.size(); ++l) {
-    insts += simulator.run_launch(*calib.launches[l]).sim_warp_insts;
+  for (const sim::LaunchResult& launch :
+       sim::simulate_launches(sources, sim::fermi_config(), /*jobs=*/1)) {
+    insts += launch.sim_warp_insts;
   }
   const double seconds = timer.seconds();
   const double insts_per_sec = static_cast<double>(insts) / seconds;

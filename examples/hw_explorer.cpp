@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       tbp::profile::profile_application(sources, /*jobs=*/1);
   const double profile_seconds =
       std::chrono::duration<double>(Clock::now() - profile_start).count();
-  std::printf("%s: profiled once in %.2fs (%llu warp insts)\n\n", name.c_str(),
+  std::printf("%s: profiled once in %.3fs (%llu warp insts)\n\n", name.c_str(),
               profile_seconds,
               static_cast<unsigned long long>(profile.total_warp_insts()));
 
@@ -62,11 +62,10 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(Clock::now() - t0).count();
 
     t0 = Clock::now();
-    tbp::sim::GpuSimulator simulator(config);
     std::uint64_t cycles = 0;
     std::uint64_t insts = 0;
-    for (const auto* source : sources) {
-      const tbp::sim::LaunchResult full = simulator.run_launch(*source);
+    for (const tbp::sim::LaunchResult& full :
+         tbp::sim::simulate_launches(sources, config, /*jobs=*/1)) {
       cycles += full.cycles;
       insts += full.sim_warp_insts;
     }
@@ -82,8 +81,8 @@ int main(int argc, char** argv) {
                                          run.app.predicted_ipc, full_ipc),
                                      2),
                    tbp::harness::fmt(100.0 * run.app.sample_fraction(), 1),
-                   tbp::harness::fmt(tbp_seconds, 2),
-                   tbp::harness::fmt(full_seconds, 2)});
+                   tbp::harness::fmt(tbp_seconds, 3),
+                   tbp::harness::fmt(full_seconds, 3)});
   }
   table.print();
   std::printf(

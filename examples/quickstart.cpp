@@ -53,11 +53,10 @@ int main(int argc, char** argv) {
 
   // 4. Ground truth: the full simulation TBPoint is meant to replace.
   t0 = Clock::now();
-  tbp::sim::GpuSimulator simulator(config);
   std::uint64_t cycles = 0;
   std::uint64_t insts = 0;
-  for (const auto* source : sources) {
-    const tbp::sim::LaunchResult full = simulator.run_launch(*source);
+  for (const tbp::sim::LaunchResult& full :
+       tbp::sim::simulate_launches(sources, config, /*jobs=*/1)) {
     cycles += full.cycles;
     insts += full.sim_warp_insts;
   }

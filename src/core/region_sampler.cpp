@@ -22,7 +22,7 @@ void RegionSampler::end_phase_span(std::uint64_t cycle) {
   const char* name =
       state_ == State::kWarming ? "warm-up" : "fast-forward";
   trace_->complete(
-      name, "region", trace_pid_, trace_tid_, phase_start_cycle_,
+      name, "region", trace_tid_, phase_start_cycle_,
       cycle - phase_start_cycle_,
       {{"region", obs::json_number(static_cast<std::uint64_t>(
                       current_region_ < 0 ? 0 : current_region_))}});

@@ -83,16 +83,15 @@ class RegionSampler final : public sim::SimController {
 
   /// Attaches observability (pure observers; see obs/metrics.hpp).  Either
   /// side may be null.  Phase spans (warm-up, fast-forward) are drawn on
-  /// trace row (`pid`, `tid`) — callers use one synthetic row past the SM
-  /// rows of the same launch; sampler counters flush into `metrics` at
+  /// trace row `tid` — callers use one synthetic row past the SM rows of
+  /// the launch's own buffer; sampler counters flush into `metrics` at
   /// finalize().
   void attach_observation(obs::MetricsShard* metrics, obs::TraceBuffer* trace,
-                          std::uint32_t pid, std::uint32_t tid) {
+                          std::uint32_t tid) {
     metrics_ = metrics;
     trace_ = trace;
-    trace_pid_ = pid;
     trace_tid_ = tid;
-    if (trace_ != nullptr) trace_->thread_name(pid, tid, "region-sampler");
+    if (trace_ != nullptr) trace_->thread_name(tid, "region-sampler");
   }
 
   [[nodiscard]] std::span<const SkippedRegion> skipped_regions() const noexcept {
@@ -138,7 +137,6 @@ class RegionSampler final : public sim::SimController {
   // Observability (unused while metrics_ and trace_ are null).
   obs::MetricsShard* metrics_ = nullptr;
   obs::TraceBuffer* trace_ = nullptr;
-  std::uint32_t trace_pid_ = 0;
   std::uint32_t trace_tid_ = 0;
   std::uint64_t phase_start_cycle_ = 0;
   std::uint64_t last_cycle_ = 0;

@@ -42,13 +42,11 @@ struct TBPointOptions {
   std::size_t jobs = 1;
   /// Optional observability session (null = off).  Each representative
   /// records into its own shard/buffer keyed
-  /// "<observe_key_prefix>tbp/rep/<r>", so parallel runs merge
-  /// deterministically; harness callers set the prefix to the workload name
-  /// to keep rows apart in one shared session.
+  /// "<observe_key_prefix>tbp/rep/<launch index>", so parallel runs merge
+  /// deterministically; harness callers set the prefix to "<workload>/" to
+  /// keep rows apart in one shared session.
   obs::Observation* observe = nullptr;
   std::string observe_key_prefix;
-  /// Base added to representative trace pids (see ComparisonOptions).
-  std::uint32_t observe_pid_base = 0;
 };
 
 /// Everything TBPoint did for one representative launch.

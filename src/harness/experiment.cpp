@@ -7,7 +7,6 @@
 #include "profile/profiler.hpp"
 #include "sim/gpu.hpp"
 #include "stats/error.hpp"
-#include "support/parallel.hpp"
 #include "support/walltime.hpp"
 
 namespace tbp::harness {
@@ -48,36 +47,14 @@ ExperimentRow run_comparison(const workloads::Workload& workload,
   sim::GpuConfig full_config = config;
   full_config.fixed_unit_insts = row.unit_insts;
 
-  // Launch isolation is explicit: each launch gets its own freshly
-  // constructed GpuSimulator, so no cache/DRAM/queue state can leak from
-  // one launch into the next and the launches can simulate concurrently.
-  // (TBPoint's sampled launches start cold too, so sharing warmed state
-  // here would bias the ground truth the sampled runs are scored against.)
+  // Every launch simulates cold on its own machine (sim::simulate_launches).
+  // TBPoint's sampled launches start cold too, so sharing warmed state here
+  // would bias the ground truth the sampled runs are scored against.
   const timing::WallTimer full_timer;
-  std::vector<sim::LaunchResult> launch_results(sources.size());
-  par::parallel_for(sources.size(), options.jobs, [&](std::size_t i) {
-    sim::GpuSimulator launch_sim(full_config);
-    sim::RunOptions run_options;
-    if (options.observe != nullptr) {
-      // Per-launch shard/buffer keyed by launch index: the merge order is
-      // the key order, so --jobs never changes the exported files.
-      const std::string key = row.workload + "/full/" + obs::key_index(i);
-      const std::uint32_t pid =
-          options.observe_pid_base + static_cast<std::uint32_t>(i);
-      run_options.observe = sim::LaunchObservation{
-          .metrics = options.observe->metrics_shard(key),
-          .trace = options.observe->trace_buffer(key),
-          .pid = pid,
-      };
-      if (run_options.observe.trace != nullptr) {
-        run_options.observe.trace->process_name(
-            pid, row.workload + ": full launch " + std::to_string(i));
-      }
-    }
-    launch_results[i] = launch_sim.run_launch(*sources[i], run_options);
-  });
-  // Serial merge in launch order: the unit list and the accumulated sums
-  // match the historical one-launch-at-a-time loop exactly.
+  std::vector<sim::LaunchResult> launch_results =
+      sim::simulate_launches(sources, full_config, options.jobs,
+                             options.observe, row.workload + "/full/");
+  // Serial merge in launch order.
   std::uint64_t full_cycles = 0;
   std::uint64_t full_insts = 0;
   std::vector<sim::FixedUnit> units;
@@ -129,7 +106,6 @@ ExperimentRow run_comparison(const workloads::Workload& workload,
   if (options.observe != nullptr) {
     tbp_options.observe = options.observe;
     tbp_options.observe_key_prefix = row.workload + "/";
-    tbp_options.observe_pid_base = options.observe_pid_base;
   }
   const core::TBPointRun tbp =
       core::run_tbpoint(sources, app_profile, config, tbp_options);

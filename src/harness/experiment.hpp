@@ -44,9 +44,6 @@ struct ComparisonOptions {
   /// workload name, so one session can span many rows; pure observers, so
   /// the row's results are unchanged (and byte-identical) either way.
   obs::Observation* observe = nullptr;
-  /// Base added to every trace pid this comparison emits, so rows sharing
-  /// one session keep distinct process groups in the trace viewer.
-  std::uint32_t observe_pid_base = 0;
 };
 
 struct MethodResult {

@@ -37,8 +37,18 @@ MetricsSnapshot Observation::merged_metrics(std::string_view key_prefix) const {
 std::vector<TraceEvent> Observation::merged_trace() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<TraceEvent> events;
+  std::uint32_t pid = 0;
   for (const auto& [key, buffer] : buffers_) {
-    events.insert(events.end(), buffer->events().begin(), buffer->events().end());
+    events.push_back(TraceEvent{.name = "process_name",
+                                .cat = "__metadata",
+                                .ph = 'M',
+                                .pid = pid,
+                                .args = {{"name", json_string(key)}}});
+    for (const TraceEvent& event : buffer->events()) {
+      events.push_back(event);
+      events.back().pid = pid;
+    }
+    ++pid;
   }
   return events;
 }

@@ -49,6 +49,8 @@ class Observation {
       std::string_view key_prefix = {}) const;
 
   /// Every buffered trace event, buffers concatenated in sorted key order.
+  /// The n-th buffer becomes trace process n: its events get pid n, after
+  /// one process_name event that names the process by the buffer's key.
   [[nodiscard]] std::vector<TraceEvent> merged_trace() const;
 
  private:

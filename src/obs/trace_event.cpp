@@ -41,13 +41,11 @@ std::string json_string(std::string_view text) {
 }
 
 void TraceBuffer::complete(std::string_view name, std::string_view cat,
-                           std::uint32_t pid, std::uint32_t tid, std::uint64_t ts,
-                           std::uint64_t dur,
+                           std::uint32_t tid, std::uint64_t ts, std::uint64_t dur,
                            std::vector<std::pair<std::string, std::string>> args) {
   events_.push_back(TraceEvent{.name = std::string(name),
                                .cat = std::string(cat),
                                .ph = 'X',
-                               .pid = pid,
                                .tid = tid,
                                .ts = ts,
                                .dur = dur,
@@ -55,36 +53,22 @@ void TraceBuffer::complete(std::string_view name, std::string_view cat,
 }
 
 void TraceBuffer::instant(std::string_view name, std::string_view cat,
-                          std::uint32_t pid, std::uint32_t tid, std::uint64_t ts,
+                          std::uint32_t tid, std::uint64_t ts,
                           std::vector<std::pair<std::string, std::string>> args) {
   events_.push_back(TraceEvent{.name = std::string(name),
                                .cat = std::string(cat),
                                .ph = 'i',
-                               .pid = pid,
                                .tid = tid,
                                .ts = ts,
                                .dur = 0,
                                .args = std::move(args)});
 }
 
-void TraceBuffer::thread_name(std::uint32_t pid, std::uint32_t tid,
-                              std::string_view name) {
+void TraceBuffer::thread_name(std::uint32_t tid, std::string_view name) {
   events_.push_back(TraceEvent{.name = "thread_name",
                                .cat = "__metadata",
                                .ph = 'M',
-                               .pid = pid,
                                .tid = tid,
-                               .ts = 0,
-                               .dur = 0,
-                               .args = {{"name", json_string(name)}}});
-}
-
-void TraceBuffer::process_name(std::uint32_t pid, std::string_view name) {
-  events_.push_back(TraceEvent{.name = "process_name",
-                               .cat = "__metadata",
-                               .ph = 'M',
-                               .pid = pid,
-                               .tid = 0,
                                .ts = 0,
                                .dur = 0,
                                .args = {{"name", json_string(name)}}});

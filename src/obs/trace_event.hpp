@@ -3,9 +3,12 @@
 //
 // Timestamps are simulator cycles reported as trace microseconds (1 ts unit
 // = 1 GPU cycle); the viewers only need a monotonic integer axis, and
-// cycles keep the timeline exact.  pid groups one simulated launch (full
-// simulation or TBPoint representative), tid is the SM id within it, with
-// one extra synthetic row for the region sampler's phase spans.
+// cycles keep the timeline exact.  A TraceBuffer records one simulated
+// launch (full simulation or TBPoint representative); tid is the SM id
+// within it, with synthetic rows past the SMs for sampling-unit boundaries
+// and the region sampler's phase spans.  Buffers carry no pid: the
+// observation session numbers them and names each after its key when it
+// merges them (obs::Observation::merged_trace).
 //
 // Like metrics shards, a TraceBuffer is single-threaded by contract: one
 // buffer per parallel task, merged in stable key order afterwards, so the
@@ -25,7 +28,7 @@ struct TraceEvent {
   std::string name;
   std::string cat;
   char ph = 'X';  ///< 'X' complete, 'i' instant, 'M' metadata
-  std::uint32_t pid = 0;
+  std::uint32_t pid = 0;  ///< the buffer's number, set at merge
   std::uint32_t tid = 0;
   std::uint64_t ts = 0;   ///< cycles
   std::uint64_t dur = 0;  ///< cycles, complete events only
@@ -43,19 +46,17 @@ struct TraceEvent {
 class TraceBuffer {
  public:
   /// A span: [ts, ts + dur).
-  void complete(std::string_view name, std::string_view cat, std::uint32_t pid,
-                std::uint32_t tid, std::uint64_t ts, std::uint64_t dur,
+  void complete(std::string_view name, std::string_view cat, std::uint32_t tid,
+                std::uint64_t ts, std::uint64_t dur,
                 std::vector<std::pair<std::string, std::string>> args = {});
 
   /// A zero-duration marker at ts (thread scope).
-  void instant(std::string_view name, std::string_view cat, std::uint32_t pid,
-               std::uint32_t tid, std::uint64_t ts,
+  void instant(std::string_view name, std::string_view cat, std::uint32_t tid,
+               std::uint64_t ts,
                std::vector<std::pair<std::string, std::string>> args = {});
 
   /// Metadata naming a tid row ("SM 3", "region-sampler").
-  void thread_name(std::uint32_t pid, std::uint32_t tid, std::string_view name);
-  /// Metadata naming a pid group ("full launch 2", "tbpoint rep launch 0").
-  void process_name(std::uint32_t pid, std::string_view name);
+  void thread_name(std::uint32_t tid, std::string_view name);
 
   [[nodiscard]] std::span<const TraceEvent> events() const noexcept {
     return events_;

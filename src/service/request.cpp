@@ -6,6 +6,7 @@
 
 #include "harness/cli.hpp"
 #include "harness/manifest.hpp"
+#include "trace/occupancy.hpp"
 
 namespace tbp::service {
 namespace {
@@ -22,6 +23,25 @@ namespace {
   const double d = value.as_double();
   *out = value.as_u64();
   return d >= 0.0 && d == static_cast<double>(*out);
+}
+
+/// OK when one SM of the spec's machine holds a thread block of every
+/// launch of its workload.  Only the warp count sizes an SM here: the
+/// 512-thread workloads need at least 16 warps, the 256-thread ones 8.
+[[nodiscard]] Status check_block_fits(const RequestSpec& spec) {
+  const trace::SmResources resources = spec_gpu_config(spec).sm_resources;
+  const workloads::Workload workload =
+      workloads::make_workload(spec.workload, spec.scale);
+  for (const auto& launch : workload.launches) {
+    const trace::KernelInfo& kernel = launch->kernel();
+    if (trace::sm_occupancy(kernel, resources) == 0) {
+      return Status(StatusCode::kInvalidArgument,
+                    "too small for kernel " + kernel.name +
+                        ", whose thread blocks have " +
+                        std::to_string(kernel.warps_per_block()) + " warps");
+    }
+  }
+  return Status();
 }
 
 }  // namespace
@@ -94,6 +114,9 @@ Result<RequestSpec> parse_request(std::string_view text) {
   if (std::find(names.begin(), names.end(), spec.workload) == names.end()) {
     return invalid("unknown workload '" + spec.workload + "'");
   }
+  if (const Status st = check_block_fits(spec); !st.ok()) {
+    return invalid("warps " + st.message());
+  }
   return spec;
 }
 
@@ -135,6 +158,11 @@ RequestSpec read_spec(harness::Args& args, std::string workload) {
   spec.warps = args.u32("--warps").value_or(spec.warps);
   args.check("--warps", harness::validate_gpu_size(spec.warps));
   spec.gto = args.flag("--gto");
+  // An unknown name is left to the caller's own workload check.
+  const std::vector<std::string> known = workloads::buildable_workload_names();
+  if (std::find(known.begin(), known.end(), spec.workload) != known.end()) {
+    args.check("--warps", check_block_fits(spec));
+  }
   return spec;
 }
 

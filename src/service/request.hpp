@@ -8,8 +8,9 @@
 //    "tbp-request-v1","seed":129564999,"sms":14,"warps":48,"workload":
 //    "stream"}
 //
-// Parsing is strict: unknown keys, wrong types, unknown workloads and
-// out-of-range geometry are all kInvalidArgument, never guessed at.  Every
+// Parsing is strict: unknown keys, wrong types, unknown workloads,
+// out-of-range geometry and an SM too small for one thread block of the
+// workload are all kInvalidArgument, never guessed at.  Every
 // field except `schema` and `workload` is optional and defaults to the
 // tbpoint_cli defaults, so a parsed spec always describes exactly the run
 // `tbpoint_cli compare <workload> [flags]` would perform.
@@ -65,8 +66,9 @@ struct RequestSpec {
 [[nodiscard]] store::StoreKey spec_store_key(const RequestSpec& spec);
 
 /// The spec of `workload` that a command line names: --scale, --seed,
-/// --sms and --warps (each in [1, 1024]) and --gto, as read by tbpoint_cli's
-/// run, compare and simulate and by tbp-client submit.
+/// --sms and --warps (each in [1, 1024]; an SM must hold one thread block
+/// of the workload) and --gto, as read by tbpoint_cli's run, compare and
+/// simulate and by tbp-client submit.
 [[nodiscard]] RequestSpec read_spec(harness::Args& args, std::string workload);
 
 /// The GPU configuration the spec names — same rule as tbpoint_cli: the

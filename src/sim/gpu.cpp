@@ -8,6 +8,7 @@
 #include <sstream>
 #include <utility>
 
+#include "support/parallel.hpp"
 #include "trace/occupancy.hpp"
 
 namespace tbp::sim {
@@ -177,7 +178,6 @@ struct LaunchEngine {
   // decision, so attaching it never changes the simulation).
   obs::MetricsShard* shard = nullptr;
   obs::TraceBuffer* timeline = nullptr;
-  std::uint32_t trace_pid = 0;
   std::vector<SmStallStats> stall_stats;
   struct TbDispatch {
     std::uint64_t cycle = 0;
@@ -256,7 +256,6 @@ Status LaunchEngine::init() {
 
   shard = options.observe.metrics;
   timeline = options.observe.trace;
-  trace_pid = options.observe.pid;
   if (shard != nullptr) {
     stall_stats.resize(sms.size());
     for (std::size_t s = 0; s < sms.size(); ++s) {
@@ -268,10 +267,10 @@ Status LaunchEngine::init() {
   if (timeline != nullptr) {
     tb_dispatch.resize(n_blocks);
     for (std::uint32_t s = 0; s < config.n_sms; ++s) {
-      timeline->thread_name(trace_pid, s, "SM " + std::to_string(s));
+      timeline->thread_name(s, "SM " + std::to_string(s));
     }
     // One synthetic row past the SMs for machine-wide unit boundaries.
-    timeline->thread_name(trace_pid, config.n_sms, "sampling-units");
+    timeline->thread_name(config.n_sms, "sampling-units");
   }
   return Status();
 }
@@ -313,8 +312,8 @@ void LaunchEngine::process_retirement(std::uint32_t block_id, std::uint64_t now)
   if (timeline != nullptr) {
     const TbDispatch& start = tb_dispatch[block_id];
     timeline->complete(
-        "TB " + std::to_string(block_id), "tb", trace_pid, start.sm,
-        start.cycle, now - start.cycle,
+        "TB " + std::to_string(block_id), "tb", start.sm, start.cycle,
+        now - start.cycle,
         {{"block", obs::json_number(std::uint64_t{block_id})}});
   }
   SamplingUnit unit;
@@ -342,7 +341,7 @@ void LaunchEngine::close_fixed_unit(std::uint64_t now) {
   if (timeline != nullptr) {
     timeline->instant(
         "fixed-unit " + std::to_string(result.fixed_units.size()), "unit",
-        trace_pid, config.n_sms, now,
+        config.n_sms, now,
         {{"warp_insts", obs::json_number(unit.warp_insts)}});
   }
   result.fixed_units.push_back(std::move(unit));
@@ -516,6 +515,29 @@ Result<LaunchResult> GpuSimulator::run_launch_checked(
   Status run = engine.run();
   if (!run.ok()) return run;
   return engine.collect_result();
+}
+
+LaunchObservation observe_launch(obs::Observation* session,
+                                 const std::string& key) {
+  if (session == nullptr) return {};
+  return LaunchObservation{.metrics = session->metrics_shard(key),
+                           .trace = session->trace_buffer(key)};
+}
+
+std::vector<LaunchResult> simulate_launches(
+    std::span<const trace::LaunchTraceSource* const> launches,
+    const GpuConfig& config, std::size_t jobs, obs::Observation* observe,
+    std::string_view key_prefix) {
+  std::vector<LaunchResult> results(launches.size());
+  par::parallel_for(launches.size(), jobs, [&](std::size_t i) {
+    RunOptions options;
+    if (observe != nullptr) {
+      options.observe = observe_launch(
+          observe, std::string(key_prefix) + obs::key_index(i));
+    }
+    results[i] = GpuSimulator(config).run_launch(*launches[i], options);
+  });
+  return results;
 }
 
 }  // namespace tbp::sim

@@ -7,9 +7,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
 #include "sim/config.hpp"
@@ -88,10 +91,13 @@ struct WatchdogDiagnostic {
 struct LaunchObservation {
   obs::MetricsShard* metrics = nullptr;  ///< null = counters off
   obs::TraceBuffer* trace = nullptr;     ///< null = timeline capture off
-  /// Trace process id grouping this launch's timeline (launch index by
-  /// convention; tid within it is the SM id).
-  std::uint32_t pid = 0;
 };
+
+/// The shard and buffer `session` hands out under `key` (a launch's
+/// observation key, e.g. "bfs/full/000003"), or nulls when `session` is
+/// null.
+[[nodiscard]] LaunchObservation observe_launch(obs::Observation* session,
+                                               const std::string& key);
 
 struct RunOptions {
   SimController* controller = nullptr;  ///< null = full simulation
@@ -131,5 +137,15 @@ class GpuSimulator {
  private:
   GpuConfig config_;
 };
+
+/// The full simulation of an application's launches: each launch runs on
+/// its own freshly built machine, up to `jobs` at a time, and element i of
+/// the result is launch i's, for every jobs value.  With `observe` set,
+/// launch i records under `key_prefix + obs::key_index(i)`.  A failed
+/// launch aborts, as run_launch does.
+[[nodiscard]] std::vector<LaunchResult> simulate_launches(
+    std::span<const trace::LaunchTraceSource* const> launches,
+    const GpuConfig& config, std::size_t jobs,
+    obs::Observation* observe = nullptr, std::string_view key_prefix = {});
 
 }  // namespace tbp::sim

@@ -137,12 +137,13 @@ TEST(ObsDeterminismTest, ConcurrentShardRegistrationIsSafe) {
     ASSERT_NE(shard, nullptr);
     ASSERT_NE(buffer, nullptr);
     shard->add("ticks", i + 1);
-    buffer->instant("tick", "test", 0, 0, i);
+    buffer->instant("tick", "test", 0, i);
   });
   const MetricsSnapshot snapshot = session.merged_metrics();
   // sum of 1..kTasks
   EXPECT_EQ(snapshot.counter("ticks"), std::uint64_t{kTasks * (kTasks + 1) / 2});
-  EXPECT_EQ(session.merged_trace().size(), kTasks);
+  // Each buffer's tick, after the process_name the merge gives it.
+  EXPECT_EQ(session.merged_trace().size(), 2 * kTasks);
 }
 
 }  // namespace

@@ -1,22 +1,28 @@
 // Observation-session tests against a real simulation: the pure-observer
 // contract (attaching metrics/trace never changes a single simulated
-// cycle), the per-SM stall-cycle accounting identity, and the sorted-key
-// merge that makes exported files independent of registration order.
+// cycle), the per-SM stall-cycle accounting identity, the sorted-key
+// merge that makes exported files independent of registration order, and
+// the trace processes that merge numbers and names by key.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness/experiment.hpp"
 #include "obs/export.hpp"
 #include "sim/config.hpp"
 #include "sim/gpu.hpp"
 #include "trace/generator.hpp"
+#include "workloads/workload.hpp"
 
 namespace tbp::obs {
 namespace {
@@ -68,11 +74,7 @@ ObservedPair run_pair(std::uint32_t n_blocks) {
   {
     sim::GpuSimulator simulator(config);
     sim::RunOptions options;
-    options.observe = sim::LaunchObservation{
-        .metrics = session.metrics_shard("launch/000000"),
-        .trace = session.trace_buffer("launch/000000"),
-        .pid = 1,
-    };
+    options.observe = sim::observe_launch(&session, "launch/000000");
     pair.observed = simulator.run_launch(launch, options);
   }
   pair.metrics = session.merged_metrics();
@@ -148,11 +150,7 @@ TEST(ObservationTest, MshrPressureCountersAreExported) {
   Observation session(/*metrics_on=*/true, /*trace_on=*/false);
   sim::GpuSimulator simulator(config);
   sim::RunOptions options;
-  options.observe = sim::LaunchObservation{
-      .metrics = session.metrics_shard("launch/000000"),
-      .trace = nullptr,
-      .pid = 1,
-  };
+  options.observe = sim::observe_launch(&session, "launch/000000");
   const sim::LaunchResult result = simulator.run_launch(launch, options);
   const MetricsSnapshot metrics = session.merged_metrics();
 
@@ -188,7 +186,7 @@ TEST(ObservationTest, MergeIsIndependentOfRegistrationOrder) {
       shard->add("key." + key, 1);
       TraceBuffer* buffer = session.trace_buffer(key);
       ASSERT_NE(buffer, nullptr);
-      buffer->instant(key, "test", 0, 0, key.size());
+      buffer->instant(key, "test", 0, key.size());
     }
   };
 
@@ -212,6 +210,68 @@ TEST(ObservationTest, MergeIsIndependentOfRegistrationOrder) {
   EXPECT_EQ(only_a.counter("key.b/000000"), std::nullopt);
 }
 
+TEST(ObservationTest, TraceProcessesAreNamedByTheirKeys) {
+  // Two comparison rows share one trace session and choose no trace ids:
+  // the merge numbers every buffer and names it after its key.
+  Observation session(/*metrics_on=*/false, /*trace_on=*/true);
+  harness::ComparisonOptions options;
+  options.target_units = 60;
+  options.observe = &session;
+  workloads::WorkloadScale scale;
+  scale.divisor = 64;
+  std::map<std::string, workloads::Workload> built;
+  std::map<std::string, harness::ExperimentRow> rows;
+  for (const char* name : {"stream", "hotspot"}) {
+    built.emplace(name, workloads::make_workload(name, scale));
+    rows.emplace(name, harness::run_comparison(built.at(name),
+                                               sim::fermi_config(), options));
+  }
+
+  // Each pid's events are one contiguous run, pids count up from 0, and
+  // each run opens with the one process_name of its pid.
+  const std::vector<TraceEvent> events = session.merged_trace();
+  std::vector<std::string> names;  // by pid
+  std::map<std::string, std::uint64_t> tb_spans;  // by process name
+  for (const TraceEvent& e : events) {
+    if (e.pid == names.size()) {
+      ASSERT_EQ(e.name, "process_name") << "pid " << e.pid;
+      ASSERT_EQ(e.args.size(), 1u);
+      names.push_back(e.args[0].second);
+      continue;
+    }
+    ASSERT_EQ(e.pid + 1, names.size()) << "pid " << e.pid << " is split";
+    EXPECT_NE(e.name, "process_name") << "pid " << e.pid << " named twice";
+    if (e.ph == 'X' && e.cat == "tb") ++tb_spans[names.back()];
+  }
+
+  // The names are the keys, in sorted key order: one per full launch and
+  // one per representative of each row.
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+  const std::regex key_form(R"re("(stream|hotspot)/(full|tbp/rep)/(\d{6})")re");
+  std::map<std::string, std::size_t> full_launches;
+  std::map<std::string, std::size_t> representatives;
+  for (const std::string& name : names) {
+    std::smatch match;
+    ASSERT_TRUE(std::regex_match(name, match, key_form)) << name;
+    if (match[2] == "tbp/rep") {
+      ++representatives[match[1]];
+      continue;
+    }
+    ++full_launches[match[1]];
+    // A full launch's process holds exactly its own launch's blocks, so
+    // no process mixes the two rows.
+    const std::size_t launch = std::stoul(match[3]);
+    const workloads::Workload& workload = built.at(match[1]);
+    ASSERT_LT(launch, workload.launches.size()) << name;
+    EXPECT_EQ(tb_spans[name], workload.launches[launch]->n_blocks()) << name;
+  }
+  for (const auto& [name, row] : rows) {
+    EXPECT_EQ(full_launches[name], row.n_launches) << name;
+    EXPECT_EQ(representatives[name], row.tbp_clusters) << name;
+  }
+}
+
 TEST(ObservationTest, DisabledSessionHandsOutNulls) {
   Observation off(false, false);
   EXPECT_EQ(off.metrics_shard("k"), nullptr);
@@ -231,7 +291,7 @@ TEST(ObservationTest, FileWritersProduceTheInMemoryDocuments) {
   shard->add("c", 3);
   TraceBuffer* buffer = session.trace_buffer("k");
   ASSERT_NE(buffer, nullptr);
-  buffer->instant("mark", "test", 0, 0, 1);
+  buffer->instant("mark", "test", 0, 1);
 
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "tbp_observation_test";

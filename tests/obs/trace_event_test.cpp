@@ -36,20 +36,20 @@ TEST(JsonLiteralTest, StringEscaping) {
 
 TEST(TraceBufferTest, BuildsEventKinds) {
   TraceBuffer buffer;
-  buffer.process_name(7, "launch 7");
-  buffer.thread_name(7, 2, "SM 2");
-  buffer.complete("TB 5", "tb", 7, 2, 100, 40,
+  buffer.thread_name(2, "SM 2");
+  buffer.complete("TB 5", "tb", 2, 100, 40,
                   {{"block", json_number(std::uint64_t{5})}});
-  buffer.instant("fixed-unit 0", "unit", 7, 3, 140);
+  buffer.instant("fixed-unit 0", "unit", 3, 140);
 
-  ASSERT_EQ(buffer.events().size(), 4u);
+  ASSERT_EQ(buffer.events().size(), 3u);
   EXPECT_FALSE(buffer.empty());
 
   const TraceEvent& meta = buffer.events()[0];
   EXPECT_EQ(meta.ph, 'M');
-  EXPECT_EQ(meta.pid, 7u);
+  EXPECT_EQ(meta.name, "thread_name");
+  EXPECT_EQ(meta.tid, 2u);
 
-  const TraceEvent& span = buffer.events()[2];
+  const TraceEvent& span = buffer.events()[1];
   EXPECT_EQ(span.ph, 'X');
   EXPECT_EQ(span.name, "TB 5");
   EXPECT_EQ(span.cat, "tb");
@@ -60,17 +60,16 @@ TEST(TraceBufferTest, BuildsEventKinds) {
   EXPECT_EQ(span.args[0].first, "block");
   EXPECT_EQ(span.args[0].second, "5");
 
-  const TraceEvent& mark = buffer.events()[3];
+  const TraceEvent& mark = buffer.events()[2];
   EXPECT_EQ(mark.ph, 'i');
   EXPECT_EQ(mark.ts, 140u);
 }
 
 TEST(ChromeTraceTest, DocumentShape) {
   TraceBuffer buffer;
-  buffer.process_name(1, "full launch 0");
-  buffer.thread_name(1, 0, "SM 0");
-  buffer.complete("TB \"0\"", "tb", 1, 0, 10, 5);
-  buffer.instant("fixed-unit 0", "unit", 1, 4, 15);
+  buffer.thread_name(0, "SM 0");
+  buffer.complete("TB \"0\"", "tb", 0, 10, 5);
+  buffer.instant("fixed-unit 0", "unit", 4, 15);
 
   std::ostringstream out;
   write_chrome_trace(buffer.events(), out);

@@ -287,12 +287,17 @@ TEST(ServiceTest, MalformedRequestsGetErrorResponsesAndServiceContinues) {
                   spool, "bad-schema",
                   R"({"schema":"tbp-request-v9","workload":"stream"})")
                   .ok());
+  // bfs's 512-thread blocks need 16 warps per SM.
+  ASSERT_TRUE(submit_request(
+                  spool, "too-small-sm",
+                  R"({"schema":"tbp-request-v1","workload":"bfs","warps":8})")
+                  .ok());
 
   const std::size_t invocations_before = harness::run_comparison_invocations();
   const auto answered = daemon.drain_once();
   ASSERT_TRUE(answered.has_value());
-  EXPECT_EQ(*answered, 3u);
-  EXPECT_EQ(daemon.stats().malformed, 3u);
+  EXPECT_EQ(*answered, 4u);
+  EXPECT_EQ(daemon.stats().malformed, 4u);
   EXPECT_EQ(daemon.stats().simulations, 0u);
   EXPECT_EQ(harness::run_comparison_invocations(), invocations_before);
 
@@ -303,6 +308,9 @@ TEST(ServiceTest, MalformedRequestsGetErrorResponsesAndServiceContinues) {
   const auto bad_schema = try_read_response(spool, "bad-schema");
   ASSERT_TRUE(bad_schema.has_value());
   EXPECT_EQ(response_error(*bad_schema).code(), StatusCode::kVersionMismatch);
+  const auto too_small = try_read_response(spool, "too-small-sm");
+  ASSERT_TRUE(too_small.has_value());
+  EXPECT_EQ(response_error(*too_small).code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(fs::is_empty(spool / "claimed"));
 }
 

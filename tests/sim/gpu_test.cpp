@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "obs/export.hpp"
 #include "sim/controller.hpp"
+#include "support/parallel.hpp"
 #include "trace/generator.hpp"
+#include "workloads/workload.hpp"
 
 namespace tbp::sim {
 namespace {
@@ -275,6 +280,80 @@ TEST(GpuTest, MoreSmsFinishFaster) {
   const LaunchResult r4 = GpuSimulator(four).run_launch(launch);
   EXPECT_LT(r4.cycles, r2.cycles);
   EXPECT_EQ(r4.sim_warp_insts, r2.sim_warp_insts);
+}
+
+/// Every field of a launch result that simulate_launches must reproduce.
+void expect_same_launch(const LaunchResult& a, const LaunchResult& b,
+                        std::size_t launch) {
+  SCOPED_TRACE("launch " + std::to_string(launch));
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.sim_warp_insts, b.sim_warp_insts);
+  EXPECT_EQ(a.sim_thread_insts, b.sim_thread_insts);
+  ASSERT_EQ(a.tb_units.size(), b.tb_units.size());
+  for (std::size_t u = 0; u < a.tb_units.size(); ++u) {
+    EXPECT_EQ(a.tb_units[u].start_cycle, b.tb_units[u].start_cycle);
+    EXPECT_EQ(a.tb_units[u].end_cycle, b.tb_units[u].end_cycle);
+    EXPECT_EQ(a.tb_units[u].warp_insts, b.tb_units[u].warp_insts);
+    EXPECT_EQ(a.tb_units[u].end_block_id, b.tb_units[u].end_block_id);
+  }
+  ASSERT_EQ(a.fixed_units.size(), b.fixed_units.size());
+  for (std::size_t u = 0; u < a.fixed_units.size(); ++u) {
+    EXPECT_EQ(a.fixed_units[u].start_cycle, b.fixed_units[u].start_cycle);
+    EXPECT_EQ(a.fixed_units[u].end_cycle, b.fixed_units[u].end_cycle);
+    EXPECT_EQ(a.fixed_units[u].warp_insts, b.fixed_units[u].warp_insts);
+    EXPECT_EQ(a.fixed_units[u].thread_insts, b.fixed_units[u].thread_insts);
+    EXPECT_EQ(a.fixed_units[u].bbv, b.fixed_units[u].bbv);
+  }
+  const auto fields = [](const MemoryStats& m) {
+    return std::vector<std::uint64_t>{
+        m.l1.hits,       m.l1.misses,       m.l1.evictions,
+        m.l2.hits,       m.l2.misses,       m.l2.evictions,
+        m.dram.row_hits, m.dram.row_misses, m.dram.loads,
+        m.dram.stores,   m.dram.scheduling_decisions,
+        m.l1_mshr_merges, m.l2_mshr_merges, m.l1_mshr_stalls,
+        m.l2_mshr_overflows};
+  };
+  EXPECT_EQ(fields(a.mem), fields(b.mem));
+}
+
+TEST(GpuTest, SimulateLaunchesEqualsAFreshSimulatorPerLaunch) {
+  workloads::WorkloadScale scale;
+  scale.divisor = 64;
+  const workloads::Workload workload = workloads::make_workload("black", scale);
+  const std::vector<const trace::LaunchTraceSource*> sources = workload.sources();
+  ASSERT_GT(sources.size(), 3u);
+  GpuConfig config = small_config();
+  config.fixed_unit_insts = 2000;
+
+  std::vector<LaunchResult> fresh;
+  for (const trace::LaunchTraceSource* source : sources) {
+    fresh.push_back(GpuSimulator(config).run_launch(*source));
+  }
+  par::set_global_jobs(3);
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    obs::Observation session(/*metrics_on=*/true, /*trace_on=*/true);
+    for (obs::Observation* observe : {static_cast<obs::Observation*>(nullptr),
+                                      &session}) {
+      const std::vector<LaunchResult> results =
+          simulate_launches(sources, config, jobs, observe, "app/full/");
+      ASSERT_EQ(results.size(), fresh.size());
+      for (std::size_t i = 0; i < fresh.size(); ++i) {
+        expect_same_launch(fresh[i], results[i], i);
+      }
+    }
+    // Launch i recorded under the prefix plus its index, and nowhere else.
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      const obs::MetricsSnapshot shard =
+          session.merged_metrics("app/full/" + obs::key_index(i));
+      EXPECT_EQ(shard.counter("sim.launch.count"), std::uint64_t{1}) << i;
+      EXPECT_EQ(shard.counter("sim.launch.cycles"), fresh[i].cycles) << i;
+    }
+    EXPECT_EQ(session.merged_metrics().counter("sim.launch.count"),
+              std::uint64_t{sources.size()});
+    EXPECT_EQ(session.merged_trace().front().args[0].second,
+              obs::json_string("app/full/" + obs::key_index(0)));
+  }
 }
 
 }  // namespace

@@ -58,6 +58,8 @@ reject("invalid value for --sms: must be in [1, 1024]"
        "${CLI}" run stream --jobs 1 --sms 0 --manifest run.json)
 reject("invalid value for --warps: must be in [1, 1024]"
        "${CLI}" compare stream --jobs 1 --warps 0)
+reject("invalid value for --warps: too small for kernel bfs_kernel"
+       "${CLI}" compare bfs --jobs 1 --warps 8)
 reject("unknown workload 'nosuch' (accepted: bfs," "${CLI}" run nosuch)
 reject("invalid value for --warps: must be >= 1"
        "${CLI}" lemma41 --samples 10 --warps 0)
@@ -77,6 +79,8 @@ reject("invalid value for --scale" "${CLIENT}" submit lbm --spool spool-b
        --scale 4294967297 --sms 4294967310 --id x1)
 reject("invalid value for --sms" "${CLIENT}" submit lbm --spool spool-b
        --sms 4294967310 --id x2)
+reject("invalid value for --warps: too small for kernel mst" "${CLIENT}"
+       submit mst --spool spool-b --warps 15 --id x3)
 
 # The benches: each reads only its own flags, and a `--` token is never a
 # flag's value.

@@ -11,7 +11,8 @@
 //       Collect the response for a previously submitted id.
 //
 // The spec flags are read as tbpoint_cli reads them (--sms and --warps in
-// [1, 1024]); any other flag or a stray argument is a usage error.
+// [1, 1024], and an SM must hold one thread block of the workload); any
+// other flag or a stray argument is a usage error.
 //
 // Exit codes: 0 response delivered, 1 service reported an error (the error
 // document is still written), 2 usage error or timeout.

@@ -18,8 +18,9 @@
 //       Markov-chain Monte-Carlo check of the paper's Lemma 4.1 (p in [0, 1],
 //       M > 0, N >= 1; --samples defaults to 10000 and must be >= 1).
 //
-// Machine flags: --scale N --seed S --sms S --warps W (each in [1, 1024];
-// default the 14-SM, 48-warp Fermi) --gto.  <workload>: a Table VI name or
+// Machine flags: --scale N --seed S --sms S --warps W (each in [1, 1024],
+// and an SM of W warps must hold one thread block of the workload; default
+// the 14-SM, 48-warp Fermi) --gto.  <workload>: a Table VI name or
 // binomial.  Common flags: --validate --jobs N --metrics PATH --trace PATH
 // --manifest PATH (--name=value also works).  --metrics writes the merged
 // counters and histograms (per-SM stall-cause breakdown, cache/DRAM
@@ -316,7 +317,7 @@ int cmd_compare(harness::Args& args) {
                  harness::fmt(row.tbpoint.err_pct, 2),
                  harness::fmt(row.tbpoint.sample_pct, 2)});
   table.print();
-  std::printf("full sim %.2fs; TBPoint %.2fs\n", row.full_sim_seconds,
+  std::printf("full sim %.3fs; TBPoint %.3fs\n", row.full_sim_seconds,
               row.tbp_seconds);
   if (row.attribution.valid) {
     std::printf("error attribution: total %+.3f%% = inter %+.3f%% + warmup "
@@ -369,19 +370,8 @@ int cmd_simulate(harness::Args& args) {
   std::vector<core::LaunchExact> exact(sources.size());
   for (std::size_t i = first; i < last; ++i) {
     sim::RunOptions options = base_options;
-    if (observation.get() != nullptr) {
-      const std::string key = workload.name + "/full/" + obs::key_index(i);
-      const std::uint32_t pid = static_cast<std::uint32_t>(i);
-      options.observe = sim::LaunchObservation{
-          .metrics = observation.get()->metrics_shard(key),
-          .trace = observation.get()->trace_buffer(key),
-          .pid = pid,
-      };
-      if (options.observe.trace != nullptr) {
-        options.observe.trace->process_name(
-            pid, workload.name + ": launch " + std::to_string(i));
-      }
-    }
+    options.observe = sim::observe_launch(
+        observation.get(), workload.name + "/full/" + obs::key_index(i));
 
     sim::GpuSimulator simulator(config);
     sim::WatchdogDiagnostic diagnostic;
@@ -434,7 +424,7 @@ int cmd_simulate(harness::Args& args) {
     core::TBPointOptions tbp_options;
     tbp_options.jobs = jobs;
     tbp_options.observe = observation.get();
-    tbp_options.observe_key_prefix = workload.name + "/tbp/";
+    tbp_options.observe_key_prefix = workload.name + "/";
     const core::TBPointRun run =
         core::run_tbpoint(sources, app, config, tbp_options);
     const core::ErrorAttribution attribution =
