@@ -134,7 +134,7 @@ inline void write_bench_manifest(const harness::CommonFlags& flags,
 
 /// Writes the --perf-json (BENCH_PERF.json) file: per-workload wall time and
 /// simulation throughput plus cache-hit counters.  Wall-clock data, so no
-/// byte-identity promise — `tbp-report compare` gates it with a tolerance.
+/// byte-identity promise and no gate; perfbench is what measures time.
 inline void write_bench_perf(const harness::CommonFlags& flags,
                              std::span<const harness::ExperimentRow> rows,
                              double wall_seconds, const std::string& tool) {

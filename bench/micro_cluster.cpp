@@ -4,8 +4,6 @@
 // k-means with BIC selection (the Ideal-SimPoint baseline's engine).
 #include <benchmark/benchmark.h>
 
-#include "micro_common.hpp"
-
 #include "cluster/hierarchical.hpp"
 #include "cluster/kmeans.hpp"
 #include "markov/monte_carlo.hpp"
@@ -88,6 +86,4 @@ BENCHMARK(BM_MarkovChainSolve)->Arg(4)->Arg(6)->Arg(8);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return tbp::bench::run_micro_bench("micro_cluster", argc, argv);
-}
+BENCHMARK_MAIN();

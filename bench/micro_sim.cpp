@@ -4,8 +4,6 @@
 // bench depends on.
 #include <benchmark/benchmark.h>
 
-#include "micro_common.hpp"
-
 #include "profile/profiler.hpp"
 #include "sim/cache.hpp"
 #include "sim/dram.hpp"
@@ -141,6 +139,4 @@ BENCHMARK(BM_BlockStats);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return tbp::bench::run_micro_bench("micro_sim", argc, argv);
-}
+BENCHMARK_MAIN();

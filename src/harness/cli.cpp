@@ -217,9 +217,14 @@ std::vector<std::string> read_benchmarks(Args& args,
   if (!list) return fallback;
   std::vector<std::string> names = split_commas(*list);
   const std::vector<std::string>& known = workloads::workload_names();
-  for (const std::string& name : names) {
-    if (std::find(known.begin(), known.end(), name) == known.end()) {
-      args.die("unknown benchmark '" + name + "'");
+  for (auto it = names.begin(); it != names.end(); ++it) {
+    if (std::find(known.begin(), known.end(), *it) == known.end()) {
+      args.die("unknown benchmark '" + *it + "'");
+    }
+    // A repeated name would run its rows twice under the same observation
+    // keys, so --metrics and --manifest would depend on --jobs.
+    if (std::find(names.begin(), it, *it) != it) {
+      args.usage_error("benchmark '" + *it + "' given twice");
     }
   }
   return names;

@@ -9,7 +9,7 @@
 // The common flags (CommonFlags) of the benches that call collect_rows:
 //   --scale N          workload scale divisor (default 4)
 //   --seed S           workload seed (decimal or 0x hex)
-//   --benchmarks a,b   comma-separated subset of Table VI names
+//   --benchmarks a,b   comma-separated subset of Table VI names, each once
 //   --no-cache         recompute instead of using ./tbpoint_cache
 //   --cache-dir PATH   cache location
 //   --jobs N           max parallel experiment rows / launch simulations
@@ -118,7 +118,8 @@ inline constexpr workloads::WorkloadScale kDefaultScale{.divisor = 4,
 /// --jobs N (>= 1, default: hardware concurrency).
 [[nodiscard]] std::size_t read_jobs(Args& args);
 
-/// --benchmarks a,b,... (Table VI names), or `fallback` when not given.
+/// --benchmarks a,b,... (Table VI names, each at most once), or `fallback`
+/// when not given.
 [[nodiscard]] std::vector<std::string> read_benchmarks(
     Args& args, std::vector<std::string> fallback);
 

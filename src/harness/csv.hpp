@@ -1,6 +1,7 @@
 // CSV export of experiment rows — plotting-friendly output so the figure
 // benches' tables can be regenerated as actual figures (gnuplot, pandas)
-// without scraping the ASCII tables.  Every bench accepts `--csv PATH`.
+// without scraping the ASCII tables.  fig9, fig10, fig11, related_analytical
+// and related_systematic accept `--csv PATH`.
 #pragma once
 
 #include <iosfwd>

@@ -8,8 +8,8 @@
 //     into deterministic-bucket latency histograms (fixed power-of-two
 //     microsecond bounds, so two runs of the same build always bucket the
 //     same way and histograms merge bucket-by-bucket).
-//  2. tbp-report renders the sealed tbp-prof-v1 sidecar (sidecar.hpp) and
-//     gates *_seconds regressions with `tbp-report compare`.
+//  2. `tbp-report show` renders the sealed tbp-prof-v1 sidecar
+//     (sidecar.hpp).
 //
 // Quarantine rules, enforced by tests and by tbp-lint's prof-quarantine
 // rule family:

@@ -10,9 +10,9 @@
 //              "p50_seconds": ..., "p95_seconds": ..., "p99_seconds": ...,
 //              "latency_us": {"bounds": [...], "counts": [...]}}, ...}}
 //
-// All scalar time fields end in _seconds: that suffix discipline is what
-// lets tbp-report compare classify every gated field (lower-is-better) and
-// what the tbp-lint prof-quarantine rule checks at the emission sites.
+// All scalar time fields end in _seconds: the tbp-lint prof-quarantine rule
+// checks that suffix at the emission sites, which keeps wall time out of the
+// fields the manifests keep byte-identical.
 #pragma once
 
 #include <string>

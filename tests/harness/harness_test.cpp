@@ -545,6 +545,13 @@ TEST(ArgsTest, RepeatedFlagExits) {
         (void)read_jobs(args);
       },
       testing::ExitedWithCode(2), "--jobs given twice(.|\n)*usage: prog");
+  EXPECT_EXIT(
+      {
+        Args args = args_of({"--benchmarks", "bfs,stream,bfs"});
+        (void)read_benchmarks(args, {});
+      },
+      testing::ExitedWithCode(2),
+      "benchmark 'bfs' given twice(.|\n)*usage: prog");
 }
 
 TEST(ArgsTest, UnreadFlagExits) {

@@ -1,7 +1,7 @@
 // Clean under the prof rules: this file is on the fixture include
 // allowlist, and every wall-clock getter lands in a field whose key ends
-// in _seconds — the suffix tbp-report classifies as a wall-clock reporting
-// field.
+// in _seconds — the suffix that marks a wall-clock reporting field, which
+// no manifest carries.
 #include "prof/prof.hpp"
 
 struct Timer {

@@ -90,6 +90,11 @@ reject("unknown flag --scale" "${FIG5}" --samples 10 --scale 8 --no-cache
        --benchmarks bfs)
 reject("missing value for --csv" "${FIG9}" --scale 64 --benchmarks stream
        --csv --no-cache)
+# A repeated name would record its rows twice under one set of observation
+# keys, so the metrics and the manifest would depend on --jobs.
+reject("benchmark 'stream' given twice" "${FIG9}" --scale 64
+       --benchmarks stream,stream --no-cache --metrics m.json
+       --manifest man.json)
 
 # One cheap valid form per binary.
 run(0 "binomial" "${CLI}" list)

@@ -1,7 +1,7 @@
-// tbp-report's exit-code contract, driven in-process through the same
-// command functions the binary wraps: corrupt or truncated manifests exit 2
-// with a diagnostic (never crash), regressions past --max-regress exit 1,
-// clean comparisons exit 0.
+// tbp-report show, driven in-process through the entry point the binary
+// wraps: each sealed schema renders as pinned bytes, and a missing, corrupt
+// or truncated document or a bad command line exits 2 with a diagnostic
+// (never a crash).
 #include "report_lib.hpp"
 
 #include <gtest/gtest.h>
@@ -28,27 +28,25 @@ using obs::JsonValue;
   return dir;
 }
 
-/// A bench-perf body with one entry; the knobs are the gated fields.
-[[nodiscard]] JsonValue perf_body(double wall_seconds, double cycles_per_sec,
-                                  double error_pct) {
+/// A bench-perf body with one entry, in the shape the figure benches write.
+[[nodiscard]] JsonValue perf_body(double wall_seconds) {
   JsonValue entry = JsonValue::object();
   entry.set("wall_seconds", wall_seconds);
-  entry.set("sim_cycles_per_second", cycles_per_sec);
-  entry.set("error_pct", error_pct);
+  entry.set("sim_cycles_per_second", 5e6);
+  entry.set("error_pct", 1.0);
   entry.set("from_cache", false);
   JsonValue entries = JsonValue::object();
   entries.set("workload0", std::move(entry));
   JsonValue body = JsonValue::object();
-  body.set("bench", "micro_sim");
+  body.set("bench", "fig9_overall_ipc");
   body.set("entries", std::move(entries));
   body.set("wall_seconds", wall_seconds + 0.5);
   return body;
 }
 
-[[nodiscard]] std::string write_perf(const std::string& path, double wall,
-                                     double cps, double err) {
+[[nodiscard]] std::string write_perf(const std::string& path, double wall) {
   const Status s = obs::write_json_file(
-      obs::seal_json(obs::kBenchPerfSchema, perf_body(wall, cps, err)), path);
+      obs::seal_json(obs::kBenchPerfSchema, perf_body(wall)), path);
   EXPECT_TRUE(s.ok()) << s.to_string();
   return path;
 }
@@ -61,77 +59,52 @@ using obs::JsonValue;
   return exit_code;
 }
 
+/// Runs a command and returns what it printed on `out`.
+[[nodiscard]] std::string capture_run(const std::vector<std::string>& args,
+                                      int expected_exit) {
+  std::FILE* capture = std::tmpfile();
+  EXPECT_NE(capture, nullptr);
+  EXPECT_EQ(run_report(args, capture), expected_exit);
+  std::rewind(capture);
+  std::string output;
+  char buffer[512];
+  std::size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), capture)) > 0) {
+    output.append(buffer, n);
+  }
+  std::fclose(capture);
+  return output;
+}
+
 TEST(ReportCliTest, ShowRendersValidDocuments) {
   const std::string dir = temp_dir("tbp_report_show");
-  const std::string path = write_perf(dir + "/perf.json", 2.0, 5e6, 1.0);
+  const std::string path = write_perf(dir + "/perf.json", 2.0);
   EXPECT_EQ(run({"show", path}), kExitOk);
 }
 
 TEST(ReportCliTest, MissingFileExitsUnreadable) {
   EXPECT_EQ(run({"show", temp_dir("tbp_report_miss") + "/nope.json"}),
             kExitUnreadable);
-  EXPECT_EQ(run({"compare", "/does/not/exist.json", "/also/missing.json"}),
-            kExitUnreadable);
 }
 
+// `show` is the only command: the retired `compare` and `prof` are usage
+// errors even on readable documents.
 TEST(ReportCliTest, BadUsageExitsUnreadable) {
   EXPECT_EQ(run({}), kExitUnreadable);
   EXPECT_EQ(run({"frobnicate"}), kExitUnreadable);
   EXPECT_EQ(run({"show"}), kExitUnreadable);
-  EXPECT_EQ(run({"compare", "one.json"}), kExitUnreadable);
-  const std::string dir = temp_dir("tbp_report_flags");
-  const std::string path = write_perf(dir + "/a.json", 1.0, 1e6, 0.5);
-  EXPECT_EQ(run({"compare", path, path, "--max-regress", "banana"}),
-            kExitUnreadable);
-  EXPECT_EQ(run({"compare", path, path, "--max-regress"}), kExitUnreadable);
-}
-
-// The CI perf gate passes --max-regress: a negative, empty or non-finite
-// threshold is a usage error, never a gate that fails or passes everything.
-TEST(ReportCliTest, MaxRegressMustBeAFiniteNonNegativeNumber) {
-  const std::string dir = temp_dir("tbp_report_threshold");
-  const std::string path = write_perf(dir + "/a.json", 1.0, 1e6, 0.5);
-  for (const char* bad : {"-5", "", "1e999", "inf", "nan"}) {
-    EXPECT_EQ(run({"compare", path, path, "--max-regress", bad}),
-              kExitUnreadable)
-        << "--max-regress '" << bad << "'";
-  }
-  EXPECT_EQ(run({"compare", path, path, "--max-regress", "0"}), kExitOk);
-}
-
-TEST(ReportCliTest, IdenticalManifestsCompareClean) {
-  const std::string dir = temp_dir("tbp_report_same");
-  const std::string a = write_perf(dir + "/a.json", 2.0, 5e6, 1.0);
-  const std::string b = write_perf(dir + "/b.json", 2.0, 5e6, 1.0);
-  EXPECT_EQ(run({"compare", a, b, "--max-regress", "10"}), kExitOk);
-}
-
-TEST(ReportCliTest, FiftyPercentWallTimeRegressionFailsTheGate) {
-  const std::string dir = temp_dir("tbp_report_wall");
-  const std::string old_path = write_perf(dir + "/old.json", 2.0, 5e6, 1.0);
-  const std::string new_path = write_perf(dir + "/new.json", 3.0, 5e6, 1.0);
-  EXPECT_EQ(run({"compare", old_path, new_path, "--max-regress", "10"}),
-            kExitRegressed);
-  // A generous threshold lets the same pair pass.
-  EXPECT_EQ(run({"compare", old_path, new_path, "--max-regress", "400"}),
-            kExitOk);
-  // Getting faster is never a regression.
-  EXPECT_EQ(run({"compare", new_path, old_path, "--max-regress", "10"}),
-            kExitOk);
-}
-
-TEST(ReportCliTest, ThroughputDropAndAccuracyLossAreGated) {
-  const std::string dir = temp_dir("tbp_report_dirs");
-  const std::string base = write_perf(dir + "/base.json", 2.0, 5e6, 1.0);
-  const std::string slow = write_perf(dir + "/slow.json", 2.0, 2e6, 1.0);
-  EXPECT_EQ(run({"compare", base, slow, "--max-regress", "10"}),
-            kExitRegressed);
-  const std::string wrong = write_perf(dir + "/wrong.json", 2.0, 5e6, 2.5);
-  EXPECT_EQ(run({"compare", base, wrong, "--max-regress", "10"}),
-            kExitRegressed);
-  // Error that *shrinks* in magnitude is an improvement even if signed.
-  const std::string better = write_perf(dir + "/better.json", 2.0, 5e6, -0.5);
-  EXPECT_EQ(run({"compare", base, better, "--max-regress", "10"}), kExitOk);
+  const std::string dir = temp_dir("tbp_report_usage");
+  const std::string a = write_perf(dir + "/a.json", 1.0);
+  EXPECT_EQ(run({"show", a, a}), kExitUnreadable);
+  EXPECT_EQ(run({"compare", a, a}), kExitUnreadable);
+  JsonValue body = JsonValue::object();
+  body.set("spans", JsonValue::object());
+  const std::string sidecar = dir + "/prof.json";
+  ASSERT_TRUE(
+      obs::write_json_file(obs::seal_json(prof::kProfSchema, body), sidecar)
+          .ok());
+  EXPECT_EQ(run({"show", sidecar}), kExitOk);
+  EXPECT_EQ(run({"prof", sidecar}), kExitUnreadable);
 }
 
 // Golden output: a manifest carrying `store.*` metrics counters must
@@ -155,30 +128,18 @@ TEST(ReportCliTest, ShowSurfacesStoreCountersGoldenOutput) {
       obs::write_json_file(obs::seal_json(obs::kManifestSchema, body), path)
           .ok());
 
-  std::FILE* capture = std::tmpfile();
-  ASSERT_NE(capture, nullptr);
-  EXPECT_EQ(run_report({"show", path}, capture), kExitOk);
-  std::rewind(capture);
-  std::string output;
-  char buffer[512];
-  std::size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), capture)) > 0) {
-    output.append(buffer, n);
-  }
-  std::fclose(capture);
-
   const std::string expected =
       path + " (" + std::string(obs::kManifestSchema) + ")\n" +
       "tool: tbpoint_cli pipeline\n" +
       "store: evictions=1 hits=12 misses=3 quarantined=2\n";
-  EXPECT_EQ(output, expected);
+  EXPECT_EQ(capture_run({"show", path}, kExitOk), expected);
 }
 
 // Bench-perf documents carry the counters as a `store` object instead;
 // the same line must come out.
 TEST(ReportCliTest, ShowSurfacesStoreBlockInBenchPerfDocuments) {
   const std::string dir = temp_dir("tbp_report_store_perf");
-  JsonValue body = perf_body(2.0, 5e6, 1.0);
+  JsonValue body = perf_body(2.0);
   JsonValue store = JsonValue::object();
   store.set("hits", std::uint64_t{7});
   store.set("misses", std::uint64_t{5});
@@ -190,65 +151,28 @@ TEST(ReportCliTest, ShowSurfacesStoreBlockInBenchPerfDocuments) {
       obs::write_json_file(obs::seal_json(obs::kBenchPerfSchema, body), path)
           .ok());
 
-  std::FILE* capture = std::tmpfile();
-  ASSERT_NE(capture, nullptr);
-  EXPECT_EQ(run_report({"show", path}, capture), kExitOk);
-  std::rewind(capture);
-  std::string output;
-  char buffer[512];
-  std::size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), capture)) > 0) {
-    output.append(buffer, n);
-  }
-  std::fclose(capture);
+  const std::string output = capture_run({"show", path}, kExitOk);
   EXPECT_NE(
       output.find("store: evictions=0 hits=7 misses=5 quarantined=1\n"),
       std::string::npos)
       << output;
 }
 
-[[nodiscard]] std::string capture_run(const std::vector<std::string>& args,
-                                      int expected_exit) {
-  std::FILE* capture = std::tmpfile();
-  EXPECT_NE(capture, nullptr);
-  EXPECT_EQ(run_report(args, capture), expected_exit);
-  std::rewind(capture);
-  std::string output;
-  char buffer[512];
-  std::size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), capture)) > 0) {
-    output.append(buffer, n);
-  }
-  std::fclose(capture);
-  return output;
-}
-
 // A bench-perf document's `bench:` line names the parallelism its wall
-// times were measured under; compare reports the two fields but never
-// gates on them, so comparing runs from different hosts stays clean.
+// times were measured under.
 TEST(ReportCliTest, ShowPrintsJobsAndNprocOnTheBenchLine) {
   const std::string dir = temp_dir("tbp_report_jobs");
-  const auto write = [&dir](const std::string& name, std::uint64_t jobs,
-                            std::uint64_t nproc) {
-    JsonValue body = perf_body(2.0, 5e6, 1.0);
-    body.set("jobs", jobs);
-    body.set("nproc", nproc);
-    const std::string path = dir + "/" + name;
-    EXPECT_TRUE(
-        obs::write_json_file(obs::seal_json(obs::kBenchPerfSchema, body), path)
-            .ok());
-    return path;
-  };
-  const std::string path = write("perf.json", 2, 4);
+  JsonValue body = perf_body(2.0);
+  body.set("jobs", std::uint64_t{2});
+  body.set("nproc", std::uint64_t{4});
+  const std::string path = dir + "/perf.json";
+  ASSERT_TRUE(
+      obs::write_json_file(obs::seal_json(obs::kBenchPerfSchema, body), path)
+          .ok());
   const std::string shown = capture_run({"show", path}, kExitOk);
-  EXPECT_NE(shown.find("bench: micro_sim jobs=2 nproc=4\n"), std::string::npos)
+  EXPECT_NE(shown.find("bench: fig9_overall_ipc jobs=2 nproc=4\n"),
+            std::string::npos)
       << shown;
-
-  const std::string other = write("other.json", 16, 64);
-  const std::string compared = capture_run({"compare", path, other}, kExitOk);
-  EXPECT_NE(compared.find("compared 4 gated field(s)"), std::string::npos)
-      << compared;
-  EXPECT_NE(compared.find("no regressions"), std::string::npos) << compared;
 }
 
 /// One wall-clock span object in the shape prof::spans_to_value emits.
@@ -305,9 +229,8 @@ TEST(ReportCliTest, ShowRendersServiceStatsLedgerGoldenOutput) {
   EXPECT_EQ(capture_run({"show", path}, kExitOk), expected);
 }
 
-// Golden output: `tbp-report prof` renders a tbp-prof-v1 sidecar as the
-// wall-clock span table, and `show` routes the same document to the same
-// renderer.
+// Golden output: a tbp-prof-v1 sidecar renders as the wall-clock span
+// table, with count, total time and latency percentiles.
 TEST(ReportCliTest, ProfViewRendersSpanPercentilesGoldenOutput) {
   const std::string dir = temp_dir("tbp_report_prof");
   JsonValue spans = JsonValue::object();
@@ -319,40 +242,97 @@ TEST(ReportCliTest, ProfViewRendersSpanPercentilesGoldenOutput) {
                                    path)
                   .ok());
 
-  const std::string table =
+  const std::string expected =
+      path + " (" + std::string(prof::kProfSchema) + ")\n" +
       "\n"
       "wall-clock spans:\n"
       "span              count  total s  p50 ms   p95 ms   p99 ms \n"
       "-----------------------------------------------------------\n"
       "service.simulate  3      0.600    100.000  250.000  250.000\n";
-  const std::string header =
-      path + " (" + std::string(prof::kProfSchema) + ")\n";
-  EXPECT_EQ(capture_run({"prof", path}, kExitOk), header + table);
-  EXPECT_EQ(capture_run({"show", path}, kExitOk), header + table);
+  EXPECT_EQ(capture_run({"show", path}, kExitOk), expected);
 }
 
-TEST(ReportCliTest, ProfCommandRejectsOtherSchemas) {
-  const std::string dir = temp_dir("tbp_report_prof_schema");
-  const std::string perf = write_perf(dir + "/perf.json", 2.0, 5e6, 1.0);
-  EXPECT_EQ(run({"prof", perf}), kExitUnreadable);
-  EXPECT_EQ(run({"prof", dir + "/missing.json"}), kExitUnreadable);
-}
+// Golden output: the manifest dashboard — the config line, the attribution
+// table in workload order (`-` where the attribution is invalid), the
+// speedup-vs-error frontier in sample-size order, and one cluster table per
+// workload that has clusters.
+TEST(ReportCliTest, ShowRendersManifestDashboardGoldenOutput) {
+  const std::string dir = temp_dir("tbp_report_dashboard");
+  JsonValue config = JsonValue::object();
+  config.set("benchmarks", JsonValue::Array{"mst", "bfs"});
+  config.set("scale_divisor", std::uint64_t{8});
+  config.set("scheduler", "gto");
 
-TEST(ReportCliTest, SchemaMismatchBetweenFilesIsUnreadable) {
-  const std::string dir = temp_dir("tbp_report_schema");
-  const std::string perf = write_perf(dir + "/perf.json", 2.0, 5e6, 1.0);
-  JsonValue manifest_body = JsonValue::object();
-  manifest_body.set("tool", "tbpoint_cli");
-  const std::string manifest = dir + "/manifest.json";
-  ASSERT_TRUE(obs::write_json_file(
-                  obs::seal_json(obs::kManifestSchema, manifest_body), manifest)
-                  .ok());
-  EXPECT_EQ(run({"compare", perf, manifest}), kExitUnreadable);
+  JsonValue invalid = JsonValue::object();
+  invalid.set("valid", false);
+  JsonValue mst = JsonValue::object();
+  mst.set("name", "mst");
+  mst.set("exact_ipc", 1.25);
+  mst.set("predicted_ipc", 1.3);
+  mst.set("error_pct", 4.0);
+  mst.set("sample_pct", 100.0);
+  mst.set("attribution", std::move(invalid));
+
+  JsonValue cluster = JsonValue::object();
+  cluster.set("cluster", std::uint64_t{0});
+  cluster.set("rep_launch", std::uint64_t{3});
+  cluster.set("n_launches", std::uint64_t{7});
+  cluster.set("scale", 6.5);
+  cluster.set("mean_distance_to_rep", 0.125);
+  cluster.set("inter_cycles", 120.0);
+  cluster.set("warmup_cycles", -40.5);
+  cluster.set("recon_cycles", 8.5);
+  JsonValue attribution = JsonValue::object();
+  attribution.set("valid", true);
+  attribution.set("inter_pct", -1.5);
+  attribution.set("warmup_pct", -2.0);
+  attribution.set("reconstruction_pct", -0.5);
+  attribution.set("clusters", JsonValue::Array{std::move(cluster)});
+  JsonValue bfs = JsonValue::object();
+  bfs.set("name", "bfs");
+  bfs.set("exact_ipc", 2.5);
+  bfs.set("predicted_ipc", 2.4);
+  bfs.set("error_pct", -4.0);
+  bfs.set("sample_pct", 12.5);
+  bfs.set("attribution", std::move(attribution));
+
+  JsonValue body = JsonValue::object();
+  body.set("tool", "fig9_overall_ipc");
+  body.set("command", "collect_rows");
+  body.set("config", std::move(config));
+  body.set("workloads", JsonValue::Array{std::move(mst), std::move(bfs)});
+  const std::string path = dir + "/manifest.json";
+  ASSERT_TRUE(
+      obs::write_json_file(obs::seal_json(obs::kManifestSchema, body), path)
+          .ok());
+
+  const std::string expected =
+      path + " (" + std::string(obs::kManifestSchema) + ")\n" +
+      "tool: fig9_overall_ipc collect_rows\n"
+      "config: benchmarks=[\"mst\",\"bfs\"] scale_divisor=8 scheduler=gto\n"
+      "\n"
+      "Accuracy attribution (signed % of exact IPC):\n"
+      "workload  exact IPC  TBP IPC  err%    inter%  warmup%  recon%  sample%\n"
+      "----------------------------------------------------------------------\n"
+      "mst       1.2500     1.3000   4.000   -       -        -       100.00 \n"
+      "bfs       2.5000     2.4000   -4.000  -1.500  -2.000   -0.500  12.50  \n"
+      "\n"
+      "Speedup vs. error frontier (by sample size):\n"
+      "sample%  est. speedup  |err|%  workload\n"
+      "---------------------------------------\n"
+      "12.50    8.0x          4.000   bfs     \n"
+      "100.00   1.0x          4.000   mst     \n"
+      "\n"
+      "clusters: bfs\n"
+      "cluster  rep  launches  scale  dist    inter cyc  warmup cyc  recon cyc\n"
+      "-----------------------------------------------------------------------\n"
+      "0        3    7         6.500  0.1250  120.0      -40.5       8.5      \n";
+  EXPECT_EQ(capture_run({"show", path}, kExitOk), expected);
 }
 
 TEST(ReportCliTest, TruncatedManifestExitsUnreadableNeverCrashes) {
   const std::string dir = temp_dir("tbp_report_trunc");
-  const std::string path = write_perf(dir + "/perf.json", 2.0, 5e6, 1.0);
+  const std::string path = write_perf(dir + "/perf.json", 2.0);
   const Result<std::string> pristine = io::read_file_limited(path);
   ASSERT_TRUE(pristine.ok());
   const std::string victim = dir + "/victim.json";
@@ -365,31 +345,28 @@ TEST(ReportCliTest, TruncatedManifestExitsUnreadableNeverCrashes) {
                                       harness::truncate_at(*pristine, keep))
                     .ok());
     EXPECT_EQ(run({"show", victim}), kExitUnreadable) << "keep=" << keep;
-    EXPECT_EQ(run({"compare", path, victim}), kExitUnreadable)
-        << "keep=" << keep;
   }
 }
 
 TEST(ReportCliTest, CorruptionSuiteIsDetectedOrProvablyHarmless) {
   const std::string dir = temp_dir("tbp_report_faults");
-  const std::string path = write_perf(dir + "/perf.json", 2.0, 5e6, 1.0);
+  const std::string path = write_perf(dir + "/perf.json", 2.0);
   const Result<std::string> pristine = io::read_file_limited(path);
   ASSERT_TRUE(pristine.ok());
-  const std::string donor_text = obs::json_serialize_pretty(obs::seal_json(
-                                     obs::kBenchPerfSchema,
-                                     perf_body(9.0, 1e6, 4.0))) +
-                                 "\n";
-  const std::string canonical_body =
-      obs::json_serialize(perf_body(2.0, 5e6, 1.0));
+  const std::string donor_text =
+      obs::json_serialize_pretty(
+          obs::seal_json(obs::kBenchPerfSchema, perf_body(9.0))) +
+      "\n";
+  const std::string canonical_body = obs::json_serialize(perf_body(2.0));
 
   const std::string victim = dir + "/victim.json";
   for (const harness::Corruption& corruption :
        harness::corruption_suite(*pristine, donor_text)) {
     ASSERT_TRUE(io::write_file_atomic(victim, corruption.payload).ok());
     const int exit_code = run({"show", victim});
-    // Never a crash, never a false "regression": either the seal rejects
-    // the payload (exit 2) or the mutation provably did not change the
-    // canonical body (e.g. a bit flip inside pretty-printing whitespace).
+    // Never a crash, never altered content shown as valid: either the seal
+    // rejects the payload (exit 2) or the mutation provably did not change
+    // the canonical body (e.g. a bit flip inside pretty-printing whitespace).
     if (exit_code == kExitOk) {
       const Result<obs::JsonValue> body =
           obs::load_sealed_file(victim, obs::kBenchPerfSchema);

@@ -158,9 +158,8 @@ void check_determinism(const std::string& path, const LexedFile& lexed,
 ///    `.set("key", <args>)`, a wall-clock getter inside the args — a
 ///    member call named exactly `seconds`, or any call whose name ends in
 ///    `_seconds` — requires the key to also end in `_seconds`.  That suffix
-///    is exactly what `tbp-report compare` classifies as a wall-clock
-///    reporting field, so timing can never flow into a field the manifests
-///    promise to keep byte-identical.
+///    marks a wall-clock reporting field, which no manifest carries, so
+///    timing can never flow into a field the manifests keep byte-identical.
 void check_prof_quarantine(const std::string& path, const LexedFile& lexed,
                            const LintConfig& config,
                            std::vector<Diagnostic>* out) {

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <string_view>
 #include <utility>
 
-#include "harness/cli.hpp"
 #include "harness/table.hpp"
 #include "obs/report.hpp"
 #include "prof/sidecar.hpp"
@@ -28,8 +24,8 @@ struct LoadedDoc {
   JsonValue body;
 };
 
-/// Reads a sealed document of either known schema; the schema member
-/// dispatches, the CRC seal validates.
+/// Reads a sealed document of one of the four known schemas; the schema
+/// member dispatches, the CRC seal validates.
 [[nodiscard]] Result<LoadedDoc> load_document(const std::string& path) {
   Result<std::string> text = io::read_file_limited(std::filesystem::path(path));
   if (!text.ok()) return text.status();
@@ -49,12 +45,9 @@ struct LoadedDoc {
   return LoadedDoc{tag, *std::move(body)};
 }
 
-[[nodiscard]] double num(const JsonValue* v) {
-  return v == nullptr ? 0.0 : v->as_double();
-}
-
 [[nodiscard]] double num_member(const JsonValue& object, std::string_view key) {
-  return num(object.find(key));
+  const JsonValue* v = object.find(key);
+  return v == nullptr ? 0.0 : v->as_double();
 }
 
 void print_config(const JsonValue& body, std::FILE* out) {
@@ -183,8 +176,8 @@ void print_workloads(const JsonValue& body, std::FILE* out) {
 void print_bench_perf(const JsonValue& body, std::FILE* out) {
   std::string line =
       body.find("bench") != nullptr ? body.find("bench")->as_string() : "?";
-  // The parallelism the wall times were measured under; the micros carry
-  // no --jobs, and older documents neither field.
+  // The parallelism the wall times were measured under; older documents
+  // carry neither field.
   for (const std::string_view key : {"jobs", "nproc"}) {
     const JsonValue* value = body.find(key);
     if (value == nullptr || !value->is_number()) continue;
@@ -199,13 +192,9 @@ void print_bench_perf(const JsonValue& body, std::FILE* out) {
   harness::TablePrinter table(
       {"entry", "wall s", "Mcycles/s", "L1 hit%", "cached"});
   for (const auto& [name, entry] : entries->members()) {
-    // Figure benches report per-entry wall_seconds; the google-benchmark
-    // micros report per-iteration time instead.
-    const JsonValue* wall = entry.find("wall_seconds");
-    if (wall == nullptr) wall = entry.find("iteration_seconds");
     table.add_row({
         name,
-        harness::fmt(num(wall), 3),
+        harness::fmt(num_member(entry, "wall_seconds"), 3),
         harness::fmt(num_member(entry, "sim_cycles_per_second") / 1e6, 2),
         harness::fmt(num_member(entry, "l1_hit_rate") * 100.0, 1),
         entry.find("from_cache") != nullptr &&
@@ -259,75 +248,6 @@ void print_service_stats(const JsonValue& body, std::FILE* out) {
   print_spans(body, out);
 }
 
-// ---------------------------------------------------------------------------
-// compare
-
-enum class Direction : std::uint8_t {
-  kLowerBetter,    ///< wall/seconds-style costs
-  kHigherBetter,   ///< throughput, hit rates
-  kLowerAbsBetter, ///< signed error percentages
-  kInfo,           ///< everything else: reported, never gated
-};
-
-[[nodiscard]] bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
-[[nodiscard]] Direction classify(std::string_view path) {
-  if (ends_with(path, "seconds")) return Direction::kLowerBetter;
-  if (ends_with(path, "per_second")) return Direction::kHigherBetter;
-  if (ends_with(path, "hit_rate")) return Direction::kHigherBetter;
-  if (ends_with(path, "error_pct") || ends_with(path, "_pct") ||
-      ends_with(path, "err_ppb")) {
-    return Direction::kLowerAbsBetter;
-  }
-  return Direction::kInfo;
-}
-
-/// Flattens every numeric leaf into "a.b[2].c" → value.
-void flatten(const JsonValue& value, const std::string& prefix,
-             std::map<std::string, double>& out) {
-  if (value.is_number()) {
-    out.emplace(prefix, value.as_double());
-  } else if (value.is_object()) {
-    for (const auto& [key, member] : value.members()) {
-      flatten(member, prefix.empty() ? key : prefix + "." + key, out);
-    }
-  } else if (value.is_array()) {
-    std::size_t i = 0;
-    for (const JsonValue& item : value.items()) {
-      flatten(item, prefix + "[" + std::to_string(i) + "]", out);
-      ++i;
-    }
-  }
-}
-
-/// Signed regression in percent (positive = worse), or 0 for info fields.
-/// Near-zero baselines gate on a floor denominator instead of exploding.
-[[nodiscard]] double regression_pct(Direction direction, double old_value,
-                                    double new_value) {
-  constexpr double kFloor = 1e-9;
-  switch (direction) {
-    case Direction::kLowerBetter: {
-      const double denom = std::max(std::abs(old_value), kFloor);
-      return (new_value - old_value) / denom * 100.0;
-    }
-    case Direction::kHigherBetter: {
-      const double denom = std::max(std::abs(old_value), kFloor);
-      return (old_value - new_value) / denom * 100.0;
-    }
-    case Direction::kLowerAbsBetter: {
-      // Error percentages hover near zero; a 0.01-point absolute floor keeps
-      // noise around an exact baseline from reading as an infinite regress.
-      const double denom = std::max(std::abs(old_value), 0.01);
-      return (std::abs(new_value) - std::abs(old_value)) / denom * 100.0;
-    }
-    case Direction::kInfo: return 0.0;
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 int cmd_show(const std::string& path, std::FILE* out) {
@@ -361,143 +281,12 @@ int cmd_show(const std::string& path, std::FILE* out) {
   return kExitOk;
 }
 
-int cmd_prof(const std::string& path, std::FILE* out) {
-  Result<LoadedDoc> doc = load_document(path);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "tbp-report: %s\n", doc.status().to_string().c_str());
-    return kExitUnreadable;
-  }
-  if (doc->schema != prof::kProfSchema) {
-    std::fprintf(stderr,
-                 "tbp-report: %s: expected a %s sidecar, got %s "
-                 "(use `tbp-report show` for other documents)\n",
-                 path.c_str(), std::string(prof::kProfSchema).c_str(),
-                 doc->schema.c_str());
-    return kExitUnreadable;
-  }
-  std::fprintf(out, "%s (%s)\n", path.c_str(), doc->schema.c_str());
-  print_spans(doc->body, out);
-  return kExitOk;
-}
-
-int cmd_compare(const std::string& old_path, const std::string& new_path,
-                const CompareOptions& options, std::FILE* out) {
-  Result<LoadedDoc> old_doc = load_document(old_path);
-  if (!old_doc.ok()) {
-    std::fprintf(stderr, "tbp-report: %s\n",
-                 old_doc.status().to_string().c_str());
-    return kExitUnreadable;
-  }
-  Result<LoadedDoc> new_doc = load_document(new_path);
-  if (!new_doc.ok()) {
-    std::fprintf(stderr, "tbp-report: %s\n",
-                 new_doc.status().to_string().c_str());
-    return kExitUnreadable;
-  }
-  if (old_doc->schema != new_doc->schema) {
-    std::fprintf(stderr, "tbp-report: schema mismatch: %s vs %s\n",
-                 old_doc->schema.c_str(), new_doc->schema.c_str());
-    return kExitUnreadable;
-  }
-
-  std::map<std::string, double> old_fields;
-  std::map<std::string, double> new_fields;
-  flatten(old_doc->body, "", old_fields);
-  flatten(new_doc->body, "", new_fields);
-
-  std::size_t gated = 0;
-  std::size_t only_one_side = 0;
-  std::vector<std::string> regressions;
-  for (const auto& [path, old_value] : old_fields) {
-    const auto it = new_fields.find(path);
-    if (it == new_fields.end()) {
-      ++only_one_side;
-      continue;
-    }
-    const Direction direction = classify(path);
-    if (direction == Direction::kInfo) continue;
-    ++gated;
-    const double regress = regression_pct(direction, old_value, it->second);
-    if (regress > options.max_regress_pct) {
-      char line[256];
-      std::snprintf(line, sizeof(line), "%s: %.6g -> %.6g (%+.1f%%)",
-                    path.c_str(), old_value, it->second, regress);
-      regressions.push_back(line);
-    }
-  }
-  for (const auto& [path, value] : new_fields) {
-    (void)value;
-    if (old_fields.find(path) == old_fields.end()) ++only_one_side;
-  }
-
-  std::fprintf(out,
-               "compared %zu gated field(s) (max regress %.1f%%); "
-               "%zu field(s) present on one side only\n",
-               gated, options.max_regress_pct, only_one_side);
-  if (regressions.empty()) {
-    std::fputs("no regressions\n", out);
-    return kExitOk;
-  }
-  std::fprintf(out, "%zu regression(s):\n", regressions.size());
-  for (const std::string& line : regressions) {
-    std::fprintf(out, "  %s\n", line.c_str());
-  }
-  return kExitRegressed;
-}
-
 int run_report(const std::vector<std::string>& args, std::FILE* out) {
-  static constexpr const char* kUsage =
-      "usage: tbp-report show <file.json>\n"
-      "       tbp-report prof <prof.json>\n"
-      "       tbp-report compare <old.json> <new.json> [--max-regress <pct>]\n";
-  if (args.empty()) {
-    std::fputs(kUsage, stderr);
+  if (args.size() != 2 || args[0] != "show") {
+    std::fputs("usage: tbp-report show <file.json>\n", stderr);
     return kExitUnreadable;
   }
-  const std::string& command = args[0];
-  if (command == "show") {
-    if (args.size() != 2) {
-      std::fputs(kUsage, stderr);
-      return kExitUnreadable;
-    }
-    return cmd_show(args[1], out);
-  }
-  if (command == "prof") {
-    if (args.size() != 2) {
-      std::fputs(kUsage, stderr);
-      return kExitUnreadable;
-    }
-    return cmd_prof(args[1], out);
-  }
-  if (command == "compare") {
-    CompareOptions options;
-    std::vector<std::string> positional;
-    for (std::size_t i = 1; i < args.size(); ++i) {
-      if (args[i] == "--max-regress") {
-        if (i + 1 >= args.size()) {
-          std::fputs("tbp-report: --max-regress needs a value\n", stderr);
-          return kExitUnreadable;
-        }
-        const Result<double> pct = harness::parse_double(args[++i]);
-        if (!pct.has_value() || !std::isfinite(*pct) || *pct < 0.0) {
-          std::fprintf(stderr, "tbp-report: invalid value for --max-regress: %s\n",
-                       pct.has_value() ? "must be a finite number >= 0"
-                                       : pct.status().message().c_str());
-          return kExitUnreadable;
-        }
-        options.max_regress_pct = *pct;
-      } else {
-        positional.push_back(args[i]);
-      }
-    }
-    if (positional.size() != 2) {
-      std::fputs(kUsage, stderr);
-      return kExitUnreadable;
-    }
-    return cmd_compare(positional[0], positional[1], options, out);
-  }
-  std::fputs(kUsage, stderr);
-  return kExitUnreadable;
+  return cmd_show(args[1], out);
 }
 
 }  // namespace tbp::report
