@@ -36,21 +36,24 @@ void BM_CacheAccessMissAndFill(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccessMissAndFill);
 
+// One random load every `range(0)` cycles: 4 leaves the channels lightly
+// loaded, at 1 requests queue behind busy banks.
 void BM_DramRandomTraffic(benchmark::State& state) {
   const sim::GpuConfig config = sim::fermi_config();
   sim::DramSystem dram(config);
   stats::Rng rng(7);
   std::vector<sim::DramReply> replies;
+  const auto interval = static_cast<std::uint64_t>(state.range(0));
   std::uint64_t cycle = 0;
   for (auto _ : state) {
-    if (cycle % 4 == 0) dram.push(rng.below(1u << 20), false, cycle);
+    if (cycle % interval == 0) dram.push(rng.below(1u << 20), false, cycle);
     replies.clear();
     dram.tick(cycle, replies);
     benchmark::DoNotOptimize(replies.size());
     ++cycle;
   }
 }
-BENCHMARK(BM_DramRandomTraffic);
+BENCHMARK(BM_DramRandomTraffic)->Arg(4)->Arg(1);
 
 trace::SyntheticLaunch make_micro_launch(std::uint32_t n_blocks, bool memory_bound) {
   trace::BlockBehavior behavior;

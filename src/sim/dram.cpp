@@ -1,37 +1,31 @@
 #include "sim/dram.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace tbp::sim {
 
 DramChannel::DramChannel(const GpuConfig& config)
     : timing_(config.dram),
-      n_channels_(config.n_channels),
-      lines_per_page_(config.lines_per_dram_page()),
+      page_lines_(std::uint64_t{config.n_channels} * config.lines_per_dram_page()),
+      row_lines_(page_lines_ * config.banks_per_channel),
       banks_(config.banks_per_channel) {}
 
-std::uint32_t DramChannel::bank_of(std::uint64_t line) const noexcept {
-  return static_cast<std::uint32_t>((line / n_channels_ / lines_per_page_) %
-                                    banks_.size());
-}
-
-std::uint64_t DramChannel::row_of(std::uint64_t line) const noexcept {
-  return line / n_channels_ / lines_per_page_ / banks_.size();
-}
-
 void DramChannel::push(const DramRequest& request) {
-  banks_[bank_of(request.line)].queue.push_back(request);
+  Bank& bank = banks_[bank_of(request.line)];
+  bank.queue.push_back(request);
   ++queued_;
+  if (bank.queue.size() == 1) {
+    next_eligible_ = std::min(next_eligible_, eligible_at(bank));
+  }
 }
 
 void DramChannel::tick(std::uint64_t cycle, std::vector<DramReply>& replies) {
   // Deliver completed loads.
-  while (!pending_.empty() && pending_.top().ready <= cycle) {
-    replies.push_back(pending_.top());
-    pending_.pop();
+  while (!pending_.empty() && pending_.front().ready <= cycle) {
+    replies.push_back(pending_.front());
+    pending_.pop_front();
   }
-  if (queued_ == 0) return;
+  if (cycle < next_eligible_) return;
 
   // FR-FCFS: among idle banks, the oldest row hit within each bank's scan
   // window wins; otherwise the oldest head-of-queue request.
@@ -39,9 +33,16 @@ void DramChannel::tick(std::uint64_t cycle, std::vector<DramReply>& replies) {
   std::size_t chosen_pos = 0;
   bool chosen_is_hit = false;
   std::uint64_t chosen_arrival = ~std::uint64_t{0};
+  std::uint64_t next = ~std::uint64_t{0};
   for (Bank& bank : banks_) {
-    if (bank.queue.empty() || bank.busy_until > cycle) continue;
-    if (bank.queue.front().arrival > cycle) continue;  // arrival-ordered
+    if (bank.queue.empty()) continue;
+    const std::uint64_t at = eligible_at(bank);
+    if (at > cycle) {
+      next = std::min(next, at);
+      continue;
+    }
+    // Of two eligible banks, one is left eligible for the next cycle.
+    if (chosen_bank != nullptr) next = cycle + 1;
 
     // This bank's candidate: its oldest row hit within the scan window, or
     // its head-of-queue request if no hit is in sight.
@@ -70,6 +71,7 @@ void DramChannel::tick(std::uint64_t cycle, std::vector<DramReply>& replies) {
       chosen_arrival = cand_arrival;
     }
   }
+  next_eligible_ = next;
   if (chosen_bank == nullptr) return;
 
   const DramRequest req = chosen_bank->queue[chosen_pos];
@@ -86,6 +88,9 @@ void DramChannel::tick(std::uint64_t cycle, std::vector<DramReply>& replies) {
   chosen_bank->busy_until = done;
   chosen_bank->open_row = row_of(req.line);
   chosen_bank->row_valid = true;
+  if (!chosen_bank->queue.empty()) {
+    next_eligible_ = std::min(next, eligible_at(*chosen_bank));
+  }
 
   ++stats_.scheduling_decisions;
   if (queue_depth_hist_ != nullptr) queue_depth_hist_->record(queued_ + 1);
@@ -98,7 +103,7 @@ void DramChannel::tick(std::uint64_t cycle, std::vector<DramReply>& replies) {
     ++stats_.stores;
   } else {
     ++stats_.loads;
-    pending_.push(DramReply{.line = req.line, .ready = done});
+    pending_.push_back(DramReply{.line = req.line, .ready = done});
   }
 }
 

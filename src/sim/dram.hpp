@@ -12,9 +12,9 @@
 // Markov model is built around.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -78,22 +78,28 @@ class DramChannel {
     std::uint64_t busy_until = 0;
   };
 
-  [[nodiscard]] std::uint32_t bank_of(std::uint64_t line) const noexcept;
-  [[nodiscard]] std::uint64_t row_of(std::uint64_t line) const noexcept;
+  [[nodiscard]] std::uint32_t bank_of(std::uint64_t line) const noexcept {
+    return static_cast<std::uint32_t>(line / page_lines_ % banks_.size());
+  }
+  [[nodiscard]] std::uint64_t row_of(std::uint64_t line) const noexcept {
+    return line / row_lines_;
+  }
+  /// The first cycle at which a non-empty `bank` can start its head.
+  [[nodiscard]] static std::uint64_t eligible_at(const Bank& bank) noexcept {
+    return std::max(bank.busy_until, bank.queue.front().arrival);
+  }
 
   DramTiming timing_;  ///< a copy: callers may pass a temporary config
-  std::uint32_t n_channels_;
-  std::uint32_t lines_per_page_;
+  std::uint64_t page_lines_;  ///< n_channels * lines per page: one bank step
+  std::uint64_t row_lines_;   ///< page_lines_ * banks: one row step
   std::vector<Bank> banks_;
   std::uint64_t queued_ = 0;  ///< total requests across bank queues
   std::uint64_t bus_free_at_ = 0;
-  // Min-heap of in-flight loads ordered by completion time.
-  struct Later {
-    bool operator()(const DramReply& a, const DramReply& b) const noexcept {
-      return a.ready > b.ready;
-    }
-  };
-  std::priority_queue<DramReply, std::vector<DramReply>, Later> pending_;
+  /// No bank with queued work can start before this cycle, so `tick` scans
+  /// the banks only from then on (DESIGN.md "DRAM scheduling").
+  std::uint64_t next_eligible_ = ~std::uint64_t{0};
+  /// In-flight loads in completion order: the data bus serializes them.
+  std::deque<DramReply> pending_;
   DramStats stats_;
   obs::Histogram* queue_depth_hist_ = nullptr;
 };

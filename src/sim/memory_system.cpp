@@ -83,11 +83,10 @@ void MemorySystem::process_l2(std::uint64_t cycle) {
     }
 
     if (l2_.access(req.line)) {
-      l1_fills_.push(TimedFill{
+      l1_fills_.push_back(TimedFill{
           .ready = cycle + config_.lat.l2_hit + config_.lat.interconnect,
           .line = req.line,
           .sm_id = req.sm_id,
-          .seq = fill_seq_++,
       });
       continue;
     }
@@ -114,11 +113,10 @@ void MemorySystem::process_dram_replies(std::uint64_t cycle) {
     const std::vector<std::uint32_t>* waiters = l2_mshr_.find(reply.line);
     assert(waiters != nullptr);
     for (std::uint32_t sm_id : *waiters) {
-      l1_fills_.push(TimedFill{
+      l1_fills_.push_back(TimedFill{
           .ready = cycle + config_.lat.l2_hit + config_.lat.interconnect,
           .line = reply.line,
           .sm_id = sm_id,
-          .seq = fill_seq_++,
       });
     }
     l2_mshr_.erase(reply.line);
@@ -141,9 +139,9 @@ void MemorySystem::apply_fill(SmPort& port, std::uint32_t sm_id,
 
 void MemorySystem::deliver_l1_fills(std::uint64_t cycle,
                                     std::vector<MemCompletion>& completions) {
-  while (!l1_fills_.empty() && l1_fills_.top().ready <= cycle) {
-    const TimedFill fill = l1_fills_.top();
-    l1_fills_.pop();
+  while (!l1_fills_.empty() && l1_fills_.front().ready <= cycle) {
+    const TimedFill fill = l1_fills_.front();
+    l1_fills_.pop_front();
     apply_fill(ports_[fill.sm_id], fill.sm_id, fill.line, completions);
   }
 }

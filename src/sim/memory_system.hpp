@@ -12,13 +12,12 @@
 //
 // Everything one SM touches on its own — L1, L1 MSHRs, the overflow retry
 // queue, hit-after-wait wakeups — lives in a per-SM port; the L2 input
-// queue, L2, L2 MSHRs, DRAM and the fill heap are shared.
+// queue, L2, L2 MSHRs, DRAM and the L1 fill queue are shared.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -93,13 +92,12 @@ class MemorySystem {
     std::uint64_t ready = 0;
     WarpToken token = 0;
   };
-  /// One fill scheduled for delivery into an SM's L1.  Ordered by (ready,
-  /// seq): seq is the FIFO tie-break that keeps delivery deterministic.
+  /// One fill scheduled for delivery into an SM's L1.  Every fill is stamped
+  /// `cycle + l2_hit + interconnect`, so `l1_fills_` is in `ready` order.
   struct TimedFill {
     std::uint64_t ready = 0;
     std::uint64_t line = 0;
     std::uint32_t sm_id = 0;
-    std::uint64_t seq = 0;
   };
 
   /// Everything one SM touches on its own: its L1, its MSHRs, its overflow
@@ -133,12 +131,6 @@ class MemorySystem {
     std::uint64_t mshr_stalls = 0;
   };
 
-  struct LaterFill {
-    bool operator()(const TimedFill& a, const TimedFill& b) const noexcept {
-      return a.ready != b.ready ? a.ready > b.ready : a.seq > b.seq;
-    }
-  };
-
   void emit_request(std::uint64_t line, std::uint32_t sm_id, bool is_store,
                     std::uint64_t cycle);
   void process_l2(std::uint64_t cycle);
@@ -163,9 +155,8 @@ class MemorySystem {
   std::deque<TimedRequest> l2_queue_;  ///< arrival-ordered (uniform latency)
   LineTable<std::uint32_t> l2_mshr_;   ///< waiting SM ids; may exceed l2_mshrs
 
-  std::priority_queue<TimedFill, std::vector<TimedFill>, LaterFill> l1_fills_;
+  std::deque<TimedFill> l1_fills_;
   std::vector<DramReply> dram_replies_scratch_;
-  std::uint64_t fill_seq_ = 0;
   std::uint64_t l2_mshr_merges_ = 0;
   std::uint64_t l2_mshr_overflows_ = 0;
 };

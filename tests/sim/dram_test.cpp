@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -104,6 +105,51 @@ TEST(DramTest, BusSerializesBankParallelism) {
   for (std::size_t i = 1; i < ready.size(); ++i) {
     EXPECT_GE(ready[i] - ready[i - 1], cfg.dram.burst_cycles);
   }
+}
+
+TEST(DramTest, PushOntoIdleBankStartsWhileOtherBanksAreBusy) {
+  const GpuConfig cfg = config();
+  DramChannel channel(cfg);
+  const std::uint64_t bank_stride = cfg.lines_per_dram_page() * cfg.n_channels;
+  std::vector<DramReply> replies;
+  // Bank 0 starts one load and keeps a second queued behind it, so the
+  // channel has work but no bank that can start until bank 0 is free.
+  channel.push({.line = 0, .is_store = false, .arrival = 0});
+  channel.push({.line = 0, .is_store = false, .arrival = 0});
+  for (std::uint64_t c = 0; c < 5; ++c) channel.tick(c, replies);
+  ASSERT_EQ(channel.stats().scheduling_decisions, 1u);
+  const std::uint64_t bank0_free =
+      cfg.dram.row_miss_cycles + cfg.dram.burst_cycles;
+  ASSERT_GT(bank0_free, 5u);
+
+  // A load onto idle bank 1 starts on the very tick it is pushed for.
+  channel.push({.line = bank_stride, .is_store = false, .arrival = 5});
+  channel.tick(5, replies);
+  EXPECT_EQ(channel.stats().scheduling_decisions, 2u);
+  // Started at cycle 5, its burst follows bank 0's first on the data bus.
+  const std::uint64_t expected =
+      std::max<std::uint64_t>(5 + cfg.dram.row_miss_cycles, bank0_free) +
+      cfg.dram.burst_cycles;
+  const auto all = drain(channel, 3, 6);
+  const auto it = std::find_if(all.begin(), all.end(), [&](const DramReply& r) {
+    return r.line == bank_stride;
+  });
+  ASSERT_NE(it, all.end());
+  EXPECT_EQ(it->ready, expected);
+}
+
+TEST(DramTest, FutureArrivalWaitsEvenOnAnIdleChannel) {
+  const GpuConfig cfg = config();
+  DramChannel channel(cfg);
+  channel.push({.line = 0, .is_store = false, .arrival = 10});
+  std::vector<DramReply> replies;
+  for (std::uint64_t c = 0; c < 10; ++c) channel.tick(c, replies);
+  EXPECT_EQ(channel.stats().scheduling_decisions, 0u);
+  channel.tick(10, replies);
+  EXPECT_EQ(channel.stats().scheduling_decisions, 1u);
+  const auto all = drain(channel, 1, 11);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].ready, 10 + cfg.dram.row_miss_cycles + cfg.dram.burst_cycles);
 }
 
 TEST(DramTest, SystemRoutesByChannel) {
