@@ -8,10 +8,10 @@
 // Rows run in parallel under --jobs (and the launch simulations inside a
 // row share the same budget through ComparisonOptions::jobs).  Output is
 // bit-identical for every jobs value: rows land in slots indexed by their
-// position in the benchmark list, never by completion order, and
-// cached_comparison's once-per-key guard keeps concurrent requests for one
-// key down to one computation.  Only the stderr progress interleaving and
-// the wall-clock timing fields depend on jobs.
+// position in the benchmark list, never by completion order, and the list
+// names each workload once (harness::read_benchmarks rejects a repeat), so
+// no two concurrent rows compute or store one key.  Only the stderr
+// progress interleaving and the wall-clock timing fields depend on jobs.
 #pragma once
 
 #include <cstdio>

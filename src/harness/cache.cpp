@@ -1,16 +1,14 @@
 #include "harness/cache.hpp"
 
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <utility>
 
 #include "store/store.hpp"
 #include "support/artifact.hpp"
+#include "support/synchronized.hpp"
 
 namespace tbp::harness {
 namespace {
@@ -86,13 +84,11 @@ constexpr io::ArtifactFormat kRowFormat{
 /// Per-directory store registry.  One ContentStore per cache directory per
 /// process: the store's own mutex serializes row I/O, and opening (index
 /// load) happens once.
-struct StoreRegistry {
-  std::mutex mutex;
-  std::map<std::string, std::unique_ptr<store::ContentStore>> stores;
-};
+using StoreRegistry =
+    std::map<std::string, std::unique_ptr<store::ContentStore>>;
 
-[[nodiscard]] StoreRegistry& registry() {
-  static StoreRegistry instance;
+[[nodiscard]] par::Synchronized<StoreRegistry>& registry() {
+  static par::Synchronized<StoreRegistry> instance;
   return instance;
 }
 
@@ -108,10 +104,9 @@ struct StoreRegistry {
 /// read-only path so lookups never materialize empty cache trees.
 [[nodiscard]] Result<store::ContentStore*> store_for(
     const std::string& cache_dir, bool create) {
-  StoreRegistry& reg = registry();
-  std::scoped_lock lock(reg.mutex);
+  auto stores = registry().lock();
   const std::string dir_key = normalize_dir(cache_dir);
-  if (const auto it = reg.stores.find(dir_key); it != reg.stores.end()) {
+  if (const auto it = stores->find(dir_key); it != stores->end()) {
     return it->second.get();
   }
   store::StoreOptions options;
@@ -120,8 +115,7 @@ struct StoreRegistry {
       std::filesystem::path(cache_dir), options);
   Status opened = candidate->open();
   if (!opened.ok()) return opened;  // not cached: a later create may succeed
-  const auto [it, inserted] =
-      reg.stores.emplace(dir_key, std::move(candidate));
+  const auto [it, inserted] = stores->emplace(dir_key, std::move(candidate));
   return it->second.get();
 }
 
@@ -203,60 +197,10 @@ Status save_cached_row(const std::string& cache_dir, const std::string& key,
   return (*cache)->put(experiment_store_key(key), serialize_row(row));
 }
 
-namespace {
-
-// In-process once-per-key guard: when parallel bench rows (or parallel
-// bench binaries sharing one process) request the same experiment key
-// concurrently, exactly one thread computes it and the rest wait for and
-// share its row.  The on-disk cache alone cannot provide this — both
-// threads would miss, both would simulate, and one write would win — the
-// atomic-rename discipline only keeps the racing *files* untorn.
-//
-// The guard map must never accumulate completed keys (a sweep would pin
-// every row in memory for the process lifetime), so the owner erases its
-// key under the lock on every exit path — including when the computation
-// throws — via RAII.  Waiters hold their own shared_ptr to the slot, so
-// erasing the map entry never invalidates a waiter.
-struct InFlightRow {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-  ExperimentRow row;
-  std::exception_ptr error;
-};
-
-std::mutex g_in_flight_mutex;
-std::map<std::string, std::shared_ptr<InFlightRow>> g_in_flight;
-
-/// Erases the owner's guard slot on destruction (normal return or unwind).
-class InFlightEraser {
- public:
-  explicit InFlightEraser(std::string key) : key_(std::move(key)) {}
-  InFlightEraser(const InFlightEraser&) = delete;
-  InFlightEraser& operator=(const InFlightEraser&) = delete;
-  ~InFlightEraser() {
-    std::lock_guard<std::mutex> lock(g_in_flight_mutex);
-    g_in_flight.erase(key_);
-  }
-
- private:
-  std::string key_;
-};
-
-}  // namespace
-
-std::size_t cache_in_flight_for_test() {
-  std::lock_guard<std::mutex> lock(g_in_flight_mutex);
-  return g_in_flight.size();
-}
-
 void flush_cache_metrics(obs::MetricsShard* shard) {
   if (shard == nullptr) return;
-  StoreRegistry& reg = registry();
-  std::scoped_lock lock(reg.mutex);
-  for (const auto& [dir, cache] : reg.stores) {
-    cache->flush_metrics(shard);
-  }
+  const auto stores = registry().lock();
+  for (const auto& [dir, cache] : *stores) cache->flush_metrics(shard);
 }
 
 ExperimentRow cached_comparison(const std::string& workload_name,
@@ -265,62 +209,19 @@ ExperimentRow cached_comparison(const std::string& workload_name,
                                 const ComparisonOptions& options,
                                 const std::string& cache_dir) {
   const std::string key = experiment_key(workload_name, scale, config, options);
-
-  std::shared_ptr<InFlightRow> entry;
-  bool owner = false;
-  {
-    std::lock_guard<std::mutex> lock(g_in_flight_mutex);
-    auto [it, inserted] =
-        g_in_flight.try_emplace(key, std::make_shared<InFlightRow>());
-    entry = it->second;
-    owner = inserted;
+  if (!cache_dir.empty()) {
+    Result<ExperimentRow> row = load_cached_row(cache_dir, key);
+    if (row.has_value()) return *std::move(row);
+    // kNotFound is the ordinary miss; anything else means the entry was
+    // quarantined by load_cached_row and we recompute (graceful
+    // degradation).
   }
-  if (!owner) {
-    // Another thread is computing (or loading) this key right now; wait
-    // for its result instead of simulating the same experiment twice.
-    std::unique_lock<std::mutex> lock(entry->mutex);
-    entry->cv.wait(lock, [&] { return entry->done; });
-    if (entry->error != nullptr) std::rethrow_exception(entry->error);
-    return entry->row;
+  const workloads::Workload workload =
+      workloads::make_workload(workload_name, scale);
+  ExperimentRow row = run_comparison(workload, config, options);
+  if (!cache_dir.empty()) {
+    (void)save_cached_row(cache_dir, key, row);  // caching is best-effort
   }
-
-  // Retire the guard on every exit path so a later request re-reads the
-  // (now warm) disk cache instead of holding rows in memory; destructor
-  // order publishes the result (below) before the slot disappears.
-  const InFlightEraser eraser(key);
-
-  const auto compute = [&]() -> ExperimentRow {
-    if (!cache_dir.empty()) {
-      Result<ExperimentRow> row = load_cached_row(cache_dir, key);
-      if (row.has_value()) return *std::move(row);
-      // kNotFound is the ordinary miss; anything else means the entry was
-      // quarantined by load_cached_row and we recompute (graceful
-      // degradation).
-    }
-    const workloads::Workload workload =
-        workloads::make_workload(workload_name, scale);
-    const ExperimentRow row = run_comparison(workload, config, options);
-    if (!cache_dir.empty()) {
-      (void)save_cached_row(cache_dir, key, row);  // caching is best-effort
-    }
-    return row;
-  };
-
-  ExperimentRow row;
-  std::exception_ptr error;
-  try {
-    row = compute();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  {
-    std::lock_guard<std::mutex> lock(entry->mutex);
-    entry->row = row;
-    entry->error = error;
-    entry->done = true;
-  }
-  entry->cv.notify_all();
-  if (error != nullptr) std::rethrow_exception(error);
   return row;
 }
 

@@ -66,20 +66,14 @@ namespace tbp::harness {
 
 /// Cached wrapper around run_comparison: builds the workload and runs the
 /// comparison only on a cache miss.  `cache_dir` empty disables caching.
-/// Thread-safe with an in-process once-per-key guard: concurrent calls for
-/// the same key cost one computation, with the waiters sharing the owner's
-/// row (see the parallel bench harness).  Rows loaded from disk come back
-/// with `from_cache` set.
+/// Thread-safe: concurrent calls for one key may each compute the row, and
+/// each store put is atomic, so every caller gets the same row.  Rows
+/// loaded from disk come back with `from_cache` set.
 [[nodiscard]] ExperimentRow cached_comparison(const std::string& workload_name,
                                               const workloads::WorkloadScale& scale,
                                               const sim::GpuConfig& config,
                                               const ComparisonOptions& options,
                                               const std::string& cache_dir);
-
-/// Number of keys currently held by the once-per-key guard.  The guard
-/// must not retain completed keys (they would pin every row of a sweep in
-/// memory for the process lifetime); tests assert it drains to zero.
-[[nodiscard]] std::size_t cache_in_flight_for_test();
 
 /// Folds the `store.*` counters of every cache store opened by this
 /// process into `shard`, in sorted cache-directory order.

@@ -121,8 +121,8 @@ inline constexpr std::uint32_t kModelVersion = 0xd1d03f40;
                                            const ComparisonOptions& options = {});
 
 /// Number of run_comparison calls that started in this process.  Test
-/// instrumentation: lets the once-per-key cache guard prove that N
-/// concurrent requests for one key cost one computation.
+/// instrumentation: tells a row computed by cached_comparison or the
+/// service apart from one loaded from the store.
 [[nodiscard]] std::size_t run_comparison_invocations() noexcept;
 
 }  // namespace tbp::harness

@@ -10,24 +10,24 @@ namespace tbp::obs {
 
 MetricsShard* Observation::metrics_shard(const std::string& key) {
   if (!metrics_on_) return nullptr;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = shards_[key];
+  const auto registry = registry_.lock();
+  auto& slot = registry->shards[key];
   if (!slot) slot = std::make_unique<MetricsShard>();
   return slot.get();
 }
 
 TraceBuffer* Observation::trace_buffer(const std::string& key) {
   if (!trace_on_) return nullptr;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = buffers_[key];
+  const auto registry = registry_.lock();
+  auto& slot = registry->buffers[key];
   if (!slot) slot = std::make_unique<TraceBuffer>();
   return slot.get();
 }
 
 MetricsSnapshot Observation::merged_metrics(std::string_view key_prefix) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto registry = registry_.lock();
   MetricsSnapshot snapshot;
-  for (const auto& [key, shard] : shards_) {
+  for (const auto& [key, shard] : registry->shards) {
     if (key.compare(0, key_prefix.size(), key_prefix) != 0) continue;
     snapshot.absorb(*shard);
   }
@@ -35,10 +35,10 @@ MetricsSnapshot Observation::merged_metrics(std::string_view key_prefix) const {
 }
 
 std::vector<TraceEvent> Observation::merged_trace() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto registry = registry_.lock();
   std::vector<TraceEvent> events;
   std::uint32_t pid = 0;
-  for (const auto& [key, buffer] : buffers_) {
+  for (const auto& [key, buffer] : registry->buffers) {
     events.push_back(TraceEvent{.name = "process_name",
                                 .cat = "__metadata",
                                 .ph = 'M',

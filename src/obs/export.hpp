@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
 #include "support/status.hpp"
+#include "support/synchronized.hpp"
 
 namespace tbp::obs {
 
@@ -54,11 +54,14 @@ class Observation {
   [[nodiscard]] std::vector<TraceEvent> merged_trace() const;
 
  private:
+  struct Registry {
+    std::map<std::string, std::unique_ptr<MetricsShard>> shards;
+    std::map<std::string, std::unique_ptr<TraceBuffer>> buffers;
+  };
+
   bool metrics_on_;
   bool trace_on_;
-  mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<MetricsShard>> shards_;
-  std::map<std::string, std::unique_ptr<TraceBuffer>> buffers_;
+  mutable par::Synchronized<Registry> registry_;
 };
 
 /// Renders a snapshot as a stable JSON document:

@@ -64,8 +64,8 @@ std::uint64_t percentile_upper_bound(const obs::Histogram& hist,
 void ProfSession::record_span(std::string_view name,
                               double duration_seconds) {
   const double clamped = std::max(0.0, duration_seconds);
-  const std::scoped_lock lock(mutex_);
-  SpanStats& stats = spans_[std::string(name)];
+  const auto spans = spans_.lock();
+  SpanStats& stats = (*spans)[std::string(name)];
   if (stats.latency_us.bounds().empty()) {
     stats.latency_us = obs::Histogram(
         std::vector<std::uint64_t>(kLatencyBounds.begin(), kLatencyBounds.end()));
@@ -77,8 +77,8 @@ void ProfSession::record_span(std::string_view name,
 
 std::map<std::string, ProfSession::SpanStats> ProfSession::span_snapshot()
     const {
-  const std::scoped_lock lock(mutex_);
-  return spans_;
+  const auto spans = spans_.lock();
+  return *spans;
 }
 
 ScopedSpan::ScopedSpan(ProfSession* session, std::string_view name)

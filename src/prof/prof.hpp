@@ -30,12 +30,12 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
 
 #include "obs/metrics.hpp"
+#include "support/synchronized.hpp"
 
 namespace tbp::prof {
 
@@ -68,8 +68,7 @@ class ProfSession {
   [[nodiscard]] std::map<std::string, SpanStats> span_snapshot() const;
 
  private:
-  mutable std::mutex mutex_;
-  std::map<std::string, SpanStats> spans_;  // TBP_GUARDED_BY(mutex_)
+  mutable par::Synchronized<std::map<std::string, SpanStats>> spans_;
 };
 
 /// Wall-clock span bracket over an optional ProfSession: records one span

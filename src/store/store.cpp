@@ -137,8 +137,8 @@ std::filesystem::path ContentStore::entry_path(const StoreKey& key) const {
 }
 
 Status ContentStore::open() {
-  std::scoped_lock lock(mutex_);
-  if (opened_) return Status();
+  auto state = state_.lock();
+  if (state->opened) return Status();
 
   std::error_code ec;
   const bool dir_exists = std::filesystem::is_directory(dir_, ec) && !ec;
@@ -158,41 +158,41 @@ Status ContentStore::open() {
   const std::filesystem::path index_path = dir_ / kIndexFileName;
   auto text = io::read_file_limited(index_path);
   if (text.has_value()) {
-    Status loaded = load_index_locked(*text);
+    Status loaded = load_index(*state, *text);
     if (loaded.ok()) {
-      opened_ = true;
+      state->opened = true;
       return Status();
     }
     // Corrupt or stale index: fall through to a rebuild from the objects.
-    stats_.rebuilds += 1;
+    state->stats.rebuilds += 1;
   } else if (text.status().code() == StatusCode::kNotFound) {
     // First open of this directory.  A fresh (empty) store is not a
     // recovery, so only count a rebuild when object files already exist.
     std::error_code probe;
     if (std::filesystem::is_directory(dir_ / kObjectsDirName, probe) &&
         !std::filesystem::is_empty(dir_ / kObjectsDirName, probe)) {
-      stats_.rebuilds += 1;
+      state->stats.rebuilds += 1;
     }
   } else {
     return text.status();
   }
 
-  Status rebuilt = rebuild_locked();
+  Status rebuilt = rebuild(*state);
   if (!rebuilt.ok()) return rebuilt;
-  Status persisted = write_index_locked();
+  Status persisted = write_index(*state);
   if (!persisted.ok()) return persisted;
-  opened_ = true;
+  state->opened = true;
   return Status();
 }
 
 Result<std::string> ContentStore::get(const StoreKey& key) {
-  std::scoped_lock lock(mutex_);
-  if (!opened_) {
+  auto state = state_.lock();
+  if (!state->opened) {
     return Status(StatusCode::kInvalidArgument, "store not opened");
   }
-  const auto it = index_.find(key.id);
-  if (it == index_.end()) {
-    stats_.misses += 1;
+  const auto it = state->index.find(key.id);
+  if (it == state->index.end()) {
+    state->stats.misses += 1;
     return Status(StatusCode::kNotFound, "store miss for " + key.id);
   }
 
@@ -201,9 +201,9 @@ Result<std::string> ContentStore::get(const StoreKey& key) {
     if (sealed.status().code() == StatusCode::kNotFound) {
       // Index row without a backing file (e.g. a racing external delete):
       // drop the row and report a plain miss.
-      total_bytes_ -= std::min(total_bytes_, it->second.bytes);
-      index_.erase(it);
-      stats_.misses += 1;
+      state->total_bytes -= std::min(state->total_bytes, it->second.bytes);
+      state->index.erase(it);
+      state->stats.misses += 1;
       return Status(StatusCode::kNotFound, "store miss for " + key.id);
     }
     return sealed.status();
@@ -211,14 +211,14 @@ Result<std::string> ContentStore::get(const StoreKey& key) {
 
   auto body = io::unseal_artifact(*sealed, kEntryFormat);
   if (!body.has_value()) {
-    quarantine_locked(key.id);
+    quarantine(*state, key.id);
     return Status(StatusCode::kCorrupt,
                   "store entry " + key.id +
                       " quarantined: " + body.status().message());
   }
   auto decoded = decode_entry_body(*body);
   if (!decoded.has_value()) {
-    quarantine_locked(key.id);
+    quarantine(*state, key.id);
     return Status(StatusCode::kCorrupt,
                   "store entry " + key.id +
                       " quarantined: " + decoded.status().message());
@@ -226,20 +226,20 @@ Result<std::string> ContentStore::get(const StoreKey& key) {
   if (decoded->id != key.id) {
     // The file's self-declared id disagrees with its path: a spliced or
     // misplaced entry.  Never serve it.
-    quarantine_locked(key.id);
+    quarantine(*state, key.id);
     return Status(StatusCode::kCorrupt, "store entry " + key.id +
                                             " quarantined: body claims id " +
                                             decoded->id);
   }
 
-  it->second.last_use = ++tick_;
-  stats_.hits += 1;
+  it->second.last_use = ++state->tick;
+  state->stats.hits += 1;
   return std::move(decoded->payload);
 }
 
 Status ContentStore::put(const StoreKey& key, std::string_view payload) {
-  std::scoped_lock lock(mutex_);
-  if (!opened_) {
+  auto state = state_.lock();
+  if (!state->opened) {
     return Status(StatusCode::kInvalidArgument, "store not opened");
   }
   if (!valid_key_id(key.id)) {
@@ -256,72 +256,74 @@ Status ContentStore::put(const StoreKey& key, std::string_view payload) {
   Status written = io::write_file_atomic(entry_path(key), sealed);
   if (!written.ok()) return written;
 
-  auto [it, inserted] = index_.try_emplace(key.id);
-  if (!inserted) total_bytes_ -= std::min(total_bytes_, it->second.bytes);
+  auto [it, inserted] = state->index.try_emplace(key.id);
+  if (!inserted) {
+    state->total_bytes -= std::min(state->total_bytes, it->second.bytes);
+  }
   it->second.label = key.label;
   it->second.bytes = sealed.size();
-  it->second.last_use = ++tick_;
-  total_bytes_ += sealed.size();
-  stats_.puts += 1;
+  it->second.last_use = ++state->tick;
+  state->total_bytes += sealed.size();
+  state->stats.puts += 1;
 
-  Status evicted = evict_until_within_budget_locked(key.id);
+  Status evicted = evict_until_within_budget(*state, key.id);
   if (!evicted.ok()) return evicted;
-  return write_index_locked();
+  return write_index(*state);
 }
 
 Status ContentStore::remove(const StoreKey& key) {
-  std::scoped_lock lock(mutex_);
-  if (!opened_) {
+  auto state = state_.lock();
+  if (!state->opened) {
     return Status(StatusCode::kInvalidArgument, "store not opened");
   }
-  const auto it = index_.find(key.id);
-  if (it == index_.end()) {
+  const auto it = state->index.find(key.id);
+  if (it == state->index.end()) {
     return Status(StatusCode::kNotFound, "no store entry for " + key.id);
   }
   std::error_code ec;
   std::filesystem::remove(entry_path(key), ec);
-  total_bytes_ -= std::min(total_bytes_, it->second.bytes);
-  index_.erase(it);
-  return write_index_locked();
+  state->total_bytes -= std::min(state->total_bytes, it->second.bytes);
+  state->index.erase(it);
+  return write_index(*state);
 }
 
 Status ContentStore::flush_index() {
-  std::scoped_lock lock(mutex_);
-  if (!opened_) return Status();
-  return write_index_locked();
+  const auto state = state_.lock();
+  if (!state->opened) return Status();
+  return write_index(*state);
 }
 
 Status ContentStore::rebuild_index() {
-  std::scoped_lock lock(mutex_);
-  if (!opened_) {
+  auto state = state_.lock();
+  if (!state->opened) {
     return Status(StatusCode::kInvalidArgument, "store not opened");
   }
-  stats_.rebuilds += 1;
-  Status rebuilt = rebuild_locked();
+  state->stats.rebuilds += 1;
+  Status rebuilt = rebuild(*state);
   if (!rebuilt.ok()) return rebuilt;
-  return write_index_locked();
+  return write_index(*state);
 }
 
 StoreStats ContentStore::stats() const {
-  std::scoped_lock lock(mutex_);
-  return stats_;
+  const auto state = state_.lock();
+  return state->stats;
 }
 
 std::size_t ContentStore::entry_count() const {
-  std::scoped_lock lock(mutex_);
-  return index_.size();
+  const auto state = state_.lock();
+  return state->index.size();
 }
 
 std::uint64_t ContentStore::total_bytes() const {
-  std::scoped_lock lock(mutex_);
-  return total_bytes_;
+  const auto state = state_.lock();
+  return state->total_bytes;
 }
 
 std::vector<StoreEntryInfo> ContentStore::entries() const {
-  std::scoped_lock lock(mutex_);
+  const auto state = state_.lock();
   std::vector<StoreEntryInfo> out;
-  out.reserve(index_.size());
-  for (const auto& [id, entry] : index_) {
+  out.reserve(state->index.size());
+  for (const auto& [id, entry] : state->index) {
     out.push_back(StoreEntryInfo{.id = id,
                                  .label = entry.label,
                                  .bytes = entry.bytes,
@@ -332,21 +334,21 @@ std::vector<StoreEntryInfo> ContentStore::entries() const {
 
 void ContentStore::flush_metrics(obs::MetricsShard* shard) const {
   if (shard == nullptr) return;
-  std::scoped_lock lock(mutex_);
-  shard->add("store.hits", stats_.hits);
-  shard->add("store.misses", stats_.misses);
-  shard->add("store.puts", stats_.puts);
-  shard->add("store.evictions", stats_.evictions);
-  shard->add("store.quarantined", stats_.quarantined);
-  shard->add("store.rebuilds", stats_.rebuilds);
-  shard->add("store.bytes", total_bytes_);
-  shard->add("store.entries", index_.size());
+  const auto state = state_.lock();
+  shard->add("store.hits", state->stats.hits);
+  shard->add("store.misses", state->stats.misses);
+  shard->add("store.puts", state->stats.puts);
+  shard->add("store.evictions", state->stats.evictions);
+  shard->add("store.quarantined", state->stats.quarantined);
+  shard->add("store.rebuilds", state->stats.rebuilds);
+  shard->add("store.bytes", state->total_bytes);
+  shard->add("store.entries", state->index.size());
 }
 
-Status ContentStore::write_index_locked() {
+Status ContentStore::write_index(const State& state) {
   std::ostringstream body;
-  body << "tick " << tick_ << '\n';
-  for (const auto& [id, entry] : index_) {
+  body << "tick " << state.tick << '\n';
+  for (const auto& [id, entry] : state.index) {
     body << "entry " << id << ' ' << entry.bytes << ' ' << entry.last_use
          << ' ' << entry.label << '\n';
   }
@@ -355,7 +357,7 @@ Status ContentStore::write_index_locked() {
       io::seal_artifact(kIndexFormat.magic, body.str()));
 }
 
-Status ContentStore::load_index_locked(const std::string& text) {
+Status ContentStore::load_index(State& state, const std::string& text) {
   auto body = io::unseal_artifact(text, kIndexFormat);
   if (!body.has_value()) return body.status();
 
@@ -400,18 +402,18 @@ Status ContentStore::load_index_locked(const std::string& text) {
   }
   if (!saw_tick) return corrupt("missing tick line");
 
-  index_ = std::move(parsed);
-  tick_ = parsed_tick;
-  total_bytes_ = parsed_bytes;
+  state.index = std::move(parsed);
+  state.tick = parsed_tick;
+  state.total_bytes = parsed_bytes;
   return Status();
 }
 
-Status ContentStore::rebuild_locked() {
+Status ContentStore::rebuild(State& state) {
   // Wall-clock observer only (tbp-prof); never affects rebuild results.
   prof::ScopedSpan span(options_.prof, "store.rebuild");
-  index_.clear();
-  total_bytes_ = 0;
-  tick_ = 0;
+  state.index.clear();
+  state.total_bytes = 0;
+  state.tick = 0;
 
   const std::filesystem::path objects = dir_ / kObjectsDirName;
   std::error_code ec;
@@ -452,7 +454,7 @@ Status ContentStore::rebuild_locked() {
     const auto drop = [&] {
       std::error_code ignore;
       std::filesystem::remove(path, ignore);
-      stats_.quarantined += 1;
+      state.stats.quarantined += 1;
     };
     const std::string suffix(kEntrySuffix);
     if (shard.size() != 2 || name.size() != 30 + suffix.size() ||
@@ -484,57 +486,57 @@ Status ContentStore::rebuild_locked() {
     entry.label = decoded->label;
     entry.bytes = sealed->size();
     entry.last_use = 0;
-    total_bytes_ += entry.bytes;
-    index_.emplace(id, std::move(entry));
+    state.total_bytes += entry.bytes;
+    state.index.emplace(id, std::move(entry));
   }
   return Status();
 }
 
-void ContentStore::quarantine_locked(const std::string& id) {
-  const auto it = index_.find(id);
-  if (it != index_.end()) {
-    total_bytes_ -= std::min(total_bytes_, it->second.bytes);
-    index_.erase(it);
+void ContentStore::quarantine(State& state, const std::string& id) {
+  const auto it = state.index.find(id);
+  if (it != state.index.end()) {
+    state.total_bytes -= std::min(state.total_bytes, it->second.bytes);
+    state.index.erase(it);
   }
   std::error_code ec;
   std::filesystem::remove(
       dir_ / kObjectsDirName / id.substr(0, 2) /
           (id.substr(2) + std::string(kEntrySuffix)),
       ec);
-  stats_.quarantined += 1;
+  state.stats.quarantined += 1;
   // Persist eagerly so a crash right after the quarantine does not leave an
   // index row pointing at the deleted file.  Best-effort: the next open
   // rebuilds if this write fails.
-  (void)write_index_locked();
+  (void)write_index(state);
 }
 
-Status ContentStore::evict_until_within_budget_locked(
-    const std::string& keep_id) {
+Status ContentStore::evict_until_within_budget(State& state,
+                                               const std::string& keep_id) {
   // Span only when there is GC work: a within-budget put should not flood
   // the store.evict histogram with no-op calls.
   prof::ScopedSpan span(
-      total_bytes_ > options_.max_bytes ? options_.prof : nullptr,
+      state.total_bytes > options_.max_bytes ? options_.prof : nullptr,
       "store.evict");
-  while (total_bytes_ > options_.max_bytes && index_.size() > 1) {
+  while (state.total_bytes > options_.max_bytes && state.index.size() > 1) {
     // Victim: least-recently-used entry, ties broken by key id (std::map
     // iteration order), never the entry just written.
-    auto victim = index_.end();
-    for (auto it = index_.begin(); it != index_.end(); ++it) {
+    auto victim = state.index.end();
+    for (auto it = state.index.begin(); it != state.index.end(); ++it) {
       if (it->first == keep_id) continue;
-      if (victim == index_.end() ||
+      if (victim == state.index.end() ||
           it->second.last_use < victim->second.last_use) {
         victim = it;
       }
     }
-    if (victim == index_.end()) break;
+    if (victim == state.index.end()) break;
     std::error_code ec;
     std::filesystem::remove(
         dir_ / kObjectsDirName / victim->first.substr(0, 2) /
             (victim->first.substr(2) + std::string(kEntrySuffix)),
         ec);
-    total_bytes_ -= std::min(total_bytes_, victim->second.bytes);
-    index_.erase(victim);
-    stats_.evictions += 1;
+    state.total_bytes -= std::min(state.total_bytes, victim->second.bytes);
+    state.index.erase(victim);
+    state.stats.evictions += 1;
   }
   return Status();
 }

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,6 +41,7 @@
 #include "obs/metrics.hpp"
 #include "store/key.hpp"
 #include "support/status.hpp"
+#include "support/synchronized.hpp"
 
 namespace tbp::prof {
 class ProfSession;
@@ -138,22 +138,26 @@ class ContentStore {
     std::uint64_t last_use = 0;
   };
 
-  [[nodiscard]] Status write_index_locked();
-  [[nodiscard]] Status load_index_locked(const std::string& text);
-  [[nodiscard]] Status rebuild_locked();
-  void quarantine_locked(const std::string& id);
-  [[nodiscard]] Status evict_until_within_budget_locked(
-      const std::string& keep_id);
+  /// Everything the store's mutex guards.  The helpers below take it by
+  /// reference, and only a holder of the lock has one to pass.
+  struct State {
+    bool opened = false;
+    std::map<std::string, IndexEntry> index;  ///< key id -> entry
+    std::uint64_t total_bytes = 0;
+    std::uint64_t tick = 0;
+    StoreStats stats;
+  };
+
+  [[nodiscard]] Status write_index(const State& state);
+  [[nodiscard]] Status load_index(State& state, const std::string& text);
+  [[nodiscard]] Status rebuild(State& state);
+  void quarantine(State& state, const std::string& id);
+  [[nodiscard]] Status evict_until_within_budget(State& state,
+                                                 const std::string& keep_id);
 
   const std::filesystem::path dir_;
   const StoreOptions options_;
-
-  mutable std::mutex mutex_;
-  bool opened_ = false;                      // TBP_GUARDED_BY(mutex_)
-  std::map<std::string, IndexEntry> index_;  // TBP_GUARDED_BY(mutex_) key id -> entry
-  std::uint64_t total_bytes_ = 0;            // TBP_GUARDED_BY(mutex_)
-  std::uint64_t tick_ = 0;                   // TBP_GUARDED_BY(mutex_)
-  StoreStats stats_;                         // TBP_GUARDED_BY(mutex_)
+  mutable par::Synchronized<State> state_;
 };
 
 /// Entry/index file name constants, shared with tests.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 
 namespace tbp::par {
 
@@ -20,8 +21,8 @@ ThreadPool::ThreadPool(std::size_t n_workers) {
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
+    auto queue = queue_.lock();
+    queue->stop = true;
   }
   cv_.notify_all();
   for (std::thread& t : threads_) t.join();
@@ -29,9 +30,9 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::enqueue(std::function<void()> task) {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    assert(!stop_ && "enqueue on a stopping ThreadPool");
-    queue_.push(std::move(task));
+    auto queue = queue_.lock();
+    assert(!queue->stop && "enqueue on a stopping ThreadPool");
+    queue->tasks.push(std::move(task));
   }
   cv_.notify_one();
 }
@@ -40,11 +41,12 @@ void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to run
-      task = std::move(queue_.front());
-      queue_.pop();
+      auto queue = queue_.lock();
+      cv_.wait(queue.lock(),
+               [&queue] { return queue->stop || !queue->tasks.empty(); });
+      if (queue->tasks.empty()) return;  // stop set and nothing left to run
+      task = std::move(queue->tasks.front());
+      queue->tasks.pop();
     }
     task();
   }
@@ -56,36 +58,46 @@ namespace {
 // pool is intentionally leaked: bench binaries may still have detached
 // helper tasks referencing it during static destruction, and the OS
 // reclaims the threads at process exit anyway.
-std::mutex g_pool_mutex;
-std::size_t g_jobs = 0;  // 0 = not configured, use default_jobs()
-ThreadPool* g_pool = nullptr;
+struct GlobalPool {
+  std::size_t jobs = 0;  // 0 = not configured, use default_jobs()
+  ThreadPool* pool = nullptr;
+
+  [[nodiscard]] std::size_t total_jobs() const noexcept {
+    return jobs == 0 ? default_jobs() : jobs;
+  }
+};
+
+constinit Synchronized<GlobalPool> g_global;
 
 }  // namespace
 
 void set_global_jobs(std::size_t jobs) {
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
+  auto global = g_global.lock();
   const std::size_t clamped = std::max<std::size_t>(jobs, 1);
-  if (g_jobs == clamped) return;
-  g_jobs = clamped;
-  if (g_pool != nullptr) {
+  if (global->jobs == clamped) return;
+  global->jobs = clamped;
+  if (global->pool != nullptr) {
     // Resize: drain and join the old workers, then respawn.  The caller
     // contract (no parallel work in flight) makes this safe.
-    // tbp-lint: allow(naked-new) -- deliberately-leaked singleton (see g_pool); unique_ptr would reintroduce the static-destruction race this design avoids
-    delete g_pool;
-    g_pool = nullptr;
+    // tbp-lint: allow(naked-new) -- deliberately-leaked singleton (see GlobalPool); unique_ptr would reintroduce the static-destruction race this design avoids
+    delete global->pool;
+    global->pool = nullptr;
   }
 }
 
-std::size_t global_jobs() noexcept { return g_jobs == 0 ? default_jobs() : g_jobs; }
+std::size_t global_jobs() noexcept {
+  const auto global = g_global.lock();
+  return global->total_jobs();
+}
 
 ThreadPool& global_pool() {
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  if (g_pool == nullptr) {
-    const std::size_t jobs = global_jobs();
+  auto global = g_global.lock();
+  if (global->pool == nullptr) {
+    const std::size_t jobs = global->total_jobs();
     // tbp-lint: allow(naked-new) -- intentional leak: workers must outlive static destruction of bench binaries with detached helper tasks
-    g_pool = new ThreadPool(jobs <= 1 ? 1 : jobs - 1);
+    global->pool = new ThreadPool(jobs <= 1 ? 1 : jobs - 1);
   }
-  return *g_pool;
+  return *global->pool;
 }
 
 namespace detail {
@@ -101,8 +113,8 @@ void ForBatch::drain() {
         fn(i);
       } catch (...) {
         {
-          std::lock_guard<std::mutex> lock(mutex);
-          if (error == nullptr) error = std::current_exception();
+          auto first = error.lock();
+          if (*first == nullptr) *first = std::current_exception();
         }
         failed.store(true, std::memory_order_release);
       }
@@ -110,7 +122,7 @@ void ForBatch::drain() {
     if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
       // Lock before notifying so the waiter cannot check the predicate and
       // sleep between our increment and our notify (lost-wakeup guard).
-      std::lock_guard<std::mutex> lock(mutex);
+      const auto held = error.lock();
       cv.notify_all();
     }
   }
@@ -127,11 +139,11 @@ void run_parallel_for(std::size_t n, std::size_t jobs,
     pool.enqueue([batch] { batch->drain(); });
   }
   batch->drain();
-  std::unique_lock<std::mutex> lock(batch->mutex);
-  batch->cv.wait(lock, [&] {
+  auto error = batch->error.lock();
+  batch->cv.wait(error.lock(), [&] {
     return batch->done.load(std::memory_order_acquire) == batch->n;
   });
-  if (batch->error != nullptr) std::rethrow_exception(batch->error);
+  if (*error != nullptr) std::rethrow_exception(*error);
 }
 
 }  // namespace detail

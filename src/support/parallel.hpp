@@ -6,7 +6,7 @@
 // owns its simulator, its RNG streams, and its output slot).  This header
 // provides the two primitives the pipeline uses:
 //
-//  * ThreadPool — a small fixed-size pool with a futures `submit` API.  One
+//  * ThreadPool — a small fixed-size FIFO pool of workers.  One
 //    process-wide pool (`global_pool`) is shared by every level of the
 //    pipeline, sized by the `--jobs` flag via `set_global_jobs`, so nesting
 //    parallel sections never multiplies the thread count.
@@ -34,13 +34,11 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <future>
-#include <memory>
-#include <mutex>
 #include <queue>
 #include <thread>
-#include <type_traits>
 #include <vector>
+
+#include "support/synchronized.hpp"
 
 namespace tbp::par {
 
@@ -66,25 +64,16 @@ class ThreadPool {
   /// the task itself; a task that leaks an exception terminates).
   void enqueue(std::function<void()> task);
 
-  /// Enqueues a task and returns its future; exceptions propagate through
-  /// std::future::get.
-  template <typename F>
-  [[nodiscard]] auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> future = task->get_future();
-    enqueue([task]() { (*task)(); });
-    return future;
-  }
-
  private:
+  struct Queue {
+    std::queue<std::function<void()>> tasks;
+    bool stop = false;
+  };
+
   void worker_loop();
 
-  std::mutex mutex_;
+  Synchronized<Queue> queue_;
   std::condition_variable cv_;
-  std::queue<std::function<void()>> queue_;  // TBP_GUARDED_BY(mutex_)
-  bool stop_ = false;                        // TBP_GUARDED_BY(mutex_)
   std::vector<std::thread> threads_;
 };
 
@@ -118,9 +107,8 @@ struct ForBatch {
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::atomic<bool> failed{false};
-  std::mutex mutex;              // guards error, pairs with cv
+  Synchronized<std::exception_ptr> error;  // its lock pairs with cv
   std::condition_variable cv;
-  std::exception_ptr error;      // TBP_GUARDED_BY(mutex)
 
   /// Claims and runs iterations until none remain.  Safe to call from any
   /// number of threads; each index is executed exactly once.

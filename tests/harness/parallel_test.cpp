@@ -1,8 +1,8 @@
 // Serial-vs-parallel property tests: the pipeline's determinism contract
 // says every jobs value produces bit-identical results (only the wall-clock
 // timing fields may differ).  These tests hold run_comparison, run_tbpoint
-// and the CSV export to that standard, and prove the once-per-key cache
-// guard collapses concurrent requests for one key into one computation.
+// and the CSV export to that standard, and show that concurrent
+// cached_comparison calls for one key agree and leave one loadable row.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -148,8 +148,8 @@ TEST(ParallelCsvTest, CsvBytesAreIdenticalAcrossJobsValues) {
   EXPECT_EQ(serial_csv.str(), parallel_csv.str());
 }
 
-TEST(OncePerKeyTest, ConcurrentRequestsCostOneComputation) {
-  const std::string dir = ::testing::TempDir() + "/tbp_once_per_key";
+TEST(CachedComparisonTest, ConcurrentRequestsForOneKeyAgree) {
+  const std::string dir = ::testing::TempDir() + "/tbp_same_key";
   std::filesystem::remove_all(dir);
   par::set_global_jobs(4);
 
@@ -158,6 +158,8 @@ TEST(OncePerKeyTest, ConcurrentRequestsCostOneComputation) {
   const sim::GpuConfig config = small_config();
   const ComparisonOptions options = small_options(1);
 
+  // Each thread may miss the store and compute the row; the puts of one
+  // key then race on the store, and each is atomic.
   const std::size_t before = run_comparison_invocations();
   constexpr std::size_t kThreads = 4;
   std::vector<ExperimentRow> rows(kThreads);
@@ -171,23 +173,19 @@ TEST(OncePerKeyTest, ConcurrentRequestsCostOneComputation) {
     }
     for (std::thread& thread : threads) thread.join();
   }
-  // One owner computed; the other three shared its row without touching
-  // run_comparison (and without re-reading the disk entry).
-  EXPECT_EQ(run_comparison_invocations(), before + 1);
+  const std::size_t computed = run_comparison_invocations() - before;
+  EXPECT_GE(computed, 1u);
+  EXPECT_LE(computed, kThreads);
   for (std::size_t t = 1; t < kThreads; ++t) {
     expect_rows_bit_identical(rows[0], rows[t]);
   }
 
-  // A later call hits the on-disk entry and is marked as cached.
+  // A later call loads the stored row instead of computing it.
   const ExperimentRow reloaded =
       cached_comparison("stream", scale, config, options, dir);
-  EXPECT_EQ(run_comparison_invocations(), before + 1);
+  EXPECT_EQ(run_comparison_invocations(), before + computed);
   EXPECT_TRUE(reloaded.from_cache);
   expect_rows_bit_identical(rows[0], reloaded);
-
-  // The once-per-key guard must drain: a completed key left in the map
-  // would pin every row of a sweep in memory for the process lifetime.
-  EXPECT_EQ(cache_in_flight_for_test(), 0u);
 }
 
 }  // namespace

@@ -38,8 +38,8 @@ std::string read_file(const std::string& path) {
   return text.str();
 }
 
-/// Fixture-directory policy: no allowlists, fixtures are order-sensitive
-/// and in scope for the lock/layering passes with a tiny rank table.
+/// Fixture-directory policy: no allowlists, fixtures are order-sensitive,
+/// and the layering pass gets a tiny rank table.
 LintConfig fixture_config() {
   LintConfig config;
   config.order_sensitive = {"tests/lint/fixtures/"};
@@ -128,33 +128,23 @@ TEST(LintFixtures, UnjustifiedSuppressionIsItselfAFinding) {
          "a leftover shard(...) marker names no rule and reports too";
 }
 
-// --- guarded-by -----------------------------------------------------------
+// --- bare-mutex -----------------------------------------------------------
 
-TEST(LintFixtures, GuardedByFlagsUnlockedAccessAndUnlockedHelperCall) {
-  const auto diags = lint_fixture("guarded_by_violation.cpp");
+TEST(LintFixtures, BareMutexFlagsDeclarationsOnly) {
+  const auto diags = lint_fixture("bare_mutex_violation.cpp");
   const std::vector<std::pair<std::string, int>> expected = {
-      {"guarded-by", 23},  // value_ touched with no lock scope in sight
-      {"guarded-by", 26},  // flush_locked() called outside any lock scope
+      {"bare-mutex", 10},  // namespace-scope std::shared_mutex
+      {"bare-mutex", 19},  // member std::mutex
   };
-  ASSERT_EQ(rule_lines(diags), expected);
-  EXPECT_NE(diags[0].message.find("value_"), std::string::npos);
-  EXPECT_NE(diags[1].message.find("flush_locked"), std::string::npos);
+  ASSERT_EQ(rule_lines(diags), expected)
+      << "a std::mutex& parameter, a unique_lock<std::mutex> and a "
+         "justified allow must stay clean";
+  EXPECT_NE(diags[0].message.find("g_registry_mutex"), std::string::npos);
+  EXPECT_NE(diags[1].message.find("mutex_"), std::string::npos);
   for (const Diagnostic& d : diags) {
     EXPECT_EQ(d.severity, Severity::kError);
-    EXPECT_EQ(d.file, "tests/lint/fixtures/guarded_by_violation.cpp");
+    EXPECT_EQ(d.file, "tests/lint/fixtures/bare_mutex_violation.cpp");
   }
-}
-
-TEST(LintFixtures, GuardedByJustifiedAllowSilences) {
-  const auto diags = lint_fixture("guarded_by_suppressed.cpp");
-  EXPECT_TRUE(diags.empty()) << tbp_lint::format_diagnostic(
-      diags.front(), OutputFormat::kText);
-}
-
-TEST(LintFixtures, GuardedByLockScopesAndLockedHelpersAreClean) {
-  const auto diags = lint_fixture("guarded_by_clean.cpp");
-  EXPECT_TRUE(diags.empty()) << tbp_lint::format_diagnostic(
-      diags.front(), OutputFormat::kText);
 }
 
 // --- layering -------------------------------------------------------------
@@ -347,7 +337,7 @@ TEST(LintOutput, RuleRegistryHasUniqueIdsCoveringEmittedRules) {
   for (const char* emitted :
        {"determinism-rand", "determinism-clock", "determinism-time",
         "determinism-getenv", "unordered-iter", "pragma-once", "naked-new",
-        "lint-suppression", "guarded-by", "layering", "prof-isolation",
+        "lint-suppression", "bare-mutex", "layering", "prof-isolation",
         "prof-quarantine"}) {
     EXPECT_EQ(ids.count(emitted), 1u) << emitted;
   }

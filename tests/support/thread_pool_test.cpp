@@ -25,25 +25,6 @@ TEST(ThreadPoolTest, SpawnsAtLeastOneWorker) {
   EXPECT_EQ(pool4.workers(), 4u);
 }
 
-TEST(ThreadPoolTest, SubmitReturnsResultsThroughFutures) {
-  ThreadPool pool(3);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(pool.submit([i]() { return i * i; }));
-  }
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-  }
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto future = pool.submit([]() -> int {
-    throw std::runtime_error("task failed");
-  });
-  EXPECT_THROW((void)future.get(), std::runtime_error);
-}
-
 TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
   std::atomic<int> ran{0};
   {

@@ -76,13 +76,14 @@ void sort_diagnostics(std::vector<Diagnostic>* diags) {
             });
 }
 
-/// Layering plus suppression application for one file's finished summary,
-/// appended to `out`.  Shared by run_lint and lint_source so both see
-/// identical semantics.
+/// The include-graph checks plus suppression application for one file's
+/// finished summary, appended to `out`.  Shared by run_lint and lint_source
+/// so both see identical semantics.
 void finish_file(const FileSummary& summary, const LintConfig& config,
                  std::size_t* suppressions_used, std::vector<Diagnostic>* out) {
   std::vector<Diagnostic> diags = summary.local;
   run_layering(summary, config, &diags);
+  run_prof_isolation(summary, config, &diags);
   std::vector<Diagnostic> meta;
   apply_suppressions(summary, &diags, suppressions_used, &meta);
   out->insert(out->end(), diags.begin(), diags.end());
@@ -135,7 +136,7 @@ LintResult run_lint(const LintOptions& options) {
   result.files_scanned = files.size();
 
   // Pass two, once every summary exists so that a .cpp sees its paired
-  // header's (cpp -> hpp): pair rules, layering, suppressions.
+  // header's (cpp -> hpp): pair rules, include-graph checks, suppressions.
   for (std::size_t i = 0; i < files.size(); ++i) {
     const FileSummary* companion = nullptr;
     if (files[i].ends_with(".cpp")) {

@@ -2,9 +2,9 @@
 // inline suppressions and renders reports.
 //
 // Pipeline: pass one builds a FileSummary per file — local rules plus the
-// symbol facts; pass two runs, file by file, the pair rules (a .cpp with
-// its header's summary) and the layering check, then applies that file's
-// suppressions.
+// symbol facts; pass two runs, file by file, the pair rule (a .cpp with
+// its header's summary) and the include-graph checks (layering,
+// prof-isolation), then applies that file's suppressions.
 //
 // Suppression syntax, checked by the `lint-suppression` meta-rule:
 //

@@ -68,4 +68,20 @@ void run_layering(const FileSummary& summary, const LintConfig& config,
   }
 }
 
+void run_prof_isolation(const FileSummary& summary, const LintConfig& config,
+                        std::vector<Diagnostic>* out) {
+  if (summary.path.rfind("src/prof/", 0) == 0 ||
+      path_matches(summary.path, config.prof_include_allowlist)) {
+    return;
+  }
+  for (const IncludeRef& inc : summary.includes) {
+    if (inc.target.rfind("prof/", 0) != 0) continue;
+    emit(out, summary.path, inc.line, "prof-isolation",
+         "include of '" + inc.target +
+             "' outside the profiling allowlist; the wall-clock "
+             "self-profiling layer stays out of deterministic modules "
+             "(DESIGN.md \"Self-profiling\")");
+  }
+}
+
 }  // namespace tbp_lint

@@ -1,6 +1,10 @@
-// The layering pass for tbp_lint: the include graph against the module
-// rank table.  An edge is legal within a module or from a higher rank to a
-// strictly lower one.  It reads one file's summary at a time.
+// The include-graph checks for tbp_lint, each reading one file's summary
+// at a time.  Layering holds the include graph against the module rank
+// table: an edge is legal within a module or from a higher rank to a
+// strictly lower one.  Prof-isolation keeps `#include "prof/..."` inside
+// src/prof and the configured allowlist (the instrumented layers and the
+// tools that render sidecars): a module that cannot name a ProfSession
+// cannot route a wall-clock reading into simulated results.
 #pragma once
 
 #include <string>
@@ -19,5 +23,9 @@ namespace tbp_lint {
 /// layering over one file's includes.
 void run_layering(const FileSummary& summary, const LintConfig& config,
                   std::vector<Diagnostic>* out);
+
+/// prof-isolation over one file's includes.
+void run_prof_isolation(const FileSummary& summary, const LintConfig& config,
+                        std::vector<Diagnostic>* out);
 
 }  // namespace tbp_lint

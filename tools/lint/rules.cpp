@@ -39,6 +39,11 @@ constexpr std::array<std::string_view, 4> kSortedTypes = {
     "map", "set", "multimap", "multiset",
 };
 
+constexpr std::array<std::string_view, 6> kMutexTypes = {
+    "mutex",        "timed_mutex",  "recursive_mutex", "recursive_timed_mutex",
+    "shared_mutex", "shared_timed_mutex",
+};
+
 template <std::size_t N>
 [[nodiscard]] bool in_table(const std::array<std::string_view, N>& table,
                             const std::string& text) noexcept {
@@ -145,48 +150,19 @@ void check_determinism(const std::string& path, const LexedFile& lexed,
 }
 
 // ---------------------------------------------------------------------------
-// prof-isolation / prof-quarantine rules
+// prof-quarantine rule
 
-/// The self-profiling quarantine (DESIGN.md "Self-profiling").  Two checks:
-///
-///  - prof-isolation: `#include "prof/..."` is legal only inside src/prof
-///    and the configured allowlist (the instrumented layers and the tools
-///    that render sidecars).  A module that cannot name a ProfSession
-///    cannot route a wall-clock reading into simulated results.
-///
-///  - prof-quarantine: at a sealed-artifact emission site
-///    `.set("key", <args>)`, a wall-clock getter inside the args — a
-///    member call named exactly `seconds`, or any call whose name ends in
-///    `_seconds` — requires the key to also end in `_seconds`.  That suffix
-///    marks a wall-clock reporting field, which no manifest carries, so
-///    timing can never flow into a field the manifests keep byte-identical.
+/// The self-profiling quarantine's sink check (DESIGN.md "Self-profiling";
+/// its include half, prof-isolation, reads the include graph in graph.cpp):
+/// at a sealed-artifact emission site `.set("key", <args>)`, a wall-clock
+/// getter inside the args — a member call named exactly `seconds`, or any
+/// call whose name ends in `_seconds` — requires the key to also end in
+/// `_seconds`.  That suffix marks a wall-clock reporting field, which no
+/// manifest carries, so timing can never flow into a field the manifests
+/// keep byte-identical.
 void check_prof_quarantine(const std::string& path, const LexedFile& lexed,
-                           const LintConfig& config,
                            std::vector<Diagnostic>* out) {
   const Tokens& toks = lexed.tokens;
-
-  const bool include_ok = path.rfind("src/prof/", 0) == 0 ||
-                          path_matches(path, config.prof_include_allowlist);
-  if (!include_ok) {
-    for (const Token& t : toks) {
-      if (t.kind != TokKind::kDirective) continue;
-      const std::size_t inc = t.text.find("include");
-      if (inc == std::string::npos) continue;
-      const std::size_t open = t.text.find_first_of("\"<", inc);
-      if (open == std::string::npos) continue;
-      const char closer = t.text[open] == '"' ? '"' : '>';
-      const std::size_t close = t.text.find(closer, open + 1);
-      if (close == std::string::npos) continue;
-      const std::string target = t.text.substr(open + 1, close - open - 1);
-      if (target.rfind("prof/", 0) != 0) continue;
-      emit(out, path, t.line, "prof-isolation",
-           "include of '" + target +
-               "' outside the profiling allowlist; the wall-clock "
-               "self-profiling layer stays out of deterministic modules "
-               "(DESIGN.md \"Self-profiling\")");
-    }
-  }
-
   const auto is_wallclock_name = [](const std::string& name) {
     return name.ends_with("_seconds");
   };
@@ -212,6 +188,31 @@ void check_prof_quarantine(const std::string& path, const LexedFile& lexed,
                "'; prof/walltime readings may only reach *_seconds "
                "reporting fields (DESIGN.md \"Self-profiling\")");
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// bare-mutex rule
+
+/// A standard mutex declared by name anywhere but inside par::Synchronized
+/// (support/synchronized.hpp), whose lock handle is the only way to reach
+/// the state it guards.  `std::<mutex type>` followed by an identifier is a
+/// declaration; a reference or pointer parameter and a lock's template
+/// argument (`unique_lock<std::mutex>`) are not.
+void check_bare_mutex(const std::string& path, const LexedFile& lexed,
+                      std::vector<Diagnostic>* out) {
+  const Tokens& toks = lexed.tokens;
+  for (std::size_t i = 2; i + 1 < toks.size(); ++i) {
+    if (toks[i].kind != TokKind::kIdentifier ||
+        !in_table(kMutexTypes, toks[i].text) ||
+        !is_punct(toks[i - 1], "::") || !is_ident(toks[i - 2], "std") ||
+        toks[i + 1].kind != TokKind::kIdentifier) {
+      continue;
+    }
+    emit(out, path, toks[i].line, "bare-mutex",
+         "std::" + toks[i].text + " '" + toks[i + 1].text +
+             "' declared outside par::Synchronized; keep the state it "
+             "guards in a Synchronized<T> (support/synchronized.hpp)");
   }
 }
 
@@ -267,8 +268,8 @@ const std::vector<RuleInfo>& rule_registry() {
        "environment access outside the allowlist"},
       {"unordered-iter", Severity::kError,
        "unordered-container iteration in order-sensitive files"},
-      {"guarded-by", Severity::kError,
-       "TBP_GUARDED_BY field access outside a scope holding its mutex"},
+      {"bare-mutex", Severity::kError,
+       "standard mutex declared outside par::Synchronized"},
       {"layering", Severity::kError,
        "include edge that violates the module DAG"},
       {"prof-isolation", Severity::kError,
@@ -350,7 +351,8 @@ bool is_header(const std::string& path) {
 void run_local_rules(const std::string& path, const LexedFile& lexed,
                      const LintConfig& config, std::vector<Diagnostic>* out) {
   check_determinism(path, lexed, config, out);
-  check_prof_quarantine(path, lexed, config, out);
+  check_prof_quarantine(path, lexed, out);
+  check_bare_mutex(path, lexed, out);
   check_pragma_once(path, lexed, out);
   check_naked_new(path, lexed, config, out);
 }

@@ -3,8 +3,8 @@
 // Each rule protects a repo invariant (DESIGN.md "Static invariants"):
 // determinism rules keep the bit-identical `--jobs`/observation guarantees
 // enforceable at review time instead of only by the runtime property tests;
-// the lock-discipline / layering families keep the concurrency and module
-// contracts honest; hygiene rules are cheap tripwires.  The Status/Result
+// the bare-mutex / layering rules keep the concurrency and module contracts
+// honest; hygiene rules are cheap tripwires.  The Status/Result
 // contract is not a lint rule: both types are [[nodiscard]] and every tree
 // builds with -Werror=unused-result, so the compiler rejects a dropped
 // error.  Rules are token-pattern heuristics, tuned to this codebase —
@@ -13,8 +13,8 @@
 //
 // This header holds the shared vocabulary (diagnostics, configuration) and
 // the *local* rules: checks that read one file's tokens, or one file plus
-// its paired header.  The layering pass lives in graph.hpp and reads the
-// per-file summaries built by symbols.hpp.
+// its paired header.  The include-graph checks (layering, prof-isolation)
+// live in graph.hpp and read the per-file summaries built by symbols.hpp.
 #pragma once
 
 #include <string>
@@ -82,8 +82,9 @@ struct LintConfig {
                                 const std::vector<std::string>& prefixes);
 [[nodiscard]] bool is_header(const std::string& path);
 
-/// Single-file rules (determinism-*, pragma-once, naked-new): everything
-/// they read is in this file's tokens plus the config.
+/// Single-file rules (determinism-*, prof-quarantine, bare-mutex,
+/// pragma-once, naked-new): everything they read is in this file's tokens
+/// plus the config.
 void run_local_rules(const std::string& path, const LexedFile& lexed,
                      const LintConfig& config, std::vector<Diagnostic>* out);
 

@@ -1,18 +1,10 @@
 // Per-file symbol summaries for tbp_lint's pipeline.
 //
 // Pass one (this header) reduces each translation unit to a `FileSummary`:
-// local diagnostics plus the symbol facts the later rules need —
-// TBP_GUARDED_BY annotations and declared container names (a .cpp also
-// reads its paired header's), and include edges for the layering pass.  A
-// summary is a pure function of (file bytes, paired-header bytes, config).
-//
-// Annotation grammar (DESIGN.md "Static invariants"):
-//
-//   // TBP_GUARDED_BY(m)            field annotation: reads/writes require
-//   //                              mutex `m` held in the enclosing scope
-//
-// A trailing comment annotates its own line; an own-line comment annotates
-// the next line (same convention as suppressions).
+// local diagnostics plus the symbol facts the later rules need — declared
+// container names (a .cpp also reads its paired header's) and include
+// edges for the layering and prof-isolation checks.  A summary is a pure
+// function of (file bytes, paired-header bytes, config).
 #pragma once
 
 #include <string>
@@ -21,13 +13,6 @@
 #include "lint/rules.hpp"
 
 namespace tbp_lint {
-
-/// A TBP_GUARDED_BY(mutex)-annotated field.
-struct FieldSymbol {
-  std::string name;
-  int line = 0;
-  std::string guarded_by;  ///< mutex name
-};
 
 struct IncludeRef {
   std::string target;  ///< the path between quotes/brackets
@@ -43,12 +28,11 @@ struct Suppression {
 };
 
 /// Everything the pipeline keeps per file.  `local` holds single-file and
-/// pair-rule diagnostics; the driver adds the layering diagnostics.
+/// pair-rule diagnostics; the driver adds the include-graph diagnostics.
 struct FileSummary {
   std::string path;
   std::vector<Diagnostic> local;
   std::vector<Suppression> suppressions;
-  std::vector<FieldSymbol> fields;
   std::vector<IncludeRef> includes;
   std::vector<std::string> unordered_names;
   std::vector<std::string> sorted_names;
@@ -59,15 +43,15 @@ struct FileSummary {
 /// without an allow clause has no rules and is reported as malformed.
 [[nodiscard]] bool parse_suppression(const Comment& comment, Suppression* out);
 
-/// Pass one over a single file: local rules, annotation parsing, symbol
-/// extraction.  Does not need the companion header.
+/// Pass one over a single file: local rules and symbol extraction.  Does
+/// not need the companion header.
 [[nodiscard]] FileSummary build_file_summary(const std::string& path,
                                              const LexedFile& lexed,
                                              const LintConfig& config);
 
-/// Pair rules (unordered-iter with merged declared names, guarded-by with
-/// merged field annotations) over this file's tokens; diagnostics append to
-/// summary->local.  `companion` is the paired header's summary, or null.
+/// The pair rule (unordered-iter with the pair's merged declared names)
+/// over this file's tokens; diagnostics append to summary->local.
+/// `companion` is the paired header's summary, or null.
 void run_pair_rules(const std::string& path, const LexedFile& lexed,
                     const LintConfig& config, const FileSummary* companion,
                     FileSummary* summary);
